@@ -40,7 +40,7 @@ namespace obs {
 /// append only.
 enum class FlightEventKind : std::uint8_t {
   kEnqueue = 0,     // mailbox push (a = stream id, b = op kind byte)
-  kDrain = 1,       // one drain batch (a = batch size, b = 1 if more queued)
+  kDrain = 1,       // one drain batch (a = batch size, b = list pairs in it)
   kCreate = 2,      // stream created (a = stream id)
   kList = 3,        // adjacency list applied (a = stream id, b = pairs)
   kEndPass = 4,     // pass boundary applied (a = stream id, b = new pass)

@@ -1,17 +1,27 @@
 // Multi-producer single-consumer mailbox: the per-shard ingestion queue of
 // the estimator service.
 //
-// Producers (client threads calling EstimatorService::Append / Query / ...)
-// push onto a Treiber-style atomic intrusive stack — one CAS per push, no
-// mutex, no producer-side blocking. The single consumer (the shard's drain
-// task on the worker pool) detaches the whole stack with one exchange and
-// reverses it, recovering FIFO order. FIFO across TakeAll rounds is
-// preserved: everything pushed after a detach is taken by a later detach.
+// A mutex around two reusable buffers: the pending ops, in push order, and
+// an arena of list elements the ops point into. Producers (client threads
+// calling EstimatorService::Append / Query / ...) append under the lock; a
+// list is copied once, straight into the arena, and its op records where it
+// landed. The single consumer (the shard's drain task on the worker pool)
+// swaps both buffers out with TakeAll into buffers it owns and reuses
+// across drains, so a steady stream of ops allocates nothing once the
+// buffers have grown to the working batch size.
 //
-// The queue is unbounded; backpressure is the callers' concern (the service
-// exposes Flush() as a drain barrier). Ordering guarantee, and the only one
-// the service's determinism contract needs: two pushes from the SAME
-// producer thread are consumed in push order. Pushes from different
+// The "drain scheduled" bit lives under the same lock. Push sets it and
+// reports whether it was clear, so exactly one producer per idle period is
+// told to submit a drain; TakeAll clears it only when it finds nothing
+// pending. A push and the empty check that releases the shard are ordered
+// by the lock, so a push either lands before the check (and the consumer
+// takes it) or after it (and sees the bit clear, and submits a drain): an
+// op can never be left in a mailbox that no drain will visit.
+//
+// The mailbox is unbounded; backpressure is the callers' concern (the
+// service exposes Flush() as a drain barrier). Ordering guarantee, and the
+// only one the service's determinism contract needs: two pushes from the
+// SAME producer thread are consumed in push order. Pushes from different
 // producers race, and their relative order is scheduling-dependent — which
 // is why the service keys per-stream state to exactly one shard and lets
 // callers own the per-stream submission order.
@@ -19,75 +29,61 @@
 #ifndef CYCLESTREAM_SERVICE_MAILBOX_H_
 #define CYCLESTREAM_SERVICE_MAILBOX_H_
 
-#include <atomic>
 #include <cstddef>
-#include <utility>
+#include <mutex>
+#include <span>
 #include <vector>
 
 namespace cyclestream {
 namespace service {
 
-template <typename T>
+/// `T` is the op type. It must have `std::size_t list_begin, list_size`
+/// members, which Push sets to the op's slice of the arena. `V` is the
+/// arena's element type.
+template <typename T, typename V>
 class Mailbox {
  public:
   Mailbox() = default;
-  ~Mailbox() {
-    Node* node = head_.exchange(nullptr, std::memory_order_acquire);
-    while (node != nullptr) {
-      Node* next = node->next;
-      delete node;
-      node = next;
-    }
-  }
 
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
-  /// Pushes one value; wait-free except for CAS retries under contention.
-  void Push(T value) {
-    Node* node = new Node{std::move(value), head_.load(std::memory_order_relaxed)};
-    while (!head_.compare_exchange_weak(node->next, node,
-                                        std::memory_order_release,
-                                        std::memory_order_relaxed)) {
-    }
+  /// Appends `op`, copying `list` into the arena. Returns true when the
+  /// shard was idle: the caller now owns submitting its drain task. False
+  /// while a drain owns the shard (that drain will take this op).
+  bool Push(T op, std::span<const V> list = {}) {
+    std::lock_guard<std::mutex> lock(mu_);
+    op.list_begin = arena_.size();
+    op.list_size = list.size();
+    arena_.insert(arena_.end(), list.begin(), list.end());
+    ops_.push_back(std::move(op));
+    const bool was_idle = !scheduled_;
+    scheduled_ = true;
+    return was_idle;
   }
 
-  /// True when no pushed value is awaiting a TakeAll. Racy by nature; the
-  /// consumer uses it only inside the scheduled-flag handshake (see
-  /// service.cc) where the race is benign.
-  bool Empty() const {
-    return head_.load(std::memory_order_acquire) == nullptr;
-  }
-
-  /// Detaches everything pushed so far and returns it in FIFO order.
-  /// Single-consumer: only one thread may call TakeAll at a time.
-  std::vector<T> TakeAll() {
-    Node* node = head_.exchange(nullptr, std::memory_order_acquire);
-    std::vector<T> out;
-    for (Node* walk = node; walk != nullptr; walk = walk->next) ++count_scratch_;
-    out.reserve(count_scratch_);
-    count_scratch_ = 0;
-    // The stack holds newest-first; collect then reverse to FIFO.
-    while (node != nullptr) {
-      Node* next = node->next;
-      out.push_back(std::move(node->value));
-      delete node;
-      node = next;
+  /// Single consumer: swaps every pending op into `*ops` and the arena into
+  /// `*arena`, in push order, after clearing both (their capacity comes
+  /// back as the producers' next buffers). With nothing pending it clears
+  /// the scheduled bit, releasing the shard, and returns false.
+  bool TakeAll(std::vector<T>* ops, std::vector<V>* arena) {
+    ops->clear();  // outside the lock: the last batch's ops die here
+    arena->clear();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (ops_.empty()) {
+      scheduled_ = false;
+      return false;
     }
-    for (std::size_t i = 0, j = out.size(); i + 1 < j; ++i, --j) {
-      std::swap(out[i], out[j - 1]);
-    }
-    return out;
+    ops_.swap(*ops);
+    arena_.swap(*arena);
+    return true;
   }
 
  private:
-  struct Node {
-    T value;
-    Node* next;
-  };
-
-  std::atomic<Node*> head_{nullptr};
-  std::size_t count_scratch_ = 0;  // consumer-only reserve scratch
+  std::mutex mu_;
+  std::vector<T> ops_;      // guarded by mu_
+  std::vector<V> arena_;    // guarded by mu_
+  bool scheduled_ = false;  // guarded by mu_
 };
 
 }  // namespace service

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -60,7 +61,9 @@ struct EstimatorService::Op {
   StreamId id = 0;
   TraceContext trace;
   VertexId u = 0;
-  std::vector<VertexId> list;
+  // kList: the list's slice of the shard's pair arena (set by Push).
+  std::size_t list_begin = 0;
+  std::size_t list_size = 0;
   EstimatorSpec spec;
   std::vector<std::uint8_t> manifest;
   std::chrono::steady_clock::time_point enqueued;
@@ -86,9 +89,12 @@ struct EstimatorService::StreamState {
 
 struct EstimatorService::Shard {
   std::size_t index = 0;
-  Mailbox<Op> mailbox;
-  std::atomic<bool> scheduled{false};
-  // Consumer-only (the shard's drain task): never touched off-thread.
+  Mailbox<Op, VertexId> mailbox;
+  // Consumer-only (the shard's drain task): never touched off-thread. The
+  // batch buffers trade places with the mailbox's on every take, so their
+  // capacity is reused across drains.
+  std::vector<Op> batch;
+  std::vector<VertexId> batch_pairs;
   std::map<StreamId, StreamState> streams;
   // Bound metric handles (unset when the service runs unmetered).
   obs::Counter ops, lists, pairs, queries, checkpoints, restores, kills,
@@ -192,7 +198,8 @@ TraceContext EstimatorService::StampTrace(StreamId id) {
   return context;
 }
 
-void EstimatorService::Enqueue(Shard& shard, Op op) {
+void EstimatorService::Enqueue(Shard& shard, Op op,
+                               std::span<const VertexId> list) {
   if (metrics_ != nullptr || trace_ != nullptr) {
     op.enqueued = std::chrono::steady_clock::now();
   }
@@ -216,29 +223,18 @@ void EstimatorService::Enqueue(Shard& shard, Op op) {
                     static_cast<std::uint32_t>(shard.index), op.id,
                     static_cast<std::uint64_t>(op.kind));
   }
-  shard.mailbox.Push(std::move(op));
-  // First producer to observe the shard unscheduled owns submitting its
-  // drain task; everyone else is guaranteed a consumer is (or will be)
-  // running and will see their op.
-  if (!shard.scheduled.exchange(true, std::memory_order_acq_rel)) {
+  // The push that finds the shard idle owns submitting its drain task.
+  if (shard.mailbox.Push(std::move(op), list)) {
     pool_.Submit([this, i = shard.index] { Drain(i); });
   }
 }
 
 void EstimatorService::Drain(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
+  std::vector<Op>& batch = shard.batch;
   std::size_t processed = 0;
-  for (;;) {
-    std::vector<Op> batch = shard.mailbox.TakeAll();
-    if (batch.empty()) {
-      // Release shard state to whichever producer re-schedules next.
-      shard.scheduled.store(false, std::memory_order_release);
-      if (shard.mailbox.Empty()) return;
-      // An op raced in after TakeAll; reclaim the consumer role unless
-      // its producer already submitted a replacement task.
-      if (shard.scheduled.exchange(true, std::memory_order_acq_rel)) return;
-      continue;
-    }
+  // An empty take releases the shard; the next push then submits a drain.
+  while (shard.mailbox.TakeAll(&batch, &shard.batch_pairs)) {
     if (metrics_ != nullptr) {
       shard.drains.Increment();
       shard.queue_depth.Observe(static_cast<double>(batch.size()));
@@ -252,7 +248,7 @@ void EstimatorService::Drain(std::size_t shard_index) {
     if (flight_ != nullptr) {
       flight_->Record(obs::FlightEventKind::kDrain,
                       static_cast<std::uint32_t>(shard.index), batch.size(),
-                      shard.mailbox.Empty() ? 0 : 1);
+                      shard.batch_pairs.size());
     }
     if (log_.Enabled(obs::LogLevel::kDebug)) {
       obs::Json fields = obs::Json::Object();
@@ -285,7 +281,7 @@ void EstimatorService::Drain(std::size_t shard_index) {
     drain_span.End();
     processed += batch.size();
     if (processed >= drain_budget_) {
-      // Yield the worker; keep the scheduled flag (this task still owns
+      // Yield the worker; the shard stays scheduled (this task still owns
       // the consumer role, the continuation inherits it).
       pool_.Submit([this, shard_index] { Drain(shard_index); });
       return;
@@ -421,21 +417,24 @@ void EstimatorService::DoList(Shard& shard, Op& op) {
     OnErrorLatched(shard, op.id, state.error);
     return;
   }
+  const std::span<const VertexId> list =
+      std::span<const VertexId>(shard.batch_pairs)
+          .subspan(op.list_begin, op.list_size);
   stream::StreamAlgorithm* algo = state.hosted.algo.get();
   algo->BeginList(op.u);
-  algo->OnListBatch(op.u, std::span<const VertexId>(op.list));
-  state.report.pairs_processed += op.list.size();
-  state.report.per_pass.back().pairs_processed += op.list.size();
+  algo->OnListBatch(op.u, list);
+  state.report.pairs_processed += list.size();
+  state.report.per_pass.back().pairs_processed += list.size();
   algo->EndList(op.u);
   SampleSpace(state);
   if (metrics_ != nullptr) {
     shard.lists.Increment();
-    shard.pairs.Increment(op.list.size());
+    shard.pairs.Increment(list.size());
   }
   if (flight_ != nullptr) {
     flight_->Record(obs::FlightEventKind::kList,
                     static_cast<std::uint32_t>(shard.index), op.id,
-                    op.list.size());
+                    list.size());
   }
 }
 
@@ -494,9 +493,12 @@ void EstimatorService::DoQuery(Shard& shard, Op& op) {
   }
   StreamView view;
   view.spec = state.spec;
-  view.estimate = state.hosted.estimate(*state.hosted.algo);
-  view.pass = state.pass;
   view.passes_requested = state.report.passes_requested;
+  // A multi-pass estimator has no result before its last pass ends.
+  view.estimate = (state.finished || view.passes_requested == 1)
+                      ? state.hosted.estimate(*state.hosted.algo)
+                      : std::numeric_limits<double>::quiet_NaN();
+  view.pass = state.pass;
   view.finished = state.finished;
   view.report = state.report;
   op.view_promise->set_value(std::move(view));
@@ -687,14 +689,13 @@ std::future<Status> EstimatorService::Create(StreamId id, EstimatorSpec spec) {
 }
 
 void EstimatorService::Append(StreamId id, VertexId u,
-                              std::vector<VertexId> list) {
+                              std::span<const VertexId> list) {
   Op op;
   op.kind = OpKind::kList;
   op.id = id;
   op.trace = StampTrace(id);
   op.u = u;
-  op.list = std::move(list);
-  Enqueue(ShardFor(id), std::move(op));
+  Enqueue(ShardFor(id), std::move(op), list);
 }
 
 void EstimatorService::EndPass(StreamId id) {

@@ -5,7 +5,8 @@
 // queries, not one big stream. An `EstimatorService` hosts thousands of
 // independent estimator instances keyed by stream id. A stable hash of the
 // id picks one of N shards; each shard owns the full state of its streams
-// and consumes its own lock-free MPSC mailbox (service/mailbox.h) on a
+// and consumes its own MPSC mailbox (service/mailbox.h: one lock around
+// reusable op and pair buffers and the drain-scheduled bit) on a
 // shared `runtime::ThreadPool`. Clients push whole adjacency lists (the
 // PR-4 span substrate's unit of delivery) with fire-and-forget `Append`,
 // advance pass boundaries with `EndPass`, and read current estimates
@@ -72,6 +73,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/types.h"
@@ -133,7 +135,9 @@ struct ServiceOptions {
 /// Point-in-time view of one stream, returned by Query.
 struct StreamView {
   EstimatorSpec spec;
-  /// The estimator's current headline estimate (see estimator_host.h).
+  /// The estimator's current headline estimate (see estimator_host.h). A
+  /// multi-pass estimator has none until its last pass ends: while
+  /// `!finished && passes_requested > 1` this is a quiet NaN.
   double estimate = 0.0;
   /// In-progress pass index; == passes_requested once finished.
   int pass = 0;
@@ -166,10 +170,11 @@ class EstimatorService {
   std::future<Status> Create(StreamId id, EstimatorSpec spec);
 
   /// Feeds one whole adjacency list (vertex `u`, its neighbors in stream
-  /// order) to the stream's estimator. Fire-and-forget: an unknown id is
-  /// counted and dropped; feeding a finished or errored stream latches a
-  /// typed error that Query returns.
-  void Append(StreamId id, VertexId u, std::vector<VertexId> list);
+  /// order) to the stream's estimator. The list is copied once, into the
+  /// shard's pair arena, before Append returns. Fire-and-forget: an unknown
+  /// id is counted and dropped; feeding a finished or errored stream
+  /// latches a typed error that Query returns.
+  void Append(StreamId id, VertexId u, std::span<const VertexId> list);
 
   /// Ends the stream's current pass (and begins the next, if the estimator
   /// takes more). After the final pass the stream is finished; its estimate
@@ -220,7 +225,7 @@ class EstimatorService {
   /// Stamps a fresh TraceContext for a request on `id` (all-zero when no
   /// trace session is attached).
   TraceContext StampTrace(StreamId id);
-  void Enqueue(Shard& shard, Op op);
+  void Enqueue(Shard& shard, Op op, std::span<const VertexId> list = {});
   void Drain(std::size_t shard_index);
   void Process(Shard& shard, Op& op);
   void SampleSpace(StreamState& state);

@@ -5,12 +5,16 @@
 // shard killed mid-ingest and restored from its last checkpoint must finish
 // indistinguishable from an uninterrupted run.
 
+#include <chrono>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,24 +45,147 @@ using testing_util::GraphFamily;
 // ---------------------------------------------------------------------------
 // Mailbox.
 
-TEST(Mailbox, SingleProducerIsFifoAcrossTakes) {
-  Mailbox<int> box;
-  EXPECT_TRUE(box.Empty());
-  for (int i = 0; i < 5; ++i) box.Push(i);
-  EXPECT_FALSE(box.Empty());
-  EXPECT_EQ(box.TakeAll(), (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_TRUE(box.Empty());
-  box.Push(5);
-  box.Push(6);
-  EXPECT_EQ(box.TakeAll(), (std::vector<int>{5, 6}));
-  EXPECT_TRUE(box.TakeAll().empty());
+// The smallest op the mailbox takes: a payload plus the arena slice Push
+// fills in.
+struct TestOp {
+  int value = 0;
+  std::size_t list_begin = 0;
+  std::size_t list_size = 0;
+};
+using TestMailbox = Mailbox<TestOp, VertexId>;
+
+std::vector<int> Values(const std::vector<TestOp>& ops) {
+  std::vector<int> values;
+  for (const TestOp& op : ops) values.push_back(op.value);
+  return values;
 }
 
-TEST(Mailbox, DestructorDrainsUnclaimedNodes) {
+std::vector<VertexId> ListOf(const TestOp& op,
+                             const std::vector<VertexId>& arena) {
+  const auto first =
+      arena.begin() + static_cast<std::ptrdiff_t>(op.list_begin);
+  return std::vector<VertexId>(
+      first, first + static_cast<std::ptrdiff_t>(op.list_size));
+}
+
+TEST(Mailbox, SingleProducerIsFifoAcrossTakes) {
+  TestMailbox box;
+  std::vector<TestOp> ops;
+  std::vector<VertexId> arena;
+  for (int i = 0; i < 5; ++i) box.Push({i});
+  ASSERT_TRUE(box.TakeAll(&ops, &arena));
+  EXPECT_EQ(Values(ops), (std::vector<int>{0, 1, 2, 3, 4}));
+  box.Push({5});
+  box.Push({6});
+  ASSERT_TRUE(box.TakeAll(&ops, &arena));
+  EXPECT_EQ(Values(ops), (std::vector<int>{5, 6}));
+  EXPECT_FALSE(box.TakeAll(&ops, &arena));
+}
+
+TEST(Mailbox, PushSchedulesOncePerIdlePeriod) {
+  TestMailbox box;
+  std::vector<TestOp> ops;
+  std::vector<VertexId> arena;
+  EXPECT_TRUE(box.Push({0}));   // idle shard: this caller submits the drain
+  EXPECT_FALSE(box.Push({1}));  // that drain is already owed
+  ASSERT_TRUE(box.TakeAll(&ops, &arena));
+  EXPECT_FALSE(box.Push({2}));  // the drain owns the shard until a take is empty
+  ASSERT_TRUE(box.TakeAll(&ops, &arena));
+  EXPECT_EQ(Values(ops), (std::vector<int>{2}));
+  EXPECT_FALSE(box.TakeAll(&ops, &arena));
+  EXPECT_TRUE(box.Push({3}));  // the next idle period
+  EXPECT_FALSE(box.Push({4}));
+}
+
+TEST(Mailbox, EmptyTakeAllReleasesTheShardAndClearsTheBuffers) {
+  TestMailbox box;
+  std::vector<TestOp> ops;
+  std::vector<VertexId> arena;
+  const std::vector<VertexId> list = {7, 8};
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_TRUE(box.Push({round}, list));
+    ASSERT_TRUE(box.TakeAll(&ops, &arena));
+    EXPECT_EQ(arena, list);
+    EXPECT_FALSE(box.TakeAll(&ops, &arena));
+    EXPECT_TRUE(ops.empty());
+    EXPECT_TRUE(arena.empty());
+  }
+}
+
+TEST(Mailbox, OpsAndArenaStayAlignedAcrossSwaps) {
+  TestMailbox box;
+  std::vector<TestOp> ops;
+  std::vector<VertexId> arena;
+  // Rounds of lists of 0-3 elements, so the two buffer pairs trade places
+  // several times at different fill levels.
+  int next = 0;
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::vector<VertexId>> sent;
+    for (int i = 0; i < 5 + round; ++i, ++next) {
+      std::vector<VertexId> list;
+      for (int j = 0; j < next % 4; ++j) {
+        list.push_back(static_cast<VertexId>(100 * next + j));
+      }
+      box.Push({next}, list);
+      sent.push_back(std::move(list));
+    }
+    ASSERT_TRUE(box.TakeAll(&ops, &arena));
+    ASSERT_EQ(ops.size(), sent.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      EXPECT_EQ(ListOf(ops[i], arena), sent[i])
+          << "round " << round << " op " << i;
+    }
+  }
+}
+
+TEST(Mailbox, DestructorFreesPendingOps) {
   // ASan would flag the leak if the destructor dropped them.
-  Mailbox<std::string> box;
-  box.Push("left");
-  box.Push("behind");
+  struct OwningOp {
+    std::unique_ptr<std::string> text;
+    std::size_t list_begin = 0;
+    std::size_t list_size = 0;
+  };
+  Mailbox<OwningOp, VertexId> box;
+  const std::vector<VertexId> list = {1, 2, 3};
+  box.Push({std::make_unique<std::string>("left")}, list);
+  box.Push({std::make_unique<std::string>("behind")});
+}
+
+TEST(Mailbox, ConcurrentProducersKeepTheirOrderAndLists) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 20000;
+  TestMailbox box;
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&box, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        const VertexId list[] = {static_cast<VertexId>(p),
+                                 static_cast<VertexId>(i)};
+        box.Push({p * kPerProducer + i}, list);
+      }
+    });
+  }
+  // Take while the producers push; check after they are joined.
+  std::vector<TestOp> taken;
+  std::vector<std::vector<VertexId>> lists;
+  std::vector<TestOp> ops;
+  std::vector<VertexId> arena;
+  while (taken.size() < static_cast<std::size_t>(kProducers * kPerProducer)) {
+    if (!box.TakeAll(&ops, &arena)) continue;
+    for (const TestOp& op : ops) {
+      taken.push_back(op);
+      lists.push_back(ListOf(op, arena));
+    }
+  }
+  for (std::thread& t : producers) t.join();
+  std::vector<int> next(kProducers, 0);
+  for (std::size_t k = 0; k < taken.size(); ++k) {
+    const int p = taken[k].value / kPerProducer;
+    const int i = taken[k].value % kPerProducer;
+    EXPECT_EQ(i, next[p]++) << "producer " << p;
+    EXPECT_EQ(lists[k], (std::vector<VertexId>{static_cast<VertexId>(p),
+                                               static_cast<VertexId>(i)}));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -378,7 +505,7 @@ TEST(ServiceTracing, TwoServicesSharingOneSessionKeepFlowChainsDisjoint) {
     options.trace = &trace;
     EstimatorService svc(options);
     EXPECT_TRUE(svc.Create(77, spec).get().ok());
-    svc.Append(77, 0, {1, 2});
+    svc.Append(77, 0, std::vector<VertexId>{1, 2});
     svc.EndPass(77);
     EXPECT_TRUE(svc.Query(77).get().ok());
   }
@@ -406,7 +533,7 @@ TEST(ServiceTracing, UntracedServiceStampsNoTraceContexts) {
   options.shards = 1;
   EstimatorService svc(options);
   EXPECT_TRUE(svc.Create(1, spec).get().ok());
-  svc.Append(1, 0, {1, 2});
+  svc.Append(1, 0, std::vector<VertexId>{1, 2});
   svc.EndPass(1);
   StatusOr<StreamView> view = svc.Query(1).get();
   ASSERT_TRUE(view.ok());
@@ -492,9 +619,8 @@ TEST(ServiceChaos, RestoreRejectsForeignAndCorruptManifests) {
   Graph g = testing_util::Triangle();
   stream::AdjacencyListStream stream(&g, 3);
   for (VertexId u : stream.list_order()) {
-    auto span = stream.ListOf(u);
-    svc.Append(on_shard0, u, {span.begin(), span.end()});
-    svc.Append(on_shard1, u, {span.begin(), span.end()});
+    svc.Append(on_shard0, u, stream.ListOf(u));
+    svc.Append(on_shard1, u, stream.ListOf(u));
   }
   svc.EndPass(on_shard0);
   svc.EndPass(on_shard1);
@@ -556,8 +682,7 @@ TEST(ServiceErrors, UnknownDuplicateAndMisusedStreams) {
   Graph g = testing_util::Triangle();
   stream::AdjacencyListStream stream(&g, 1);
   for (VertexId u : stream.list_order()) {
-    auto span = stream.ListOf(u);
-    svc.Append(1, u, {span.begin(), span.end()});
+    svc.Append(1, u, stream.ListOf(u));
   }
   svc.EndPass(1);
   ASSERT_TRUE(svc.Query(1).get().ok());
@@ -601,8 +726,7 @@ TEST(ServiceErrors, LatchedStatusShowsInScrapeCountersAndFlightDump) {
   Graph g = testing_util::Triangle();
   stream::AdjacencyListStream stream(&g, 1);
   for (VertexId u : stream.list_order()) {
-    auto span = stream.ListOf(u);
-    svc.Append(id, u, {span.begin(), span.end()});
+    svc.Append(id, u, stream.ListOf(u));
   }
   svc.EndPass(id);
   ASSERT_TRUE(svc.Query(id).get().ok());
@@ -636,6 +760,77 @@ TEST(ServiceErrors, LatchedStatusShowsInScrapeCountersAndFlightDump) {
   }
   EXPECT_TRUE(saw_error_event);
   EXPECT_NE(flight.DumpText().find("\"kind\":\"error\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Queries mid-stream.
+
+TEST(ServiceQuery, UnfinishedMultiPassStreamHasNaNEstimate) {
+  // A multi-pass estimator has no result before its last pass ends: the
+  // view reports the pass cursor and a NaN estimate instead of aborting.
+  ServiceOptions options;
+  options.shards = 2;
+  EstimatorService svc(options);
+  Graph g = testing_util::Triangle();
+  stream::AdjacencyListStream stream(&g, 1);
+  const VertexId first = stream.list_order().front();
+  for (EstimatorKind kind :
+       {EstimatorKind::kTriangleDistinguisher, EstimatorKind::kTwoPassTriangle,
+        EstimatorKind::kTwoPassFourCycle}) {
+    SCOPED_TRACE(KindName(kind));
+    const StreamId id = static_cast<StreamId>(kind);
+    EstimatorSpec spec;
+    spec.kind = kind;
+    spec.slots = 4;
+    spec.seed = 5;
+    ASSERT_TRUE(svc.Create(id, spec).get().ok());
+    svc.Append(id, first, stream.ListOf(first));
+    StatusOr<StreamView> mid = svc.Query(id).get();
+    ASSERT_TRUE(mid.ok()) << mid.status().ToString();
+    EXPECT_FALSE(mid->finished);
+    EXPECT_EQ(mid->pass, 0);
+    EXPECT_EQ(mid->passes_requested, 2);
+    EXPECT_TRUE(std::isnan(mid->estimate));
+
+    for (int pass = 0; pass < 2; ++pass) {
+      for (VertexId u : stream.list_order()) {
+        if (pass == 0 && u == first) continue;
+        svc.Append(id, u, stream.ListOf(u));
+      }
+      svc.EndPass(id);
+    }
+    StatusOr<StreamView> done = svc.Query(id).get();
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    EXPECT_TRUE(done->finished);
+    EXPECT_FALSE(std::isnan(done->estimate));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Drain scheduling.
+
+TEST(ServiceWakeup, AppendThenQueryNeverStrandsAnOp) {
+  // One shard on one worker, and nothing but these pushes to start its
+  // drains. Each Query lands just as the drain for the previous one may be
+  // giving the shard up; a push that finds the shard still marked
+  // scheduled after that drain has decided to stop would wait forever, and
+  // no other op comes along to restart the drain.
+  ServiceOptions options;
+  options.shards = 1;
+  options.threads = 1;
+  EstimatorService svc(options);
+  EstimatorSpec spec;
+  spec.kind = EstimatorKind::kExactStreamTriangle;
+  ASSERT_TRUE(svc.Create(1, spec).get().ok());
+  const std::vector<VertexId> list = {1, 2};
+  for (int i = 0; i < 100000; ++i) {
+    svc.Append(1, 0, list);
+    std::future<StatusOr<StreamView>> view = svc.Query(1);
+    ASSERT_EQ(view.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "query " << i << " was stranded";
+    ASSERT_TRUE(view.get().ok());
+  }
 }
 
 }  // namespace
