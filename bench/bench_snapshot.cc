@@ -17,8 +17,8 @@
 //      envelope sizes against the monolithic run's CurrentSpaceBytes()
 //      messages for the same gadget — two measurements of one quantity.
 //
-// Also reports the full checkpoint envelope (driver report + validator +
-// algorithm) from RunPassesCheckedWithCheckpoints, so the recovery cost of
+// Also reports the full checkpoint envelope (driver report + contract +
+// algorithm) from a checkpointing RunPassesChecked, so the recovery cost of
 // the chaos harness is a number, not a guess.
 
 #include <algorithm>
@@ -87,11 +87,10 @@ SizePoint MeasureOne(const Graph& g, std::size_t t_count, std::size_t sample) {
   auto track_max = [&point](int, std::size_t,
                             std::vector<std::uint8_t> bytes) {
     point.checkpoint_bytes = std::max(point.checkpoint_bytes, bytes.size());
-    return stream::CheckpointAction::kContinue;
   };
-  stream::CheckpointedRun run =
-      stream::RunPassesCheckedWithCheckpoints(s, &counter, track_max);
-  CYCLESTREAM_CHECK(run.status.ok());
+  CYCLESTREAM_CHECK(
+      stream::RunPassesChecked(s, &counter, {.on_checkpoint = track_max})
+          .ok());
   snapshot::SnapshotWriter w;
   counter.Serialize(w);
   point.payload_bytes = w.payload_size();

@@ -193,15 +193,15 @@ double MeasureReplayPairsPerSec(const Graph& g, bool batched, int reps) {
 }
 
 // Cost of online validation per pair: same replay as BM_StreamReplay but
-// with a StreamValidator consuming every event. The items/s delta against
-// BM_StreamReplay is the strict-mode overhead.
+// with an AdjacencyListContract consuming every event. The items/s delta
+// against BM_StreamReplay is the strict-mode overhead.
 void BM_StreamReplayValidated(benchmark::State& state) {
   const Graph& g = SharedGraph();
   stream::AdjacencyListStream s(&g, 3);
   for (auto _ : state) {
-    stream::StreamValidator validator(&g);
+    stream::AdjacencyListContract validator(&g);
     struct Forward {
-      stream::StreamValidator* v;
+      stream::AdjacencyListContract* v;
       void BeginList(VertexId u) { v->BeginList(u); }
       void OnPair(VertexId u, VertexId w) { v->OnPair(u, w); }
       void EndList(VertexId u) { v->EndList(u); }
@@ -214,9 +214,9 @@ void BM_StreamReplayValidated(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
   // One untimed replay feeds the validator work counters surfaced in the
   // --metrics-out manifest (per-iteration export would skew the timing).
-  stream::StreamValidator validator(&g);
+  stream::AdjacencyListContract validator(&g);
   struct Forward {
-    stream::StreamValidator* v;
+    stream::AdjacencyListContract* v;
     void BeginList(VertexId u) { v->BeginList(u); }
     void OnPair(VertexId u, VertexId w) { v->OnPair(u, w); }
     void EndList(VertexId u) { v->EndList(u); }

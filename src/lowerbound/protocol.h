@@ -9,13 +9,13 @@
 // boundaries; total communication = Σ message sizes, and the protocol output
 // is derived from the final estimate (> promised/2 → "1").
 //
-// Delivery goes through the driver's shared `internal::MeteredSink`, not a
-// hand-rolled OnPair loop, so protocol runs get the same metering, the same
-// batch fast path (one devirtualized OnListBatch per list when given a
-// concrete algorithm), and the same optional TraceOptions instrumentation as
-// `stream::RunPasses`. The message points and the space-sampling schedule
-// are unchanged: space is sampled at list boundaries only, with no extra
-// sample after EndPass (messages between passes are read directly).
+// Delivery goes through the driver's one sink (`internal::RunSink` under the
+// trusting contract `stream::RunPasses` uses), not a hand-rolled OnPair
+// loop, so protocol runs get the same metering, the same batch fast path
+// (one devirtualized OnListBatch per list when given a concrete algorithm),
+// and the same optional TraceOptions instrumentation as `RunPasses`. Space
+// is sampled at list boundaries only, with no extra sample after EndPass
+// (messages between passes are read directly).
 
 #ifndef CYCLESTREAM_LOWERBOUND_PROTOCOL_H_
 #define CYCLESTREAM_LOWERBOUND_PROTOCOL_H_
@@ -62,8 +62,13 @@ stream::AdjacencyListStream MakeProtocolStream(const Gadget& gadget,
 
 namespace internal {
 
-// Tallies max/total over the recorded boundary messages.
-inline void FinishProtocolRun(ProtocolRun* run) {
+// Copies the metered peaks and tallies max/total over the recorded boundary
+// messages.
+inline void FinishProtocolRun(const stream::RunReport& report,
+                              ProtocolRun* run) {
+  run->reported_peak_bytes = report.reported_peak_bytes;
+  run->audited_peak_bytes = report.audited_peak_bytes;
+  run->max_divergence_bytes = report.max_divergence_bytes;
   for (std::size_t bytes : run->message_bytes) {
     run->max_message_bytes = std::max(run->max_message_bytes, bytes);
     run->total_message_bytes += bytes;
@@ -92,7 +97,9 @@ ProtocolRun RunProtocol(const Gadget& gadget, AlgoT* algorithm,
   ProtocolRun run;
   stream::RunReport report;
   report.passes_requested = algorithm->passes();
-  stream::internal::MeteredSink<AlgoT> sink(algorithm, &report, trace);
+  stream::internal::TrustingContract trusting;
+  stream::internal::RunSink<AlgoT, stream::internal::TrustingContract> sink(
+      algorithm, &trusting, &report, trace);
   for (int pass = 0; pass < report.passes_requested; ++pass) {
     sink.BeginPass(pass);
     algorithm->BeginPass(pass);
@@ -116,11 +123,8 @@ ProtocolRun RunProtocol(const Gadget& gadget, AlgoT* algorithm,
       run.message_bytes.push_back(algorithm->CurrentSpaceBytes());
     }
   }
-  run.reported_peak_bytes = report.reported_peak_bytes;
-  run.audited_peak_bytes = report.audited_peak_bytes;
-  run.max_divergence_bytes = report.max_divergence_bytes;
   stream::internal::ExportDriverMetrics(report, trace.metrics);
-  internal::FinishProtocolRun(&run);
+  internal::FinishProtocolRun(report, &run);
   return run;
 }
 
@@ -159,9 +163,10 @@ ProtocolRun RunSerializedProtocol(const Gadget& gadget, const Options& options,
   }
 
   const int passes = Algo(options).passes();
-  // One report across all players: MeteredSink accumulates the global peak
-  // (max over every player's list-boundary samples) into it.
+  // One report across all players: each player's sink accumulates the
+  // global peak (max over every list-boundary sample) into it.
   stream::RunReport report;
+  stream::internal::TrustingContract trusting;
   report.passes_requested = passes;
   std::vector<std::uint8_t> wire;
   bool first_segment = true;
@@ -176,7 +181,8 @@ ProtocolRun RunSerializedProtocol(const Gadget& gadget, const Options& options,
         CYCLESTREAM_CHECK(player->Restore(*reader).ok());
         CYCLESTREAM_CHECK(reader->Final().ok());
       }
-      stream::internal::MeteredSink<Algo> sink(player.get(), &report, {});
+      stream::internal::RunSink<Algo, stream::internal::TrustingContract>
+          sink(player.get(), &trusting, &report, {});
       if (seg_begin == 0) sink.BeginPass(pass);
       if (seg_begin == 0) player->BeginPass(pass);
       for (std::size_t i = seg_begin; i < seg_end; ++i) {
@@ -198,10 +204,7 @@ ProtocolRun RunSerializedProtocol(const Gadget& gadget, const Options& options,
       first_segment = false;
     }
   }
-  run.reported_peak_bytes = report.reported_peak_bytes;
-  run.audited_peak_bytes = report.audited_peak_bytes;
-  run.max_divergence_bytes = report.max_divergence_bytes;
-  internal::FinishProtocolRun(&run);
+  internal::FinishProtocolRun(report, &run);
   return run;
 }
 

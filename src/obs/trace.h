@@ -9,9 +9,9 @@
 // per thread, so traces stay readable regardless of OS thread ids.
 //
 // Span taxonomy (categories):
-//   pass     — one streaming pass of one algorithm (driver MeteredSink)
+//   pass     — one streaming pass of one algorithm (driver RunSink)
 //   list     — a strided window of adjacency lists within a pass
-//   validate — validator work on one list batch (ValidatedSink)
+//   validate — contract work on one list batch (checked runs only)
 //   trial    — one trial body on a ThreadPool worker (runtime)
 //   bench    — a bench phase (setup, batch label, report emission)
 //

@@ -76,8 +76,9 @@ struct EstimatorService::Op {
 };
 
 // Complete state of one hosted stream. Mirrors what the single-stream
-// driver tracks per run (MeteredSink + RunReport), so the service's view is
-// bit-identical to a sequential driver run of the same event sequence.
+// driver tracks per run (pass cursor + RunReport, metered by the driver's
+// SampleSpace), so the service's view is bit-identical to a sequential
+// driver run of the same event sequence.
 struct EstimatorService::StreamState {
   EstimatorSpec spec;
   HostedEstimator hosted;
@@ -328,27 +329,6 @@ void EstimatorService::Process(Shard& shard, Op& op) {
   }
 }
 
-// Mirrors internal::MeteredSink::SampleSpace exactly — the service's
-// reports must be bit-identical to the driver's.
-void EstimatorService::SampleSpace(StreamState& state) {
-  const std::size_t reported = state.hosted.algo->CurrentSpaceBytes();
-  stream::PassReport& pass = state.report.per_pass.back();
-  pass.reported_peak_bytes = std::max(pass.reported_peak_bytes, reported);
-  state.report.reported_peak_bytes =
-      std::max(state.report.reported_peak_bytes, reported);
-  const obs::MemoryDomain* domain = state.hosted.algo->memory_domain();
-  if (domain != nullptr) {
-    const std::size_t audited = domain->live_bytes();
-    pass.audited_peak_bytes = std::max(pass.audited_peak_bytes, audited);
-    state.report.audited_peak_bytes =
-        std::max(state.report.audited_peak_bytes, audited);
-    const std::size_t divergence =
-        audited > reported ? audited - reported : reported - audited;
-    state.report.max_divergence_bytes =
-        std::max(state.report.max_divergence_bytes, divergence);
-  }
-}
-
 void EstimatorService::OnErrorLatched(Shard& shard, StreamId id,
                                       const Status& error) {
   if (metrics_ != nullptr) shard.errors.Increment();
@@ -426,7 +406,8 @@ void EstimatorService::DoList(Shard& shard, Op& op) {
   state.report.pairs_processed += list.size();
   state.report.per_pass.back().pairs_processed += list.size();
   algo->EndList(op.u);
-  SampleSpace(state);
+  // The driver's own meter keeps the service's reports bit-identical.
+  stream::internal::SampleSpace(*algo, algo->memory_domain(), &state.report);
   if (metrics_ != nullptr) {
     shard.lists.Increment();
     shard.pairs.Increment(list.size());
@@ -453,8 +434,9 @@ void EstimatorService::DoEndPass(Shard& shard, Op& op) {
     OnErrorLatched(shard, op.id, state.error);
     return;
   }
-  state.hosted.algo->EndPass(state.pass);
-  SampleSpace(state);
+  stream::StreamAlgorithm* algo = state.hosted.algo.get();
+  algo->EndPass(state.pass);
+  stream::internal::SampleSpace(*algo, algo->memory_domain(), &state.report);
   ++state.pass;
   if (flight_ != nullptr) {
     flight_->Record(obs::FlightEventKind::kEndPass,
@@ -463,7 +445,7 @@ void EstimatorService::DoEndPass(Shard& shard, Op& op) {
   }
   if (state.pass < state.report.passes_requested) {
     state.report.per_pass.emplace_back();
-    state.hosted.algo->BeginPass(state.pass);
+    algo->BeginPass(state.pass);
   } else {
     state.finished = true;
   }
@@ -615,23 +597,16 @@ Status EstimatorService::DoRestoreImpl(Shard& shard, Op& op) {
         state.error = Status(code, std::move(message));
       }
     }
-    stream::internal::RestoreReport(*inner, &state.report);
-    if (!inner->status().ok()) {
-      return inner->status();
+    Status report_status =
+        stream::internal::RestoreReport(*inner, &state.report);
+    if (!report_status.ok()) {
+      return report_status;
     }
     // Pass bookkeeping must be self-consistent before the estimator's own
-    // payload is trusted (mirrors ResumePassesChecked's shape check).
-    const int passes = state.report.passes_requested;
-    const bool shape_ok =
-        passes == state.hosted.algo->passes() && state.pass >= 0 &&
-        (state.finished
-             ? (state.pass == passes &&
-                state.report.per_pass.size() ==
-                    static_cast<std::size_t>(passes))
-             : (state.pass < passes &&
-                state.report.per_pass.size() ==
-                    static_cast<std::size_t>(state.pass) + 1));
-    if (!shape_ok) {
+    // payload is trusted (the driver's resume check).
+    if (!stream::internal::PassShapeMatches(state.report,
+                                            state.hosted.algo->passes(),
+                                            state.pass, state.finished)) {
       return Status::FailedPrecondition(
           "checkpoint pass bookkeeping does not match estimator for stream " +
           std::to_string(id));

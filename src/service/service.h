@@ -13,12 +13,12 @@
 // asynchronously via `Query` futures.
 //
 // Determinism contract: a stream's events are processed in submission
-// order, by exactly one shard, with the same callback sequence and space
-// sampling as the single-stream driver (`stream::RunPasses`'s MeteredSink:
-// BeginList / OnListBatch / EndList / sample at every list boundary and
-// after every EndPass). Estimates, RunReports, and checkpoint bytes are
-// therefore bit-identical to running each stream through the driver
-// sequentially — for ANY (streams, shards, threads) configuration.
+// order, by exactly one shard, with the same callback sequence as the
+// single-stream driver's sink (BeginList / OnListBatch / EndList) and the
+// driver's own space meter (`stream::internal::SampleSpace`, at every list
+// boundary and after every EndPass). Estimates, RunReports, and checkpoint
+// bytes are therefore bit-identical to running each stream through the
+// driver sequentially — for ANY (streams, shards, threads) configuration.
 // Cross-stream interleaving affects scheduling only, never state: no two
 // streams share mutable state, and no shard state is touched off its drain
 // task.
@@ -228,7 +228,6 @@ class EstimatorService {
   void Enqueue(Shard& shard, Op op, std::span<const VertexId> list = {});
   void Drain(std::size_t shard_index);
   void Process(Shard& shard, Op& op);
-  void SampleSpace(StreamState& state);
 
   // Op handlers (consumer side, single-threaded per shard).
   void DoCreate(Shard& shard, Op& op);

@@ -1,9 +1,9 @@
 // Per-model stream contracts: the violation taxonomy and the contract
 // hierarchy that checks each stream model's actual promises.
 //
-// PR history hard-coded the adjacency-list contract into one monolithic
-// `StreamValidator`. But the models make *different* promises — and checking
-// a promise a model never made is as wrong as missing one it did:
+// One adjacency-list checker cannot serve every model: the models make
+// *different* promises — and checking a promise a model never made is as
+// wrong as missing one it did:
 //
 //   - adjacency-list (stream/validator.h, `AdjacencyListContract`): both
 //     pair copies appear, lists are contiguous, replays are order-identical.

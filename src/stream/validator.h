@@ -104,11 +104,6 @@ class AdjacencyListContract final : public ModelContract {
   std::size_t first_pass_pairs_ = 0;
 };
 
-/// Historical name: the adjacency-list contract predates the per-model
-/// hierarchy and most call sites (driver defaults, tests) still say
-/// StreamValidator.
-using StreamValidator = AdjacencyListContract;
-
 /// The contract a stream's model calls for: streams that know their model
 /// expose `MakeContract()` (edge-order streams return an
 /// `EdgeStreamContract` wired to their declared permutation); everything

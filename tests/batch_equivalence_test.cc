@@ -272,8 +272,8 @@ ScriptedListStream ScriptedFrom(const Graph& g,
 // corrupted list alongside the per-pair delivered count.
 void ExpectValidatorEquivalent(const ScriptedListStream& scripted,
                                stream::ViolationKind expected_kind) {
-  stream::StreamValidator span_validator(&scripted.graph());
-  stream::StreamValidator pair_validator(&scripted.graph());
+  stream::AdjacencyListContract span_validator(&scripted.graph());
+  stream::AdjacencyListContract pair_validator(&scripted.graph());
 
   span_validator.BeginPass(0);
   std::vector<std::size_t> span_prefixes;
@@ -292,7 +292,7 @@ void ExpectValidatorEquivalent(const ScriptedListStream& scripted,
     std::size_t delivered = 0;
     for (VertexId v : list) {
       pair_validator.OnPair(u, v);
-      // What ValidatedSink's per-pair mode would forward to the algorithm.
+      // What the driver's per-pair delivery would forward to the algorithm.
       if (pair_validator.ok()) ++delivered;
     }
     pair_prefixes.push_back(delivered);

@@ -1,5 +1,5 @@
 // The model boundary, executable: FaultInjectingStream manufactures each
-// class of adjacency-list contract violation, StreamValidator must flag
+// class of adjacency-list contract violation, AdjacencyListContract must flag
 // exactly the faulty streams (with a position), and RunPassesChecked must
 // reject them with a recoverable Status instead of a wrong estimate or a
 // CHECK abort. Clean streams — every generator in src/gen, wrapped or not —
@@ -70,9 +70,9 @@ TEST_P(FaultClassTest, ValidatorFlagsFaultyAndPassesCleanStream) {
     // ...and the same stream with the fault injected is flagged with the
     // expected violation class.
     FaultInjectingStream faulty(&base, SpecFor(fault, seed + 100));
-    StreamValidator validator(&g);
+    AdjacencyListContract validator(&g);
     struct Forward {
-      StreamValidator* v;
+      AdjacencyListContract* v;
       void BeginList(VertexId u) { v->BeginList(u); }
       void OnPair(VertexId u, VertexId w) { v->OnPair(u, w); }
       void EndList(VertexId u) { v->EndList(u); }
@@ -96,9 +96,9 @@ TEST_P(FaultClassTest, ViolationPositionPointsAtTheFault) {
   AdjacencyListStream base(&g, 11);
   FaultInjectingStream faulty(&base, SpecFor(fault, 42));
 
-  StreamValidator validator(&g);
+  AdjacencyListContract validator(&g);
   struct Forward {
-    StreamValidator* v;
+    AdjacencyListContract* v;
     void BeginList(VertexId u) { v->BeginList(u); }
     void OnPair(VertexId u, VertexId w) { v->OnPair(u, w); }
     void EndList(VertexId u) { v->EndList(u); }
@@ -167,7 +167,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(StreamValidator, CleanStreamsPassOnEveryGenerator) {
+TEST(AdjacencyListContract, CleanStreamsPassOnEveryGenerator) {
   gen::PlantedBackground bg{.stars = 2, .star_degree = 6};
   std::vector<Graph> graphs;
   graphs.push_back(gen::ErdosRenyiGnp(70, 0.1, 1));
@@ -306,11 +306,11 @@ TEST(FaultInjectingStream, TruncationOnListBoundaryIsStillFlagged) {
       << status.ToString();
 }
 
-TEST(StreamValidator, MissingTrailingZeroDegreeListsAreFlagged) {
+TEST(AdjacencyListContract, MissingTrailingZeroDegreeListsAreFlagged) {
   // A pass that delivers all 2m pairs but skips trailing zero-degree lists
   // passes the pair-count check; the list count must catch it.
   Graph g = Graph::FromEdges(4, {{0, 1}});  // vertices 2, 3 isolated
-  StreamValidator validator(&g);
+  AdjacencyListContract validator(&g);
   validator.BeginPass(0);
   validator.BeginList(0);
   validator.OnPair(0, 1);

@@ -406,16 +406,13 @@ TEST(DriverModelGate, ChecksAlgorithmModelAgainstStreamModel) {
     EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   }
 
-  // The checkpointing entry point applies the same gate.
+  // A checkpointing run applies the same gate.
   {
     core::RandomOrderTriangleCounter counter(ro_options);
-    auto keep = [](int, std::size_t, std::vector<std::uint8_t>) {
-      return CheckpointAction::kContinue;
-    };
-    CheckpointedRun run =
-        RunPassesCheckedWithCheckpoints(adjacency, &counter, keep);
-    ASSERT_FALSE(run.status.ok());
-    EXPECT_EQ(run.status.code(), StatusCode::kFailedPrecondition);
+    auto keep = [](int, std::size_t, std::vector<std::uint8_t>) {};
+    auto run = RunPassesChecked(adjacency, &counter, {.on_checkpoint = keep});
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kFailedPrecondition);
   }
 }
 

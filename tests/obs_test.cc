@@ -332,6 +332,10 @@ TEST(Driver, ExportsDriverMetrics) {
   EXPECT_EQ(snap.counters.at("driver.runs"), 1u);
   EXPECT_EQ(snap.counters.at("driver.passes"), 2u);
   EXPECT_EQ(snap.counters.at("driver.pairs_processed"), 4 * g.num_edges());
+  // The trusted run checks nothing, so it exports no contract counters.
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_NE(name.rfind("validator.", 0), 0u) << name;
+  }
 }
 
 // ---------------------------------------------- Validator counters -----
@@ -344,8 +348,8 @@ TEST(ValidatorCounters, CleanStreamCountsWorkNoViolations) {
   options.sample_size = 16;
   options.seed = 2;
   core::TwoPassTriangleCounter counter(options);
-  auto report = stream::RunPassesChecked(
-      s, &counter, stream::TraceOptions{nullptr, &registry});
+  auto report =
+      stream::RunPassesChecked(s, &counter, {.trace = {.metrics = &registry}});
   ASSERT_TRUE(report.ok());
   obs::Snapshot snap = registry.Read();
   EXPECT_EQ(snap.counters.at("validator.passes_checked"), 2u);
@@ -367,8 +371,8 @@ TEST(ValidatorCounters, InjectedFaultIsCountedByKind) {
   options.sample_size = 16;
   options.seed = 2;
   core::OnePassTriangleCounter counter(options);
-  auto report = stream::RunPassesChecked(
-      faulty, &counter, stream::TraceOptions{nullptr, &registry});
+  auto report = stream::RunPassesChecked(faulty, &counter,
+                                         {.trace = {.metrics = &registry}});
   EXPECT_FALSE(report.ok());
   obs::Snapshot snap = registry.Read();
   EXPECT_GE(snap.counters.at("validator.violations_total"), 1u);
@@ -628,8 +632,9 @@ TEST(TraceSession, DriverEmitsPassAndListSpans) {
   trace.spans = &session;
   trace.list_span_stride = 16;
   stream::RunPasses(s, &counter, trace);
-  // Two pass spans plus at least one strided list span per pass.
-  std::size_t pass_spans = 0, list_spans = 0;
+  // Two pass spans plus at least one strided list span per pass, and no
+  // validate span: the trusted run checks nothing.
+  std::size_t pass_spans = 0, list_spans = 0, validate_spans = 0;
   const obs::Json j = session.ToJson();
   const obs::Json* events = j.Find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -638,9 +643,11 @@ TEST(TraceSession, DriverEmitsPassAndListSpans) {
     if (cat == nullptr) continue;
     if (cat->AsString() == "pass") ++pass_spans;
     if (cat->AsString() == "list") ++list_spans;
+    if (cat->AsString() == "validate") ++validate_spans;
   }
   EXPECT_EQ(pass_spans, 2u);
   EXPECT_GE(list_spans, 2u);
+  EXPECT_EQ(validate_spans, 0u);
 }
 
 }  // namespace

@@ -51,21 +51,19 @@ void CrashEverywhere(const core::RandomOrderTriangleOptions& options,
   auto collect = [&snapshots](int, std::size_t,
                               std::vector<std::uint8_t> bytes) {
     snapshots.push_back(std::move(bytes));
-    return CheckpointAction::kContinue;
   };
-  CheckpointedRun full =
-      RunPassesCheckedWithCheckpoints(stream, &checkpointed, collect);
-  ASSERT_TRUE(full.status.ok()) << full.status.ToString();
-  EXPECT_FALSE(full.stopped);
+  StatusOr<RunReport> full =
+      RunPassesChecked(stream, &checkpointed, {.on_checkpoint = collect});
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
   // Checkpointing itself never perturbs the run.
-  ExpectReportsEqual(full.report, *ref);
+  ExpectReportsEqual(*full, *ref);
   EXPECT_EQ(ResultDigest(checkpointed), ref_digest);
   ASSERT_FALSE(snapshots.empty());
 
   for (std::size_t k = 0; k < snapshots.size(); ++k) {
     core::RandomOrderTriangleCounter resumed(options);
     StatusOr<RunReport> result =
-        ResumePassesChecked(stream, &resumed, snapshots[k]);
+        RunPassesChecked(stream, &resumed, {.resume_from = snapshots[k]});
     ASSERT_TRUE(result.ok())
         << "boundary " << k << ": " << result.status().ToString();
     ExpectReportsEqual(*result, *ref);
@@ -101,18 +99,16 @@ TEST(RandomOrderChaos, DoubleResumeFromOneSnapshotIsDeterministic) {
   core::RandomOrderTriangleCounter algo(options);
   auto collect = [&](int, std::size_t, std::vector<std::uint8_t> bytes) {
     snapshots.push_back(std::move(bytes));
-    return CheckpointAction::kContinue;
   };
-  ASSERT_TRUE(
-      RunPassesCheckedWithCheckpoints(stream, &algo, collect).status.ok());
+  ASSERT_TRUE(RunPassesChecked(stream, &algo, {.on_checkpoint = collect}).ok());
   ASSERT_FALSE(snapshots.empty());
   const std::vector<std::uint8_t> mid = snapshots[snapshots.size() / 2];
 
   core::RandomOrderTriangleCounter first(options);
   core::RandomOrderTriangleCounter second(options);
-  ASSERT_TRUE(ResumePassesChecked(stream, &first, mid).ok());
+  ASSERT_TRUE(RunPassesChecked(stream, &first, {.resume_from = mid}).ok());
   EXPECT_EQ(mid, snapshots[snapshots.size() / 2]);  // bytes untouched
-  ASSERT_TRUE(ResumePassesChecked(stream, &second, mid).ok());
+  ASSERT_TRUE(RunPassesChecked(stream, &second, {.resume_from = mid}).ok());
   EXPECT_EQ(ResultDigest(first), ResultDigest(second));
 }
 
@@ -127,16 +123,16 @@ class RandomOrderSnapshotFuzz : public ::testing::Test {
     auto keep_last = [this](int, std::size_t,
                             std::vector<std::uint8_t> bytes) {
       snapshot_ = std::move(bytes);
-      return CheckpointAction::kContinue;
     };
-    ASSERT_TRUE(RunPassesCheckedWithCheckpoints(*stream_, &algo, keep_last)
-                    .status.ok());
+    ASSERT_TRUE(
+        RunPassesChecked(*stream_, &algo, {.on_checkpoint = keep_last}).ok());
     ASSERT_FALSE(snapshot_.empty());
   }
 
   StatusCode ResumeCode(const std::vector<std::uint8_t>& bytes) {
     core::RandomOrderTriangleCounter algo(options_);
-    StatusOr<RunReport> result = ResumePassesChecked(*stream_, &algo, bytes);
+    StatusOr<RunReport> result =
+        RunPassesChecked(*stream_, &algo, {.resume_from = bytes});
     EXPECT_FALSE(result.ok());
     return result.status().code();
   }
@@ -160,7 +156,7 @@ TEST_F(RandomOrderSnapshotFuzz, BitFlipsNeverResume) {
     flipped[i] ^= 0x20;
     core::RandomOrderTriangleCounter algo(options_);
     StatusOr<RunReport> result =
-        ResumePassesChecked(*stream_, &algo, flipped);
+        RunPassesChecked(*stream_, &algo, {.resume_from = flipped});
     EXPECT_FALSE(result.ok()) << "byte " << i;
   }
 }
@@ -170,7 +166,7 @@ TEST_F(RandomOrderSnapshotFuzz, PrefixSizeMismatchIsFailedPrecondition) {
   other.prefix_size += 1;
   core::RandomOrderTriangleCounter algo(other);
   StatusOr<RunReport> result =
-      ResumePassesChecked(*stream_, &algo, snapshot_);
+      RunPassesChecked(*stream_, &algo, {.resume_from = snapshot_});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -182,7 +178,7 @@ TEST_F(RandomOrderSnapshotFuzz, WrongPermutationSeedIsFailedPrecondition) {
   RandomOrderStream other_stream(&graph_, 5);
   core::RandomOrderTriangleCounter algo(options_);
   StatusOr<RunReport> result =
-      ResumePassesChecked(other_stream, &algo, snapshot_);
+      RunPassesChecked(other_stream, &algo, {.resume_from = snapshot_});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -192,7 +188,7 @@ TEST_F(RandomOrderSnapshotFuzz, WrongGraphIsFailedPrecondition) {
   RandomOrderStream other_stream(&other, 4);
   core::RandomOrderTriangleCounter algo(options_);
   StatusOr<RunReport> result =
-      ResumePassesChecked(other_stream, &algo, snapshot_);
+      RunPassesChecked(other_stream, &algo, {.resume_from = snapshot_});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }

@@ -5,6 +5,7 @@
 // shard killed mid-ingest and restored from its last checkpoint must finish
 // indistinguishable from an uninterrupted run.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -13,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -28,6 +30,7 @@
 #include "service/estimator_host.h"
 #include "service/mailbox.h"
 #include "service/service.h"
+#include "snapshot/snapshot.h"
 #include "stream/adjacency_stream.h"
 #include "stream/driver.h"
 #include "stream/random_order_stream.h"
@@ -650,6 +653,74 @@ TEST(ServiceChaos, RestoreRejectsForeignAndCorruptManifests) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view->estimate, 1.0);  // the triangle
   EXPECT_TRUE(view->finished);
+}
+
+TEST(ServiceChaos, RestoreRejectsAHugePassCountAndTheShardKeepsDraining) {
+  // A nested per-pass count no payload could hold, resealed under valid
+  // CRCs, must fail the restore with kDataLoss rather than throw on the
+  // shard's drain task: the shard keeps its streams and answers later ops.
+  ServiceOptions options;
+  options.shards = 1;
+  auto svc = std::make_unique<EstimatorService>(options);
+  EstimatorSpec spec;
+  spec.kind = EstimatorKind::kExactStreamTriangle;
+  const StreamId id = 7;
+  ASSERT_TRUE(svc->Create(id, spec).get().ok());
+  Graph g = testing_util::Triangle();
+  stream::AdjacencyListStream stream(&g, 3);
+  for (VertexId u : stream.list_order()) svc->Append(id, u, stream.ListOf(u));
+  svc->EndPass(id);
+  StatusOr<StreamView> before = svc->Query(id).get();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  StatusOr<std::vector<std::uint8_t>> manifest =
+      svc->CheckpointShard(0).get();
+  ASSERT_TRUE(manifest.ok());
+
+  // Find the stream's RunReport in its nested envelope by its encoding and
+  // patch the per-pass count after its five scalars.
+  snapshot::SnapshotWriter w;
+  stream::internal::SerializeReport(before->report, w);
+  const std::vector<std::uint8_t> sealed = std::move(w).Finish();
+  const std::span<const std::uint8_t> report_bytes =
+      std::span<const std::uint8_t>(sealed).subspan(
+          20, sealed.size() - snapshot::kEnvelopeBytes);
+  std::vector<std::uint8_t> bad = *manifest;
+  const auto report_at = std::search(bad.begin(), bad.end(),
+                                     report_bytes.begin(), report_bytes.end());
+  ASSERT_NE(report_at, bad.end());
+  testing_util::PatchU64(
+      bad, static_cast<std::size_t>(report_at - bad.begin()) + 5 * 8,
+      std::uint64_t{1} << 50);
+  // Reseal the nested envelope (the manifest's second magic), then the
+  // manifest around it.
+  const std::string magic = "CYSNAPSH";
+  const auto nested_at =
+      std::search(bad.begin() + 1, bad.end(), magic.begin(), magic.end());
+  ASSERT_NE(nested_at, bad.end());
+  const std::size_t nested = static_cast<std::size_t>(nested_at - bad.begin());
+  std::uint64_t payload = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    payload |= std::uint64_t{bad[nested + 12 + i]} << (8 * i);
+  }
+  testing_util::Reseal(std::span<std::uint8_t>(bad).subspan(
+      nested, payload + snapshot::kEnvelopeBytes));
+  testing_util::Reseal(bad);
+
+  std::future<Status> restore = svc->RestoreShard(0, bad);
+  std::future<StatusOr<StreamView>> query = svc->Query(id);
+  if (query.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    // The shard's drain died mid-restore; ~EstimatorService would wait on
+    // it forever in Flush(), so leave the service behind and fail.
+    (void)svc.release();
+    FAIL() << "the shard stopped draining after the restore";
+  }
+  Status restored = restore.get();
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.code(), StatusCode::kDataLoss) << restored.ToString();
+  StatusOr<StreamView> after = query.get();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ExpectReportsEqual(after->report, before->report);
+  EXPECT_EQ(after->estimate, before->estimate);
 }
 
 // ---------------------------------------------------------------------------
