@@ -13,7 +13,12 @@
 // A mismatch prints the actual values as a table row. The version-1
 // envelopes are never rewritten: a later snapshot version adds its own
 // fixtures beside them.
+//
+// The adjacency-list contract's verdicts are pinned the same way, in
+// tests/golden/adjacency-contract-verdicts.txt: one line per (stream,
+// delivery path) with the Status, the ok-prefix and every counter.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -23,18 +28,25 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/random_order_triangle.h"
+#include "gen/chung_lu.h"
 #include "gen/erdos_renyi.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "snapshot/snapshot.h"
 #include "stream/adjacency_stream.h"
 #include "stream/algorithm.h"
+#include "stream/contract.h"
 #include "stream/driver.h"
+#include "stream/fault_injection.h"
 #include "stream/random_order_stream.h"
+#include "stream/validator.h"
 #include "test_util.h"
 #include "util/status.h"
 
@@ -207,6 +219,307 @@ TEST(Golden, RandomOrderTriangleMatchesPinnedValues) {
         return Digest(r.estimate, r.edge_count, r.detections, r.prefix_edges,
                       r.scale);
       });
+}
+
+// --- Adjacency-list contract verdicts ---
+
+// Every verdict stream is replayed for two passes, so replay checks run.
+constexpr int kVerdictPasses = 2;
+
+// The algorithm of the checked path: it counts the pairs the driver lets
+// through, which is the ok-prefix a strict run delivers.
+class PairCount final : public StreamAlgorithm {
+ public:
+  int passes() const override { return kVerdictPasses; }
+  void OnPair(VertexId, VertexId) override { ++pairs; }
+  void OnListBatch(VertexId, std::span<const VertexId> list) override {
+    pairs += list.size();
+  }
+  std::size_t CurrentSpaceBytes() const override { return sizeof(*this); }
+
+  std::size_t pairs = 0;
+};
+
+// Feeds a contract directly. The ok-prefix is summed as a strict driver
+// would see it: a pair counts when ok() holds before and after it, and a
+// list counts OnList's return value.
+struct ContractFeed {
+  AdjacencyListContract* contract;
+  std::size_t ok_prefix = 0;
+
+  void BeginList(VertexId u) { contract->BeginList(u); }
+  void OnPair(VertexId u, VertexId v) {
+    const bool was_ok = contract->ok();
+    contract->OnPair(u, v);
+    if (was_ok && contract->ok()) ++ok_prefix;
+  }
+  void OnList(VertexId u, std::span<const VertexId> list) {
+    ok_prefix += contract->OnList(u, list);
+  }
+  void EndList(VertexId u) { contract->EndList(u); }
+};
+
+// Regroups a per-pair event stream into OnList calls, one per run of
+// consecutive pairs with the same first vertex, so faulty and hand-fed
+// streams reach the list path too.
+template <typename Sink>
+class ListBatcher {
+ public:
+  explicit ListBatcher(Sink* sink) : sink_(sink) {}
+
+  void BeginList(VertexId u) {
+    Flush();
+    sink_->BeginList(u);
+  }
+  void OnPair(VertexId u, VertexId v) {
+    if (!run_.empty() && u != run_vertex_) Flush();
+    run_vertex_ = u;
+    run_.push_back(v);
+  }
+  void EndList(VertexId u) {
+    Flush();
+    sink_->EndList(u);
+  }
+  // Also called at the end of a pass, which may end inside a list.
+  void Flush() {
+    if (run_.empty()) return;
+    sink_->OnList(run_vertex_, run_);
+    run_.clear();
+  }
+
+ private:
+  Sink* sink_;
+  VertexId run_vertex_ = 0;
+  std::vector<VertexId> run_;
+};
+
+// A stream whose passes reach the sink through ListBatcher: the list path
+// the driver takes on clean streams, fed with faulty ones.
+template <typename StreamT>
+class Batched {
+ public:
+  explicit Batched(const StreamT* stream) : stream_(stream) {}
+
+  const Graph& graph() const { return stream_->graph(); }
+  ModelDescriptor descriptor() const { return DescriptorOf(*stream_); }
+  void ResetPasses() const {
+    if constexpr (requires { stream_->ResetPasses(); }) {
+      stream_->ResetPasses();
+    }
+  }
+
+  template <typename Sink>
+  void ReplayPass(Sink&& sink) const {
+    ListBatcher<std::remove_reference_t<Sink>> batcher(&sink);
+    stream_->ReplayPass(batcher);
+    batcher.Flush();
+  }
+
+ private:
+  const StreamT* stream_;
+};
+
+// One event of a hand-fed pass.
+struct Event {
+  char op;  // 'B' BeginList(u), 'P' OnPair(u, v), 'E' EndList(u)
+  VertexId u;
+  VertexId v;
+};
+
+// Parses "B0 P0,1 E0" into BeginList(0), OnPair(0, 1), EndList(0).
+std::vector<Event> ParseScript(const std::string& text) {
+  std::vector<Event> events;
+  std::istringstream in(text);
+  std::string token;
+  while (in >> token) {
+    Event e{token[0], 0, 0};
+    const std::size_t comma = token.find(',');
+    e.u = static_cast<VertexId>(std::stoul(token.substr(1, comma - 1)));
+    if (comma != std::string::npos) {
+      e.v = static_cast<VertexId>(std::stoul(token.substr(comma + 1)));
+    }
+    events.push_back(e);
+  }
+  return events;
+}
+
+// Replays the same hand-fed pass every time, pair by pair.
+class ScriptStream {
+ public:
+  ScriptStream(const Graph* graph, const std::string& script)
+      : graph_(graph), events_(ParseScript(script)) {}
+
+  const Graph& graph() const { return *graph_; }
+
+  template <typename Sink>
+  void ReplayPass(Sink&& sink) const {
+    for (const Event& e : events_) {
+      if (e.op == 'B') sink.BeginList(e.u);
+      if (e.op == 'P') sink.OnPair(e.u, e.v);
+      if (e.op == 'E') sink.EndList(e.u);
+    }
+  }
+
+ private:
+  const Graph* graph_;
+  std::vector<Event> events_;
+};
+
+ModelContract::CheckCounters CountersFrom(const obs::MetricsRegistry& m) {
+  const obs::Snapshot snap = m.Read();
+  auto get = [&snap](const std::string& name) -> std::uint64_t {
+    auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  ModelContract::CheckCounters c;
+  c.events_checked = get("validator.events_checked");
+  c.passes_checked = get("validator.passes_checked");
+  c.lists_checked = get("validator.lists_checked");
+  c.pairs_checked = get("validator.pairs_checked");
+  c.violations_total = get("validator.violations_total");
+  for (std::size_t k = 0; k < kNumViolationKinds; ++k) {
+    c.violations_by_kind[k] =
+        get(std::string("validator.violations.") +
+            ViolationKindName(static_cast<ViolationKind>(k)));
+  }
+  return c;
+}
+
+std::string VerdictLine(const std::string& label, const char* path,
+                        const Status& status, std::size_t ok_prefix,
+                        const ModelContract::CheckCounters& c) {
+  std::ostringstream out;
+  out << label << " | " << path << " | " << status.ToString()
+      << " | ok-prefix " << ok_prefix << " | events " << c.events_checked
+      << " passes " << c.passes_checked << " lists " << c.lists_checked
+      << " pairs " << c.pairs_checked << " violations " << c.violations_total
+      << " by kind";
+  for (std::uint64_t count : c.violations_by_kind) out << ' ' << count;
+  return out.str();
+}
+
+// Appends one verdict line per delivery path for `stream`: per-pair OnPair
+// and OnList on a contract fed directly, then RunPassesChecked over the
+// list path with a counting algorithm.
+template <typename StreamT>
+void AddVerdicts(const std::string& label, const StreamT& stream,
+                 std::vector<std::string>* lines) {
+  auto reset = [&stream] {
+    if constexpr (requires { stream.ResetPasses(); }) stream.ResetPasses();
+  };
+  for (const bool by_list : {false, true}) {
+    reset();
+    AdjacencyListContract contract(&stream.graph());
+    ContractFeed feed{&contract};
+    ListBatcher<ContractFeed> batcher(&feed);
+    for (int pass = 0; pass < kVerdictPasses; ++pass) {
+      contract.BeginPass(pass);
+      if (by_list) {
+        stream.ReplayPass(batcher);
+        batcher.Flush();
+      } else {
+        stream.ReplayPass(feed);  // these streams deliver pair by pair
+      }
+      contract.EndPass(pass);
+    }
+    lines->push_back(VerdictLine(label, by_list ? "list" : "pair",
+                                 contract.ToStatus(), feed.ok_prefix,
+                                 contract.counters()));
+  }
+  PairCount algo;
+  obs::MetricsRegistry metrics;
+  const Batched<StreamT> batched(&stream);
+  StatusOr<RunReport> run =
+      RunPassesChecked(batched, &algo, {.trace = {.metrics = &metrics}});
+  lines->push_back(VerdictLine(label, "checked", run.status(), algo.pairs,
+                               CountersFrom(metrics)));
+}
+
+std::vector<std::string> AdjacencyContractVerdicts() {
+  std::vector<std::string> lines;
+  struct Input {
+    const char* name;
+    Graph graph;
+  };
+  const Input inputs[] = {
+      {"er", gen::ErdosRenyiGnp(60, 0.12, 3)},
+      {"chung-lu", gen::ChungLuPowerLaw(120, 5.0, 2.3, 7)},
+  };
+  const FaultKind kinds[] = {
+      FaultKind::kNone,           FaultKind::kSplitList,
+      FaultKind::kDropPair,       FaultKind::kDuplicatePair,
+      FaultKind::kDropReverseEdge, FaultKind::kTruncatePass,
+      FaultKind::kReplayDivergence,
+  };
+  for (const Input& input : inputs) {
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+      const AdjacencyListStream base(&input.graph, seed);
+      for (const FaultKind kind : kinds) {
+        // Pass 0 defines the replay order, so divergence needs pass 1; a
+        // clean stream has no fault pass.
+        const int first = kind == FaultKind::kReplayDivergence ? 1 : 0;
+        const int last = kind == FaultKind::kNone ? 0 : 1;
+        for (int pass = first; pass <= last; ++pass) {
+          FaultSpec spec;
+          spec.kind = kind;
+          spec.pass = pass;
+          spec.seed = seed + 100;
+          const FaultInjectingStream faulty(&base, spec);
+          AddVerdicts(std::string(input.name) + " seed " +
+                          std::to_string(seed) + " " + FaultKindName(kind) +
+                          "@" + std::to_string(pass),
+                      faulty, &lines);
+        }
+      }
+    }
+  }
+  // Sequences no injector makes, on two triangles sharing edge {0, 1}:
+  // lists 0: 1 2 3, 1: 0 2 3, 2: 0 1, 3: 0 1.
+  const Graph g = testing_util::TwoTrianglesSharedEdge();
+  const std::string l0 = "B0 P0,1 P0,2 P0,3 E0 ";
+  const std::string l1 = "B1 P1,0 P1,2 P1,3 E1 ";
+  const std::string l2 = "B2 P2,0 P2,1 E2 ";
+  const std::string l3 = "B3 P3,0 P3,1 E3 ";
+  const std::pair<const char*, std::string> scripts[] = {
+      {"clean", l0 + l1 + l2 + l3},
+      {"foreign pair", l0 + l1 + "B2 P2,0 P2,3 P2,1 E2 " + l3},
+      {"self-loop pair", l0 + l1 + "B2 P2,0 P2,2 P2,1 E2 " + l3},
+      {"out-of-range neighbor",
+       l0 + l1 + "B2 P2,0 P2,4 P2,1 P2,4000000000 E2 " + l3},
+      {"unknown-vertex list", l0 + "B9 P9,0 E9 " + l1 + l2 + l3},
+      {"pair outside the open list",
+       l0 + "B1 P1,0 P0,3 P1,2 P1,3 E1 P1,2 " + l2 + l3},
+      {"duplicate then a short list",
+       "B0 P0,1 P0,1 P0,2 E0 " + l1 + "B2 P2,0 E2 " + l3},
+      {"reopened list", "B0 P0,1 E0 " + l1 + "B0 P0,2 P0,3 E0 " + l2 + l3},
+      {"EndList without BeginList", l0 + l1 + "E2 " + l2 + l3},
+      {"list begins inside another",
+       "B0 P0,1 " + l1 + "P0,2 P0,3 E0 " + l2 + l3},
+      {"short list then its unseen neighbor",
+       "B0 P0,1 P0,2 E0 B2 P2,0 P2,3 P2,1 E2 " + l1 + l3},
+  };
+  for (const auto& [name, script] : scripts) {
+    AddVerdicts(std::string("script ") + name, ScriptStream(&g, script),
+                &lines);
+  }
+  return lines;
+}
+
+TEST(Golden, AdjacencyContractVerdicts) {
+  const std::vector<std::string> actual = AdjacencyContractVerdicts();
+  std::vector<std::string> pinned;
+  std::ifstream in(std::string(CYCLESTREAM_GOLDEN_DIR) +
+                   "/adjacency-contract-verdicts.txt");
+  for (std::string line; std::getline(in, line);) pinned.push_back(line);
+  std::ostringstream all;
+  for (const std::string& line : actual) all << line << '\n';
+  ASSERT_FALSE(pinned.empty())
+      << "missing tests/golden/adjacency-contract-verdicts.txt; actual:\n"
+      << all.str();
+  EXPECT_EQ(actual.size(), pinned.size());
+  for (std::size_t i = 0; i < std::min(actual.size(), pinned.size()); ++i) {
+    EXPECT_EQ(actual[i], pinned[i]) << "verdict line " << i + 1;
+  }
 }
 
 }  // namespace
