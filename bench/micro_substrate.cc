@@ -192,6 +192,23 @@ double MeasureReplayPairsPerSec(const Graph& g, bool batched, int reps) {
   return best;
 }
 
+// Replays one pass of `s` into `contract`, whole lists through OnList: the
+// path RunPassesChecked takes on an AdjacencyListStream.
+void ReplayValidated(const stream::AdjacencyListStream& s,
+                     stream::AdjacencyListContract* contract) {
+  struct Forward {
+    stream::AdjacencyListContract* c;
+    void BeginList(VertexId u) { c->BeginList(u); }
+    void OnList(VertexId u, std::span<const VertexId> list) {
+      c->OnList(u, list);
+    }
+    void EndList(VertexId u) { c->EndList(u); }
+  } sink{contract};
+  contract->BeginPass(0);
+  s.ReplayPass(sink);
+  contract->EndPass(0);
+}
+
 // Cost of online validation per pair: same replay as BM_StreamReplay but
 // with an AdjacencyListContract consuming every event. The items/s delta
 // against BM_StreamReplay is the strict-mode overhead.
@@ -200,30 +217,14 @@ void BM_StreamReplayValidated(benchmark::State& state) {
   stream::AdjacencyListStream s(&g, 3);
   for (auto _ : state) {
     stream::AdjacencyListContract validator(&g);
-    struct Forward {
-      stream::AdjacencyListContract* v;
-      void BeginList(VertexId u) { v->BeginList(u); }
-      void OnPair(VertexId u, VertexId w) { v->OnPair(u, w); }
-      void EndList(VertexId u) { v->EndList(u); }
-    } sink{&validator};
-    validator.BeginPass(0);
-    s.ReplayPass(sink);
-    validator.EndPass(0);
+    ReplayValidated(s, &validator);
     benchmark::DoNotOptimize(validator.ok());
   }
   state.SetItemsProcessed(state.iterations() * 2 * g.num_edges());
   // One untimed replay feeds the validator work counters surfaced in the
   // --metrics-out manifest (per-iteration export would skew the timing).
   stream::AdjacencyListContract validator(&g);
-  struct Forward {
-    stream::AdjacencyListContract* v;
-    void BeginList(VertexId u) { v->BeginList(u); }
-    void OnPair(VertexId u, VertexId w) { v->OnPair(u, w); }
-    void EndList(VertexId u) { v->EndList(u); }
-  } sink{&validator};
-  validator.BeginPass(0);
-  s.ReplayPass(sink);
-  validator.EndPass(0);
+  ReplayValidated(s, &validator);
   validator.ExportMetrics(&MicroRegistry());
 }
 BENCHMARK(BM_StreamReplayValidated);

@@ -115,6 +115,11 @@ class ModelContract {
   /// True while no violation has been observed.
   bool ok() const { return !violation_.has_value(); }
 
+  /// The pass begun and not yet ended, if any.
+  std::optional<int> open_pass() const {
+    return in_pass_ ? std::optional<int>(pass_) : std::nullopt;
+  }
+
   /// The first violation, if any.
   const std::optional<Violation>& violation() const { return violation_; }
 
@@ -149,7 +154,8 @@ class ModelContract {
 
   /// Inverse of Serialize on a fresh contract for the same graph and model;
   /// returns kFailedPrecondition when the snapshot's graph shape or model
-  /// descriptor disagrees.
+  /// descriptor disagrees or its pass does not fit an int, and kDataLoss
+  /// when it claims more elements than its payload holds.
   virtual Status Restore(snapshot::SnapshotReader& r) = 0;
 
  protected:

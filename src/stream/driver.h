@@ -532,7 +532,9 @@ Status CheckModelAccepted(const StreamT& stream, const AlgoT* algorithm) {
 
 // Rebuilds a run from checkpoint bytes: the list cursor and the report
 // first, whose pass shape must match the algorithm before the contract's
-// and the algorithm's own state are restored.
+// and the algorithm's own state are restored. The contract must be inside
+// the cursor's pass, where every checkpoint is taken; a resealed one that
+// is not would otherwise abort on the resumed pass's first event.
 template <typename AlgoT, typename ContractT>
 Status RestoreRun(std::span<const std::uint8_t> bytes, AlgoT* algorithm,
                   ContractT* contract, RunReport* report, RunCursor* cursor) {
@@ -549,6 +551,10 @@ Status RestoreRun(std::span<const std::uint8_t> bytes, AlgoT* algorithm,
         "checkpoint pass bookkeeping does not match the algorithm");
   }
   if (Status s = contract->Restore(*reader); !s.ok()) return s;
+  if (contract->open_pass() != cursor->pass) {
+    return Status::FailedPrecondition(
+        "checkpoint contract is not inside the checkpointed pass");
+  }
   if (Status s = algorithm->Restore(*reader); !s.ok()) return s;
   return reader->Final();
 }

@@ -1,5 +1,6 @@
 #include "stream/validator.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "snapshot/codec.h"
@@ -26,6 +27,7 @@ AdjacencyListContract::AdjacencyListContract(const Graph* graph,
     : ModelContract(graph, descriptor) {
   CYCLESTREAM_CHECK(!IsEdgeModel(descriptor.model));
   closed_.assign(graph_->num_vertices(), false);
+  mark_.assign(graph_->num_vertices(), kSeen);
   first_pass_order_.reserve(graph_->num_vertices());
   first_pass_fingerprints_.reserve(graph_->num_vertices());
 }
@@ -110,35 +112,68 @@ void AdjacencyListContract::BeginList(VertexId u) {
   open_list_ = u;
   pairs_in_list_ = 0;
   list_fingerprint_ = 0;
-  seen_in_list_.clear();
+  // A fresh mark makes every stamp of an earlier list stale. An unknown
+  // vertex stamps nothing, so each of its pairs fails the mark test.
+  ++list_mark_;
+  if (static_cast<std::size_t>(u) < mark_.size()) {
+    for (VertexId w : graph_->neighbors(u)) mark_[w] = list_mark_;
+  }
 }
 
 void AdjacencyListContract::OnPair(VertexId u, VertexId v) {
-  CheckPair(u, v);
+  OnList(u, std::span<const VertexId>(&v, 1));
 }
 
-void AdjacencyListContract::CheckPair(VertexId u, VertexId v) {
-  ++counters_.events_checked;
-  ++counters_.pairs_checked;
+std::size_t AdjacencyListContract::OnList(VertexId u,
+                                          std::span<const VertexId> list) {
   CYCLESTREAM_CHECK(in_pass_);
+  counters_.events_checked += list.size();
+  counters_.pairs_checked += list.size();
+  // Every rejected pair records a violation, so the ok-prefix ends at the
+  // first one (and is empty once the contract has failed).
+  std::size_t ok_prefix = ok() ? list.size() : 0;
+  // Pairs outside the open list match no mark. The loop works on locals:
+  // a store to the mark array could otherwise alias the members.
+  const bool open = list_open_ && u == open_list_;
+  std::uint64_t* const mark = mark_.data();
+  const std::size_t n = mark_.size();
+  const std::uint64_t want = list_mark_;
+  const std::size_t start = position_;
+  const std::size_t index = pairs_in_list_;
+  std::uint64_t fingerprint = list_fingerprint_;
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    const VertexId v = list[i];
+    if (open && v < n && mark[v] == want) [[likely]] {
+      mark[v] = kSeen;
+    } else {
+      position_ = start + i;  // the violation's position
+      RejectPair(u, v);
+      ok_prefix = std::min(ok_prefix, i);
+    }
+    fingerprint = ExtendFingerprint(fingerprint, v, index + i);
+  }
+  list_fingerprint_ = fingerprint;
+  pairs_in_list_ = index + list.size();
+  position_ = start + list.size();
+  return ok_prefix;
+}
+
+void AdjacencyListContract::RejectPair(VertexId u, VertexId v) {
+  const std::string pair =
+      "pair (" + std::to_string(u) + ", " + std::to_string(v) + ")";
   if (!list_open_ || u != open_list_) {
     Report(ViolationKind::kInterleavedList, u,
-           "pair (" + std::to_string(u) + ", " + std::to_string(v) +
-               ") delivered outside list " + std::to_string(u) +
+           pair + " delivered outside list " + std::to_string(u) +
                " (contiguity break)");
-  } else if (static_cast<std::size_t>(u) >= graph_->num_vertices() ||
-             !graph_->HasEdge(u, v)) {
+  } else if (!graph_->HasEdge(u, v)) {
     Report(ViolationKind::kForeignPair, u,
-           "pair (" + std::to_string(u) + ", " + std::to_string(v) +
-               ") is not an edge of the graph");
-  } else if (!seen_in_list_.insert(v).second) {
+           pair + " is not an edge of the graph");
+  } else {
+    // An edge of the open list whose neighbor no longer holds the list's
+    // mark was delivered earlier in this list.
     Report(ViolationKind::kDuplicatePair, u,
-           "pair (" + std::to_string(u) + ", " + std::to_string(v) +
-               ") delivered twice in one list");
+           pair + " delivered twice in one list");
   }
-  list_fingerprint_ = ExtendFingerprint(list_fingerprint_, v, pairs_in_list_);
-  ++pairs_in_list_;
-  ++position_;
 }
 
 void AdjacencyListContract::EndList(VertexId u) {
@@ -158,7 +193,7 @@ void AdjacencyListContract::EndList(VertexId u) {
     // later in the pass the truth is a split, not a drop.
     std::string missing;
     for (VertexId w : graph_->neighbors(u)) {
-      if (!seen_in_list_.contains(w)) {
+      if (mark_[w] == list_mark_) {  // stamped, never delivered
         missing = std::to_string(w);
         break;
       }
@@ -225,8 +260,9 @@ void AdjacencyListContract::Serialize(snapshot::SnapshotWriter& w) const {
   SerializeCommon(w);
   internal::WriteViolationOpt(w, pending_missing_);
   // Only list-boundary snapshots are defined (no list may be open); the
-  // per-list transients (fingerprint, pair count, seen set) are therefore
-  // dead state and are not serialized.
+  // per-list transients (fingerprint, pair count, marks) are therefore
+  // dead state and are not serialized. A restored contract's first list
+  // draws a fresh mark like any other.
   CYCLESTREAM_CHECK(!list_open_);
   w.WriteU64(open_list_index_);
   w.WriteU64(closed_.size());

@@ -27,6 +27,18 @@
 // pass, divergence at the first differing list boundary. Within-list replay
 // divergence is caught by per-list order fingerprints (O(n) total), so no
 // pass is ever buffered.
+//
+// Cost: the per-pair test is one load and one compare in a per-vertex mark
+// array (n 64-bit words). BeginList(u) stamps each neighbor of u with a
+// fresh list mark; a pair (u, v) on the open list passes iff v holds that
+// mark, and passing moves v's mark to "seen". A foreign pair and a
+// duplicate therefore fail the same compare, and the hot check allocates
+// nothing, clears nothing and searches nothing. Only a failing pair reaches
+// the out-of-line cold path that tells the violation classes apart (one
+// `Graph::HasEdge` separates foreign from duplicate) and formats the
+// diagnostic. `OnList` runs the test inline over a whole list, with no
+// virtual call per pair: that is the path `RunPassesChecked` takes on a
+// stream that hands out whole lists.
 
 #ifndef CYCLESTREAM_STREAM_VALIDATOR_H_
 #define CYCLESTREAM_STREAM_VALIDATOR_H_
@@ -36,7 +48,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/graph.h"
@@ -63,7 +74,11 @@ class AdjacencyListContract final : public ModelContract {
 
   void BeginPass(int pass) override;
   void BeginList(VertexId u) override;
+  /// One-pair OnList: both deliveries run the same checks.
   void OnPair(VertexId u, VertexId v) override;
+  /// Checks the list's pairs with the mark test inline; positions,
+  /// counters and the returned ok-prefix equal `list.size()` OnPair calls.
+  std::size_t OnList(VertexId u, std::span<const VertexId> list) override;
   void EndList(VertexId u) override;
   void EndPass(int pass) override;
 
@@ -74,10 +89,15 @@ class AdjacencyListContract final : public ModelContract {
   Status Restore(snapshot::SnapshotReader& r) override;
 
  private:
-  // The per-pair contract checks, shared verbatim by OnPair and the base
-  // OnList loop so the two deliveries observe identical positions and
-  // counters.
-  void CheckPair(VertexId u, VertexId v);
+  // A neighbor's mark once its pair is delivered. List marks count up from
+  // 1, so the zero-filled array starts out holding no list's mark.
+  static constexpr std::uint64_t kSeen = 0;
+
+  // Classifies and reports a pair that failed the mark test, in the order
+  // the checks have always run: interleaved, then foreign, then duplicate.
+  // Cold and never inlined, so no diagnostic formatting sits in the
+  // per-pair loop.
+  [[gnu::cold, gnu::noinline]] void RejectPair(VertexId u, VertexId v);
 
   void Report(ViolationKind kind, VertexId list, std::string detail);
   void FlushPending();
@@ -93,7 +113,14 @@ class AdjacencyListContract final : public ModelContract {
   std::size_t open_list_index_ = 0;  // lists begun this pass
   std::size_t pairs_in_list_ = 0;
   std::uint64_t list_fingerprint_ = 0;
-  std::unordered_set<VertexId> seen_in_list_;  // O(max degree) <= O(n)
+
+  // One mark per vertex, O(n) words, allocated once. BeginList stamps the
+  // open list's neighbors with list_mark_ and each valid pair moves its
+  // neighbor to kSeen. Marks only grow and are 64-bit, so they never wrap
+  // within a run: a stamp left by an earlier list never matches, and the
+  // array is never cleared. Per-list state, so never serialized.
+  std::vector<std::uint64_t> mark_;
+  std::uint64_t list_mark_ = kSeen;
 
   std::vector<bool> closed_;  // lists already completed this pass
 

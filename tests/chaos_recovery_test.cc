@@ -22,6 +22,7 @@
 
 #include "core/exact_stream.h"
 #include "core/one_pass_triangle.h"
+#include "core/random_order_triangle.h"
 #include "core/two_pass_triangle.h"
 #include "gen/barabasi_albert.h"
 #include "gen/erdos_renyi.h"
@@ -31,6 +32,7 @@
 #include "stream/algorithm.h"
 #include "stream/driver.h"
 #include "stream/fault_injection.h"
+#include "stream/random_order_stream.h"
 #include "test_util.h"
 #include "util/status.h"
 
@@ -324,6 +326,70 @@ TEST_F(SnapshotCorruptionTest, HugePassWithValidCrcIsFailedPrecondition) {
                          std::numeric_limits<std::int32_t>::max());
   testing_util::Reseal(bad);
   EXPECT_EQ(ResumeCode(bad), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(SnapshotCorruptionTest, ContractBetweenPassesIsFailedPrecondition) {
+  // Checkpoints are taken inside a pass, so a contract section that says
+  // it is between passes disagrees with the run cursor; resuming it would
+  // feed list events to a contract that has no pass open.
+  const std::size_t at = testing_util::CheckpointContractOffset(2) +
+                         testing_util::kContractInPassOffset;
+  ASSERT_EQ(snapshot_[at], 1);
+  std::vector<std::uint8_t> bad = snapshot_;
+  bad[at] = 0;
+  testing_util::Reseal(bad);
+  EXPECT_EQ(ResumeCode(bad), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(SnapshotCorruptionTest, ContractPassOffTheCursorIsFailedPrecondition) {
+  // The contract's pass field (pass + 1) is read from the bytes: one that
+  // does not fit an int must be rejected before arithmetic on it, and one
+  // that names another pass than the run cursor's disagrees with it.
+  const std::size_t at = testing_util::CheckpointContractOffset(2) +
+                         testing_util::kContractPassOffset;
+  ASSERT_EQ(testing_util::PeekU64(snapshot_, at), 2u);  // the last pass, 1
+  for (const std::uint64_t field :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{3},
+        std::uint64_t{1} << 31, ~std::uint64_t{0}}) {
+    std::vector<std::uint8_t> bad = snapshot_;
+    testing_util::PatchU64(bad, at, field);
+    testing_util::Reseal(bad);
+    EXPECT_EQ(ResumeCode(bad), StatusCode::kFailedPrecondition)
+        << "pass field " << field;
+  }
+}
+
+TEST_F(SnapshotCorruptionTest, HugeSeenEdgeCountWithValidCrcIsDataLoss) {
+  // An edge-stream contract's seen-edge count, like the per-pass count, is
+  // bounded by the payload that holds the edges: a resealed count no
+  // payload could hold must not size a reservation.
+  const RandomOrderStream stream(&graph_, 4);
+  core::RandomOrderTriangleOptions options;
+  options.prefix_size = 6;
+  options.seed = 13;
+  std::vector<std::vector<std::uint8_t>> snapshots;
+  core::RandomOrderTriangleCounter algo(options);
+  auto collect = [&](int, std::size_t, std::vector<std::uint8_t> bytes) {
+    snapshots.push_back(std::move(bytes));
+  };
+  ASSERT_TRUE(
+      RunPassesChecked(stream, &algo, {.on_checkpoint = collect}).ok());
+  ASSERT_FALSE(snapshots.empty());
+  std::vector<std::uint8_t> bad = snapshots[snapshots.size() / 2];
+  const std::size_t contract = testing_util::CheckpointContractOffset(1);
+  const std::size_t at =
+      contract + testing_util::kEdgeContractSeenCountOffset;
+  // One pass in: every edge delivered so far has been seen once.
+  ASSERT_EQ(testing_util::PeekU64(bad, at),
+            testing_util::PeekU64(
+                bad, contract + testing_util::kContractPositionOffset));
+  testing_util::PatchU64(bad, at, std::uint64_t{1} << 50);
+  testing_util::Reseal(bad);
+  core::RandomOrderTriangleCounter resumed(options);
+  StatusOr<RunReport> result =
+      RunPassesChecked(stream, &resumed, {.resume_from = bad});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(SnapshotCorruptionTest, OptionsMismatchIsFailedPrecondition) {

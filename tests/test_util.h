@@ -40,6 +40,7 @@
 #include "snapshot/snapshot.h"
 #include "stream/adjacency_stream.h"
 #include "stream/algorithm.h"
+#include "stream/contract.h"
 #include "stream/driver.h"
 
 namespace cyclestream {
@@ -259,6 +260,40 @@ inline constexpr std::size_t kCheckpointPassOffset = 20;
 /// list cursor, then five RunReport scalars.
 inline constexpr std::size_t kCheckpointPassCountOffset =
     kCheckpointPassOffset + 2 * 8 + 5 * 8;
+
+/// Envelope offset of a driver checkpoint's contract section: after the
+/// per-pass count, three u64 fields per pass the run has begun.
+inline constexpr std::size_t CheckpointContractOffset(std::size_t passes) {
+  return kCheckpointPassCountOffset + 8 + passes * 3 * 8;
+}
+
+/// Offset, within a contract section, of the pass field (stored as
+/// pass + 1): after the graph shape, the model descriptor, the absent
+/// first violation and the counters (five, then one per violation kind).
+inline constexpr std::size_t kContractPassOffset =
+    2 * 8 + (1 + 8 + 8) + 1 + (5 + stream::kNumViolationKinds) * 8;
+
+/// Offset, within a contract section, of the in-pass byte.
+inline constexpr std::size_t kContractInPassOffset = kContractPassOffset + 8;
+
+/// Offset, within a contract section, of the pass's stream position.
+inline constexpr std::size_t kContractPositionOffset =
+    kContractInPassOffset + 1;
+
+/// Offset, within an edge-stream contract section, of the count of edges
+/// seen this pass: after the position and the declared-order flag.
+inline constexpr std::size_t kEdgeContractSeenCountOffset =
+    kContractPositionOffset + 8 + 1;
+
+/// Reads the little-endian u64 at `offset` of a snapshot buffer.
+inline std::uint64_t PeekU64(std::span<const std::uint8_t> bytes,
+                             std::size_t offset) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    value |= std::uint64_t{bytes[offset + i]} << (8 * i);
+  }
+  return value;
+}
 
 /// A named generator family producing one seeded graph.
 struct GraphFamily {
