@@ -15,15 +15,12 @@
 // y = pairs/sec — the saturation curves committed to BENCH_baseline.json.
 //
 // Telemetry (all off by default; none of it touches stdout or estimates):
-//   --scrape-out FILE        periodic Prometheus text scrapes of the live
-//                            service registry (obs::PeriodicScraper on a
-//                            dedicated 1-thread pool), validated by
+//   --scrape-out FILE        one Prometheus text scrape of the service
+//                            registry after the sweep, validated by
 //                            `bench_report.py scrape`.
-//   --scrape-interval-ms N   scrape period (default 200).
 //   --flight-dump FILE       write the flight-recorder ring (JSONL) after
 //                            the sweep — a forced dump exercising the same
 //                            path as the fatal-Status/chaos triggers.
-//   --log-level LVL          structured service/driver logs (bench_util).
 //   --chrome-trace FILE      request tracing: every client call stamps a
 //                            TraceContext, and one stream's life (enqueue →
 //                            drain → estimator batch → query reply) renders
@@ -59,9 +56,7 @@
 #include "obs/accuracy.h"
 #include "obs/exposition.h"
 #include "obs/flight_recorder.h"
-#include "obs/logger.h"
 #include "obs/metrics.h"
-#include "runtime/thread_pool.h"
 #include "service/estimator_host.h"
 #include "service/service.h"
 #include "stream/adjacency_stream.h"
@@ -191,7 +186,6 @@ SweepPoint RunConfig(const std::vector<Template>& templates,
   ServiceOptions options;
   options.shards = shards;
   options.metrics = registry;
-  options.logger = &obs::Logger::Global();
   options.flight = flight;
   options.trace = trace;
   options.prof = prof;
@@ -278,8 +272,6 @@ int Main(int argc, char** argv) {
   // --metrics-out is on (so service metrics also land in the snapshot
   // record); otherwise a local one, so --scrape-out works standalone.
   const std::string scrape_out = bench::FlagString(argc, argv, "--scrape-out");
-  const int scrape_interval_ms =
-      bench::FlagValue(argc, argv, "--scrape-interval-ms", 200);
   const std::string flight_dump =
       bench::FlagString(argc, argv, "--flight-dump");
   std::unique_ptr<obs::MetricsRegistry> local_registry;
@@ -307,20 +299,6 @@ int Main(int argc, char** argv) {
   }
   for (const Template& t : templates) {
     accuracy[static_cast<int>(t.spec.kind)]->Observe(t.want_estimate, t.truth);
-  }
-
-  // The scraper gets its own 1-thread pool: it parks one worker for its
-  // whole lifetime (thread_pool.h nesting caveat).
-  std::unique_ptr<runtime::ThreadPool> scrape_pool;
-  std::unique_ptr<obs::PeriodicScraper> scraper;
-  if (!scrape_out.empty() && registry != nullptr) {
-    scrape_pool = std::make_unique<runtime::ThreadPool>(1);
-    // Self-observing: the scraper's own duration/error series land in the
-    // registry it scrapes (visible from the second scrape onward).
-    scraper = std::make_unique<obs::PeriodicScraper>(
-        scrape_pool.get(),
-        [registry] { return obs::PrometheusText(registry->Read()); },
-        scrape_out, std::chrono::milliseconds(scrape_interval_ms), registry);
   }
 
   bench::Table table(opts, {{"shards", 8, bench::kColInt},
@@ -402,11 +380,13 @@ int Main(int argc, char** argv) {
     }
   }
 
-  if (scraper != nullptr) {
-    scraper->Stop();  // writes the final scrape with the full sweep's data
-    std::fprintf(stderr, "[bench] scrapes: %llu -> %s\n",
-                 static_cast<unsigned long long>(scraper->scrapes()),
-                 scrape_out.c_str());
+  if (!scrape_out.empty()) {
+    // One scrape with the full sweep's data.
+    const Status status =
+        obs::WritePrometheusText(registry->Read(), scrape_out);
+    if (!status.ok()) {
+      std::fprintf(stderr, "[bench] %s\n", status.message().c_str());
+    }
   }
   for (const auto& a : accuracy) bench::RecordAccuracy(*a);
   if (!flight_dump.empty()) {

@@ -15,12 +15,8 @@
 //                 per-trial estimate/space/time records, space timelines,
 //                 curve points + slope verdicts, a MetricsRegistry snapshot,
 //                 and a run_end trailer (schema: src/obs/manifest.h;
-//                 consumer: scripts/bench_report.py).
-//   --trace-out FILE     write a timelines-only manifest (run header +
-//                 timeline + run_end) — for fine-grained space traces kept
-//                 apart from the metrics manifest.
-//   --trace-stride N     additionally sample space mid-list every N pairs
-//                 in traced trials (default: list boundaries only).
+//                 consumer: scripts/bench_report.py). Timelines hold one
+//                 space sample per adjacency-list boundary and pass end.
 //   --chrome-trace FILE  write a Chrome trace-event JSON file (loadable in
 //                 Perfetto / chrome://tracing) with execution spans: bench
 //                 phases, trials on their worker lanes, streaming passes,
@@ -32,23 +28,20 @@
 //                 task-clock-only rusage backend when perf_event_open is
 //                 denied (no PMU / perf_event_paranoid); the fallback is
 //                 flagged in every surface, never fatal.
-//   --log-level LVL      structured-log verbosity for obs::Logger::Global()
-//                 ("off"/"error"/"warn"/"info"/"debug"; default off, so
-//                 stdout/stderr stay byte-identical across thread counts).
-//                 Overrides the CYCLESTREAM_LOG environment variable.
-//   --log-file FILE      mirror log records to FILE in addition to stderr.
 //
 // Every value-carrying flag accepts both `--flag value` and `--flag=value`.
 //
-// None of the new flags touch stdout: manifests go to their files, wall
-// time and logs to stderr, so bench tables stay byte-identical traced,
-// logged, or not.
+// None of the observability flags touch stdout: manifests and traces go to
+// their files and wall time to stderr, so bench tables stay byte-identical
+// traced or not.
 //
 // Trial batches run through the shared runtime::TrialRunner returned by
 // bench::Runner(); call bench::ParseOptions first so --threads takes effect.
 // Batches that should appear in manifests go through bench::RunBatch, which
 // traces trial 0, collects per-trial timings outside the deterministic
-// result slots, and emits the batch/timeline records.
+// result slots, and emits the batch/timeline records. The run header, the
+// `prof` records and the run_end trailer come from RunRecord, ProfRecords
+// and RunEndRecord, which micro_substrate's own main shares.
 
 #ifndef CYCLESTREAM_BENCH_BENCH_UTIL_H_
 #define CYCLESTREAM_BENCH_BENCH_UTIL_H_
@@ -73,7 +66,6 @@
 #include "obs/accuracy.h"
 #include "obs/build_info.h"
 #include "obs/json.h"
-#include "obs/logger.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -141,14 +133,59 @@ struct BenchOptions {
   bool full = false;
   bool csv = false;
   int threads = 1;  // resolved worker count (>= 1)
-  std::string metrics_out;       // --metrics-out FILE ("" = off)
-  std::string trace_out;         // --trace-out FILE ("" = off)
-  std::uint64_t trace_stride = 0;  // --trace-stride N (0 = boundaries only)
-  std::string chrome_trace;      // --chrome-trace FILE ("" = off)
-  bool prof = false;             // --prof (hardware counters)
-  std::string log_level;         // --log-level LVL ("" = env/default)
-  std::string log_file;          // --log-file FILE ("" = stderr only)
+  std::string metrics_out;   // --metrics-out FILE ("" = off)
+  std::string chrome_trace;  // --chrome-trace FILE ("" = off)
+  bool prof = false;         // --prof (hardware counters)
 };
+
+/// The binary's file name: argv[0] without its directory.
+inline std::string BenchName(int argc, char** argv) {
+  if (argc < 1 || argv[0] == nullptr) return "unknown";
+  const std::string path = argv[0];
+  const std::size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
+/// A manifest's first record: the binary, its build and its argv. Callers
+/// add their own run parameters before writing it.
+inline obs::Json RunRecord(int argc, char** argv) {
+  obs::Json run = obs::MakeRecord("run");
+  run.Set("bench", obs::Json(BenchName(argc, argv)));
+  run.Set("git", obs::Json(obs::GitDescribe()));
+  run.Set("build_info", obs::BuildInfoJson());
+  obs::Json args = obs::Json::Array();
+  for (int i = 1; i < argc; ++i) args.Push(obs::Json(argv[i]));
+  run.Set("argv", std::move(args));
+  return run;
+}
+
+/// One `prof` record per scope aggregate of `prof`: backend, fallback flag,
+/// scope count, the six counter totals and IPC.
+inline std::vector<obs::Json> ProfRecords(const obs::Profiler& prof) {
+  std::vector<obs::Json> records;
+  for (const auto& [scope, agg] : prof.Read()) {
+    obs::Json record = obs::MakeRecord("prof");
+    record.Set("scope", obs::Json(scope));
+    record.Set("backend", obs::Json(obs::ProfBackendName(prof.backend())));
+    record.Set("fallback", obs::Json(prof.fallback()));
+    record.Set("count", obs::Json(agg.count));
+    const obs::Json totals = agg.totals.ToJson();
+    for (const auto& [key, value] : totals.items()) record.Set(key, value);
+    record.Set("ipc", obs::Json(agg.totals.Ipc()));
+    records.push_back(std::move(record));
+  }
+  return records;
+}
+
+/// A manifest's last record. Its count includes itself, so a truncated
+/// manifest never matches it.
+inline obs::Json RunEndRecord(const obs::ManifestWriter& writer,
+                              double wall_seconds) {
+  obs::Json end = obs::MakeRecord("run_end");
+  end.Set("records", obs::Json(writer.records_written() + 1));
+  end.Set("wall_seconds", obs::Json(wall_seconds));
+  return end;
+}
 
 namespace internal {
 
@@ -177,9 +214,10 @@ inline void PrintElapsedAtExit() {
   std::fprintf(stderr, "[bench] threads=%d wall=%.2fs\n", info.threads, secs);
 }
 
-// Manifest/metrics state behind --metrics-out / --trace-out. One instance
-// per bench process (function-static); inert unless Configure() saw one of
-// the flags, so untraced runs pay nothing but a null check.
+// Manifest/metrics state behind --metrics-out, --chrome-trace and --prof.
+// One instance per bench process (function-static); inert unless
+// Configure() saw one of the flags, so untraced runs pay nothing but a
+// null check.
 class Observability {
  public:
   static Observability& Get() {
@@ -188,7 +226,6 @@ class Observability {
   }
 
   void Configure(const BenchOptions& opts, int argc, char** argv) {
-    trace_stride_ = opts.trace_stride;
     if (!opts.chrome_trace.empty()) {
       chrome_trace_path_ = opts.chrome_trace;
       trace_session_ = std::make_unique<obs::TraceSession>();
@@ -203,17 +240,8 @@ class Observability {
         std::fprintf(stderr, "[bench] %s\n",
                      writer.status().message().c_str());
       } else {
-        metrics_writer_.emplace(std::move(writer).value());
+        writer_.emplace(std::move(writer).value());
         registry_ = std::make_unique<obs::MetricsRegistry>();
-      }
-    }
-    if (!opts.trace_out.empty()) {
-      auto writer = obs::ManifestWriter::Open(opts.trace_out);
-      if (!writer.ok()) {
-        std::fprintf(stderr, "[bench] %s\n",
-                     writer.status().message().c_str());
-      } else {
-        trace_writer_.emplace(std::move(writer).value());
       }
     }
     if (opts.prof) {
@@ -229,24 +257,15 @@ class Observability {
       obs::SetBuildInfoGauge(registry_.get());
     }
     if (!enabled()) return;
-    obs::Json run = obs::MakeRecord("run");
-    run.Set("bench", obs::Json(BenchName(argc, argv)));
-    run.Set("git", obs::Json(obs::GitDescribe()));
-    run.Set("build_info", obs::BuildInfoJson());
+    obs::Json run = RunRecord(argc, argv);
     run.Set("threads", obs::Json(opts.threads));
     run.Set("full", obs::Json(opts.full));
-    run.Set("trace_stride", obs::Json(opts.trace_stride));
     run.Set("prof", obs::Json(opts.prof));
-    obs::Json args = obs::Json::Array();
-    for (int i = 1; i < argc; ++i) args.Push(obs::Json(argv[i]));
-    run.Set("argv", std::move(args));
-    WriteAll(run);
+    writer_->Write(run);
   }
 
-  bool enabled() const {
-    return metrics_writer_.has_value() || trace_writer_.has_value();
-  }
-  std::uint64_t trace_stride() const { return trace_stride_; }
+  /// True when --metrics-out opened a manifest.
+  bool enabled() const { return writer_.has_value(); }
 
   /// The run's metrics registry, or null when --metrics-out is off.
   obs::MetricsRegistry* registry() { return registry_.get(); }
@@ -257,18 +276,13 @@ class Observability {
   /// The run's hardware-counter profiler, or null when --prof is off.
   obs::Profiler* profiler() { return profiler_.get(); }
 
-  /// batch / curve_point / slope / metrics records: metrics manifest only.
-  void WriteMetricsRecord(const obs::Json& record) {
-    if (metrics_writer_.has_value()) metrics_writer_->Write(record);
+  /// Appends one record to the manifest; no-op when --metrics-out is off.
+  void WriteRecord(const obs::Json& record) {
+    if (writer_.has_value()) writer_->Write(record);
   }
 
-  /// timeline records: both manifests (--trace-out exists to carry big
-  /// timelines separately, but the metrics manifest stays self-contained).
-  void WriteTimelineRecord(const obs::Json& record) {
-    WriteAll(record);
-  }
-
-  /// Flushes the chrome trace, registry snapshot + run_end trailers.
+  /// Flushes the chrome trace, the registry snapshot and the run_end
+  /// trailer.
   /// Registered atexit by ParseOptions; idempotent.
   void Finish() {
     if (finished_) return;
@@ -278,19 +292,8 @@ class Observability {
       // path: one `prof` manifest record per scope, and prof.* gauges in
       // the registry (which the metrics record below then snapshots).
       if (registry_ != nullptr) profiler_->ExportMetrics(registry_.get());
-      for (const auto& [scope, agg] : profiler_->Read()) {
-        obs::Json record = obs::MakeRecord("prof");
-        record.Set("scope", obs::Json(scope));
-        record.Set("backend",
-                   obs::Json(obs::ProfBackendName(profiler_->backend())));
-        record.Set("fallback", obs::Json(profiler_->fallback()));
-        record.Set("count", obs::Json(agg.count));
-        const obs::Json totals = agg.totals.ToJson();
-        for (const auto& [key, value] : totals.items()) {
-          record.Set(key, value);
-        }
-        record.Set("ipc", obs::Json(agg.totals.Ipc()));
-        WriteMetricsRecord(record);
+      for (const obs::Json& record : ProfRecords(*profiler_)) {
+        WriteRecord(record);
       }
     }
     if (trace_session_ != nullptr) {
@@ -304,52 +307,22 @@ class Observability {
       }
     }
     if (!enabled()) return;
-    if (registry_ != nullptr) {
-      obs::Json metrics = obs::MakeRecord("metrics");
-      metrics.Set("metrics", registry_->Read().ToJson());
-      WriteMetricsRecord(metrics);
-    }
+    obs::Json metrics = obs::MakeRecord("metrics");
+    metrics.Set("metrics", registry_->Read().ToJson());
+    writer_->Write(metrics);
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() -
                             GlobalRunInfo().start)
                             .count();
-    // Each writer's trailer counts that writer's records (including the
-    // trailer itself) so a truncated manifest is detectable.
-    if (metrics_writer_.has_value()) {
-      metrics_writer_->Write(EndRecord(metrics_writer_->records_written(), wall));
-    }
-    if (trace_writer_.has_value()) {
-      trace_writer_->Write(EndRecord(trace_writer_->records_written(), wall));
-    }
+    writer_->Write(RunEndRecord(*writer_, wall));
   }
 
  private:
-  static std::string BenchName(int argc, char** argv) {
-    if (argc < 1 || argv[0] == nullptr) return "unknown";
-    const std::string path = argv[0];
-    const std::size_t slash = path.find_last_of('/');
-    return slash == std::string::npos ? path : path.substr(slash + 1);
-  }
-
-  static obs::Json EndRecord(std::size_t records_before, double wall) {
-    obs::Json end = obs::MakeRecord("run_end");
-    end.Set("records", obs::Json(records_before + 1));  // + this trailer
-    end.Set("wall_seconds", obs::Json(wall));
-    return end;
-  }
-
-  void WriteAll(const obs::Json& record) {
-    if (metrics_writer_.has_value()) metrics_writer_->Write(record);
-    if (trace_writer_.has_value()) trace_writer_->Write(record);
-  }
-
-  std::optional<obs::ManifestWriter> metrics_writer_;
-  std::optional<obs::ManifestWriter> trace_writer_;
+  std::optional<obs::ManifestWriter> writer_;
   std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::TraceSession> trace_session_;
   std::unique_ptr<obs::Profiler> profiler_;
   std::string chrome_trace_path_;
-  std::uint64_t trace_stride_ = 0;
   bool finished_ = false;
 };
 
@@ -358,7 +331,7 @@ inline void FinishObservabilityAtExit() { Observability::Get().Finish(); }
 }  // namespace internal
 
 /// Parses the shared flags, configures the shared trial runner, and opens
-/// the run manifests when --metrics-out / --trace-out are given.
+/// the run manifest when --metrics-out is given.
 inline BenchOptions ParseOptions(int argc, char** argv) {
   BenchOptions opts;
   opts.full = HasFlag(argc, argv, "--full");
@@ -366,23 +339,8 @@ inline BenchOptions ParseOptions(int argc, char** argv) {
   opts.threads =
       FlagValue(argc, argv, "--threads", runtime::HardwareThreads());
   opts.metrics_out = FlagString(argc, argv, "--metrics-out");
-  opts.trace_out = FlagString(argc, argv, "--trace-out");
-  opts.trace_stride = static_cast<std::uint64_t>(
-      FlagValue(argc, argv, "--trace-stride", 0));
   opts.chrome_trace = FlagString(argc, argv, "--chrome-trace");
   opts.prof = HasFlag(argc, argv, "--prof");
-  opts.log_level = FlagString(argc, argv, "--log-level");
-  opts.log_file = FlagString(argc, argv, "--log-file");
-  if (!opts.log_level.empty()) {
-    obs::Logger::Global().SetLevel(obs::ParseLogLevel(
-        opts.log_level, obs::Logger::Global().level()));
-  }
-  if (!opts.log_file.empty()) {
-    const Status status = obs::Logger::Global().OpenFileSink(opts.log_file);
-    if (!status.ok()) {
-      std::fprintf(stderr, "[bench] %s\n", status.message().c_str());
-    }
-  }
   internal::RunnerSlot() =
       std::make_unique<runtime::TrialRunner>(opts.threads);
   internal::GlobalRunInfo() = {std::chrono::steady_clock::now(),
@@ -433,9 +391,6 @@ struct TrialCtx {
     trace.metrics = internal::Observability::Get().registry();
     trace.spans = spans;
     trace.prof = internal::Observability::Get().profiler();
-    // Always wired: a disabled level costs one branch inside the driver's
-    // per-pass (not per-pair) log site.
-    trace.logger = &obs::Logger::Global();
     return stream::RunPasses(s, algo, trace);
   }
 
@@ -460,7 +415,7 @@ inline std::vector<runtime::TrialResult> RunBatch(
     const std::function<runtime::TrialResult(const TrialCtx&)>& fn,
     obs::Json config = obs::Json::Object()) {
   internal::Observability& ob = internal::Observability::Get();
-  obs::SpaceTracer tracer(ob.trace_stride());
+  obs::SpaceTracer tracer;
   obs::SpaceTracer* traced = ob.enabled() ? &tracer : nullptr;
   obs::TraceSession* spans = ob.trace_session();
   auto batch_span = obs::TraceSession::Begin(spans, "batch " + label, "bench");
@@ -497,18 +452,17 @@ inline std::vector<runtime::TrialResult> RunBatch(
     rows.Push(std::move(row));
   }
   batch.Set("results", std::move(rows));
-  ob.WriteMetricsRecord(batch);
+  ob.WriteRecord(batch);
 
   if (!tracer.timelines().empty()) {
     obs::Json timeline = obs::MakeRecord("timeline");
     timeline.Set("label", obs::Json(label));
     timeline.Set("trial", obs::Json(0));
     timeline.Set("seed", obs::Json(runtime::TrialSeed(base_seed, 0)));
-    timeline.Set("pair_stride", obs::Json(tracer.pair_stride()));
     timeline.Set("max_reported_bytes", obs::Json(tracer.MaxReportedBytes()));
     timeline.Set("max_audited_bytes", obs::Json(tracer.MaxAuditedBytes()));
     timeline.Set("passes", tracer.ToJson());
-    ob.WriteTimelineRecord(timeline);
+    ob.WriteRecord(timeline);
   }
 
   if (obs::MetricsRegistry* registry = ob.registry()) {
@@ -527,24 +481,20 @@ inline std::vector<runtime::TrialResult> RunBatch(
     // Per-list distributions from the traced trial's timeline: each point
     // before the pass-end duplicate is one list-boundary sample, and the
     // pair-count delta between consecutive samples is that list's length.
-    // Mid-list stride samples would distort the deltas, so skip then.
-    if (tracer.pair_stride() == 0) {
-      obs::Histogram space = registry->GetHistogram(
-          "bench.list_space_bytes", obs::Log2Bounds(6, 30));
-      obs::Histogram sizes = registry->GetHistogram(
-          "bench.list_size_pairs", obs::Log2Bounds(0, 24));
-      for (const obs::SpaceTimeline& t : tracer.timelines()) {
-        std::uint64_t prev_pairs = 0;
-        // points.back() is the extra pass-end sample (same pair count as
-        // the final list boundary) — not a list.
-        const std::size_t lists =
-            t.points.empty() ? 0 : t.points.size() - 1;
-        for (std::size_t i = 0; i < lists; ++i) {
-          space.Observe(static_cast<double>(t.points[i].reported_bytes));
-          sizes.Observe(
-              static_cast<double>(t.points[i].pairs_processed - prev_pairs));
-          prev_pairs = t.points[i].pairs_processed;
-        }
+    obs::Histogram space = registry->GetHistogram("bench.list_space_bytes",
+                                                  obs::Log2Bounds(6, 30));
+    obs::Histogram sizes = registry->GetHistogram("bench.list_size_pairs",
+                                                  obs::Log2Bounds(0, 24));
+    for (const obs::SpaceTimeline& t : tracer.timelines()) {
+      std::uint64_t prev_pairs = 0;
+      // points.back() is the extra pass-end sample (same pair count as the
+      // final list boundary) — not a list.
+      const std::size_t lists = t.points.empty() ? 0 : t.points.size() - 1;
+      for (std::size_t i = 0; i < lists; ++i) {
+        space.Observe(static_cast<double>(t.points[i].reported_bytes));
+        sizes.Observe(
+            static_cast<double>(t.points[i].pairs_processed - prev_pairs));
+        prev_pairs = t.points[i].pairs_processed;
       }
     }
   }
@@ -558,7 +508,7 @@ inline void CurvePoint(const std::string& curve, double x, double y) {
   point.Set("curve", obs::Json(curve));
   point.Set("x", obs::Json(x));
   point.Set("y", obs::Json(y));
-  internal::Observability::Get().WriteMetricsRecord(point);
+  internal::Observability::Get().WriteRecord(point);
 }
 
 /// Records a curve's measured log-log slope against the paper's predicted
@@ -571,7 +521,7 @@ inline void Slope(const std::string& curve, double measured, double predicted,
   slope.Set("measured", obs::Json(measured));
   slope.Set("predicted", obs::Json(predicted));
   slope.Set("consistent", obs::Json(consistent));
-  internal::Observability::Get().WriteMetricsRecord(slope);
+  internal::Observability::Get().WriteRecord(slope);
 }
 
 /// Fits the slope of log(y) against log(x) (least squares) — used to verify
@@ -612,7 +562,7 @@ inline void RecordAccuracy(const obs::AccuracyObserver& observer) {
   for (const auto& [key, value] : body.items()) {
     record.Set(key, value);
   }
-  internal::Observability::Get().WriteMetricsRecord(record);
+  internal::Observability::Get().WriteRecord(record);
 }
 
 /// The run's Chrome-trace session (null when --chrome-trace is off) and a
@@ -648,7 +598,7 @@ inline void FitCurve(const std::string& curve, const std::vector<double>& x,
   fit.Set("fitted_exponent", obs::Json(fitted));
   fit.Set("predicted_exponent", obs::Json(predicted_exponent));
   fit.Set("points", obs::Json(std::min(x.size(), y.size())));
-  internal::Observability::Get().WriteMetricsRecord(fit);
+  internal::Observability::Get().WriteRecord(fit);
 }
 
 struct TrialStats {

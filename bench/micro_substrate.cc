@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/median.h"
 #include "obs/build_info.h"
 #include "obs/manifest.h"
@@ -459,37 +460,19 @@ void WriteProfCurves(obs::ManifestWriter& writer, obs::Profiler* prof) {
   }
 }
 
-// One `prof` manifest record per scope aggregate (same shape as the
-// bench_util emitter, so bench_report.py validates both the same way).
-void WriteProfRecords(obs::ManifestWriter& writer, obs::Profiler* prof) {
-  if (prof == nullptr) return;
-  for (const auto& [scope, agg] : prof->Read()) {
-    obs::Json record = obs::MakeRecord("prof");
-    record.Set("scope", obs::Json(scope));
-    record.Set("backend", obs::Json(obs::ProfBackendName(prof->backend())));
-    record.Set("fallback", obs::Json(prof->fallback()));
-    record.Set("count", obs::Json(agg.count));
-    const obs::Json totals = agg.totals.ToJson();
-    for (const auto& [key, value] : totals.items()) {
-      record.Set(key, value);
-    }
-    record.Set("ipc", obs::Json(agg.totals.Ipc()));
-    writer.Write(record);
-  }
-}
-
 }  // namespace
 }  // namespace cyclestream
 
 // Custom main instead of BENCHMARK_MAIN(): strips the repo-wide manifest
 // flags (google-benchmark rejects unrecognized arguments) and, when
 // --metrics-out is given, writes a JSONL manifest with the registry
-// snapshot after the benchmarks finish. --trace-out is accepted but inert:
-// microbenchmarks have no traced stream runs. --chrome-trace wraps the
-// google-benchmark run and the replay-throughput measurement in bench
-// phase spans.
+// snapshot after the benchmarks finish; its run header, `prof` records and
+// run_end trailer come from bench_util's RunRecord, ProfRecords and
+// RunEndRecord. --chrome-trace wraps the google-benchmark run and the
+// replay-throughput measurement in bench phase spans.
 int main(int argc, char** argv) {
   using namespace cyclestream;
+  const auto start = std::chrono::steady_clock::now();
   std::string metrics_out;
   std::string chrome_trace;
   bool prof_enabled = false;
@@ -522,11 +505,6 @@ int main(int argc, char** argv) {
       prof_enabled = true;
       continue;
     }
-    if ((arg == "--trace-out" || arg == "--trace-stride") && i + 1 < argc) {
-      ++i;
-      continue;
-    }
-    if (value_of("--trace-out=") || value_of("--trace-stride=")) continue;
     passthrough.push_back(argv[i]);
   }
   int pass_argc = static_cast<int>(passthrough.size());
@@ -564,10 +542,7 @@ int main(int argc, char** argv) {
                    std::string(writer.status().message()).c_str());
       return 0;
     }
-    obs::Json run = obs::MakeRecord("run");
-    run.Set("bench", obs::Json("micro_substrate"));
-    run.Set("git", obs::Json(obs::GitDescribe()));
-    run.Set("build_info", obs::BuildInfoJson());
+    obs::Json run = bench::RunRecord(argc, argv);
     run.Set("prof", obs::Json(prof != nullptr));
     writer->Write(run);
     WriteReplayThroughputCurves(*writer);
@@ -576,17 +551,19 @@ int main(int argc, char** argv) {
           obs::TraceSession::Begin(spans.get(), "prof-curves", "bench");
       WriteProfCurves(*writer, prof.get());
       prof_span.End();
-      WriteProfRecords(*writer, prof.get());
+      for (const obs::Json& record : bench::ProfRecords(*prof)) {
+        writer->Write(record);
+      }
       prof->ExportMetrics(&MicroRegistry());
       obs::SetBuildInfoGauge(&MicroRegistry());
     }
     obs::Json metrics = obs::MakeRecord("metrics");
     metrics.Set("metrics", MicroRegistry().Read().ToJson());
     writer->Write(metrics);
-    obs::Json end = obs::MakeRecord("run_end");
-    // +1: the trailer counts itself, so a truncated file never matches.
-    end.Set("records", obs::Json(writer->records_written() + 1));
-    writer->Write(end);
+    writer->Write(bench::RunEndRecord(
+        *writer, std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count()));
   }
   if (spans != nullptr) {
     Status st = spans->WriteTo(chrome_trace);

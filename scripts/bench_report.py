@@ -2,7 +2,7 @@
 """Validate, summarize, fit, and baseline JSONL bench manifests.
 
 The C++ benches emit newline-delimited JSON run manifests via
-``--metrics-out`` / ``--trace-out`` (see src/obs/manifest.h for the schema).
+``--metrics-out`` (see src/obs/manifest.h for the schema).
 This script is their consumer:
 
   validate  — schema-check one or more manifests (record types, required
@@ -24,11 +24,11 @@ This script is their consumer:
   baseline  — regenerate BENCH_baseline.json from a set of manifests
               (curves with fitted exponents, slope verdicts, batch peaks).
   scrape    — parse and validate Prometheus text exposition files written
-              by EstimatorService::ScrapeMetrics / obs::PeriodicScraper /
-              --scrape-out: every sample must belong to a # TYPE family,
-              histogram buckets must be cumulative and consistent with
-              _count, and --require names must be present (e.g.
-              service_queue_depth, service_op_latency_seconds,
+              by EstimatorService::ScrapeMetrics / obs::WritePrometheusText
+              (bench_service --scrape-out): every sample must belong to a
+              # TYPE family, histogram buckets must be cumulative and
+              consistent with _count, and --require names must be present
+              (e.g. service_queue_depth, service_op_latency_seconds,
               service_errors_latched, accuracy_within_band).
   diff      — compare two BENCH_baseline.json files (old new): per-bench
               per-curve relative deltas on throughput/space points; exit 1
@@ -66,8 +66,8 @@ PROF_COUNTER_FIELDS = ("cycles", "instructions", "cache_references",
 REQUIRED_FIELDS = {
     "run": ["bench", "git", "build_info"],
     "batch": ["label", "trials", "base_seed", "results"],
-    "timeline": ["label", "trial", "seed", "pair_stride",
-                 "max_reported_bytes", "max_audited_bytes", "passes"],
+    "timeline": ["label", "trial", "seed", "max_reported_bytes",
+                 "max_audited_bytes", "passes"],
     "curve_point": ["curve", "x", "y"],
     "slope": ["curve", "measured", "predicted", "consistent"],
     "fit": ["curve", "fitted_exponent", "predicted_exponent", "points"],

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/json.h"
-#include "runtime/thread_pool.h"
 
 namespace cyclestream {
 namespace obs {
@@ -177,72 +176,6 @@ Status WritePrometheusText(const Snapshot& snapshot,
   std::fwrite(text.data(), 1, text.size(), file);
   std::fclose(file);
   return Status::Ok();
-}
-
-PeriodicScraper::PeriodicScraper(runtime::ThreadPool* pool,
-                                 std::function<std::string()> scrape,
-                                 std::string path,
-                                 std::chrono::milliseconds interval,
-                                 MetricsRegistry* self_metrics)
-    : scrape_(std::move(scrape)),
-      path_(std::move(path)),
-      interval_(interval),
-      self_metrics_(self_metrics != nullptr) {
-  if (self_metrics != nullptr) {
-    // ~1us .. ~8s render+write buckets.
-    scrape_seconds_ = self_metrics->GetHistogram("scraper.scrape_seconds",
-                                                 Log2Bounds(-20, 3));
-    scrape_count_ = self_metrics->GetCounter("scraper.scrapes");
-    scrape_errors_ = self_metrics->GetCounter("scraper.errors");
-  }
-  done_ = pool->Submit([this] {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      if (cv_.wait_for(lock, interval_, [this] { return stop_; })) break;
-      lock.unlock();
-      WriteOnce();
-      lock.lock();
-    }
-  });
-}
-
-PeriodicScraper::~PeriodicScraper() { Stop(); }
-
-void PeriodicScraper::Stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (done_.valid()) done_.get();
-  WriteOnce();  // final scrape: the file exists even for sub-interval runs
-}
-
-void PeriodicScraper::WriteOnce() {
-  const auto start = std::chrono::steady_clock::now();
-  const std::string text = scrape_();
-  // Temp-file + rename so a concurrent reader never sees a torn scrape.
-  const std::string tmp = path_ + ".tmp";
-  bool ok = false;
-  std::FILE* file = std::fopen(tmp.c_str(), "w");
-  if (file != nullptr) {
-    std::fwrite(text.data(), 1, text.size(), file);
-    std::fclose(file);
-    ok = std::rename(tmp.c_str(), path_.c_str()) == 0;
-  }
-  if (ok) scrapes_.fetch_add(1, std::memory_order_relaxed);
-  if (self_metrics_) {
-    scrape_seconds_.Observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count());
-    if (ok) {
-      scrape_count_.Increment();
-    } else {
-      scrape_errors_.Increment();
-    }
-  }
 }
 
 }  // namespace obs

@@ -43,7 +43,13 @@ const char* FlightEventKindName(FlightEventKind kind) {
 // Seqlocked slot: `version` is odd while the owning thread writes. All
 // fields are relaxed atomics so concurrent Collect() reads are race-free;
 // consistency comes from the version re-check, not from ordering between
-// the payload fields themselves.
+// the payload fields themselves. The ordering needs fences (Boehm, "Can
+// Seqlocks Get Along with Programming Language Memory Models?", MSPC 2012):
+// a release store of the odd version would not keep the later payload
+// stores after it, nor an acquire re-read of the version the earlier
+// payload loads before it. Record's release fence and Collect's acquire
+// fence do, so a reader that sees the same even version on both sides read
+// no half-written payload.
 struct FlightRecorder::Slot {
   std::atomic<std::uint64_t> version{0};
   std::atomic<std::uint64_t> seq{0};
@@ -95,7 +101,8 @@ void FlightRecorder::Record(FlightEventKind kind, std::uint32_t shard,
   const std::uint64_t t_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(delta).count());
   const std::uint64_t v = slot.version.load(std::memory_order_relaxed);
-  slot.version.store(v + 1, std::memory_order_release);  // odd: mid-write
+  slot.version.store(v + 1, std::memory_order_relaxed);  // odd: mid-write
+  std::atomic_thread_fence(std::memory_order_release);
   slot.seq.store(seq, std::memory_order_relaxed);
   slot.t_ns.store(t_ns, std::memory_order_relaxed);
   slot.kind_shard.store(static_cast<std::uint32_t>(kind) | (shard << 8),
@@ -122,7 +129,8 @@ std::vector<FlightEvent> FlightRecorder::Collect() const {
       event.a = slot.a.load(std::memory_order_relaxed);
       event.b = slot.b.load(std::memory_order_relaxed);
       event.thread = ring->id;
-      const std::uint64_t v2 = slot.version.load(std::memory_order_acquire);
+      std::atomic_thread_fence(std::memory_order_acquire);
+      const std::uint64_t v2 = slot.version.load(std::memory_order_relaxed);
       if (v1 != v2) continue;  // torn: the writer lapped us
       out.push_back(event);
     }

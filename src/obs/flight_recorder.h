@@ -12,6 +12,7 @@
 //     `Collect()` (any thread, any time) reads every slot, re-checks the
 //     version, and drops torn reads — a best-effort snapshot, which is
 //     exactly what a post-mortem wants. No reader ever blocks a writer.
+//     Fences order the version against the payload (flight_recorder.cc).
 //   * Events are numeric-only (kind + shard + two 64-bit args); the dump
 //     resolves kind names. No strings on the record path.
 //
@@ -46,7 +47,8 @@ enum class FlightEventKind : std::uint8_t {
   kEndPass = 4,     // pass boundary applied (a = stream id, b = new pass)
   kQuery = 5,       // query answered (a = stream id, b = 1 if error reply)
   kCheckpoint = 6,  // shard checkpoint taken (a = streams, b = bytes)
-  kRestore = 7,     // shard restore attempted (a = 1 ok / 0 failed)
+  kRestore = 7,     // shard restore attempted (a = 1 ok / 0 failed,
+                    //   b = the returned Status's code)
   kKill = 8,        // shard killed — chaos crash point (a = streams lost)
   kError = 9,       // typed Status latched (a = stream id, b = status code)
 };

@@ -1,6 +1,6 @@
 // Minimal JSON value for the observability layer: building, serializing,
-// and parsing the JSONL run manifests that benches emit (`--metrics-out`,
-// `--trace-out`) and that tests/scripts consume.
+// and parsing the JSONL run manifests that benches emit (`--metrics-out`)
+// and that tests/scripts consume.
 //
 // Deliberately small — no external dependency, no streaming parser — but
 // strict about the one property manifests need: **round-trip fidelity**.

@@ -1,6 +1,5 @@
 // JSONL run manifests: the machine-readable record of a bench run that
-// `--metrics-out` / `--trace-out` emit and `scripts/bench_report.py`
-// consumes.
+// `--metrics-out` emits and `scripts/bench_report.py` consumes.
 //
 // A manifest is a sequence of newline-delimited JSON records, each with a
 // "record" type tag and "schema_version". Record types (schema v3):
@@ -8,7 +7,8 @@
 //   run         — first line: bench name, git describe, build_info stamp
 //                 (exact sha / compiler / flags), seed, threads, argv
 //   batch       — one per bench batch (label, per-trial estimate/space/time)
-//   timeline    — space timeline of a traced trial (per-pass points, each
+//   timeline    — space timeline of a traced trial (per-pass points, one
+//                 per list boundary and pass end, each
 //                 [pairs, reported_bytes, audited_bytes])
 //   curve_point — one (x, y) of a measured space curve
 //   slope       — measured vs predicted log-log slope for a curve

@@ -4,12 +4,12 @@
 // the allocator-measured live bytes.
 //
 // The stream driver (see `stream/driver.h`) owns the sampling points: it
-// calls `Sample()` at every adjacency-list boundary (the model's natural
-// measurement granularity), optionally mid-list every `pair_stride` pairs
-// for long lists, and once more at each pass end so the timeline maximum
-// equals `RunReport::reported_peak_bytes` exactly. The tracer itself is a
-// passive container — single-writer, no locking — so only one trial per
-// run should carry one (bench_util traces trial 0).
+// calls `Sample()` at every adjacency-list boundary (the model measures
+// space as the state carried across list boundaries) and once more at
+// each pass end, the same samples the report's peaks come from, so the
+// timeline maximum equals `RunReport::reported_peak_bytes` exactly. The
+// tracer itself is a passive container — single-writer, no locking — so
+// only one trial per run should carry one (bench_util traces trial 0).
 
 #ifndef CYCLESTREAM_OBS_SPACE_TRACER_H_
 #define CYCLESTREAM_OBS_SPACE_TRACER_H_
@@ -56,13 +56,6 @@ struct SpaceTimeline {
 
 class SpaceTracer {
  public:
-  /// `pair_stride` > 0 additionally samples mid-list every that many pairs;
-  /// 0 (default) samples only at list boundaries and pass ends.
-  explicit SpaceTracer(std::uint64_t pair_stride = 0)
-      : pair_stride_(pair_stride) {}
-
-  std::uint64_t pair_stride() const { return pair_stride_; }
-
   /// Driver hooks -----------------------------------------------------
 
   void BeginPass(std::size_t pass) {
@@ -127,7 +120,6 @@ class SpaceTracer {
   }
 
  private:
-  std::uint64_t pair_stride_;
   std::vector<SpaceTimeline> timelines_;
 };
 

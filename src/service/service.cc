@@ -113,7 +113,6 @@ EstimatorService::EstimatorService(const ServiceOptions& options)
       trace_(options.trace),
       prof_(options.prof),
       trace_salt_(NextServiceSalt()),
-      log_(options.logger, "service"),
       pool_(options.threads > 0 ? options.threads
                                 : std::max(options.shards, 1)) {
   const int shards = std::max(options.shards, 1);
@@ -159,15 +158,6 @@ EstimatorService::EstimatorService(const ServiceOptions& options)
                               std::end(kLatencyBounds)));
     }
     shards_.push_back(std::move(shard));
-  }
-  if (log_.Enabled(obs::LogLevel::kInfo)) {
-    obs::Json fields = obs::Json::Object();
-    fields.Set("shards", obs::Json(static_cast<std::uint64_t>(shards)));
-    fields.Set("threads",
-               obs::Json(static_cast<std::uint64_t>(pool_.num_threads())));
-    fields.Set("drain_budget",
-               obs::Json(static_cast<std::uint64_t>(drain_budget_)));
-    log_.Info("service started", fields);
   }
 }
 
@@ -251,15 +241,6 @@ void EstimatorService::Drain(std::size_t shard_index) {
                       static_cast<std::uint32_t>(shard.index), batch.size(),
                       shard.batch_pairs.size());
     }
-    if (log_.Enabled(obs::LogLevel::kDebug)) {
-      obs::Json fields = obs::Json::Object();
-      fields.Set("shard",
-                 obs::Json(static_cast<std::uint64_t>(shard.index)));
-      fields.Set("batch", obs::Json(static_cast<std::uint64_t>(batch.size())));
-      fields.Set("streams",
-                 obs::Json(static_cast<std::uint64_t>(shard.streams.size())));
-      log_.Debug("drain batch", fields);
-    }
     obs::TraceSession::Span drain_span;
     if (trace_ != nullptr) {
       drain_span = obs::TraceSession::Begin(trace_, "service.drain",
@@ -332,13 +313,6 @@ void EstimatorService::Process(Shard& shard, Op& op) {
 void EstimatorService::OnErrorLatched(Shard& shard, StreamId id,
                                       const Status& error) {
   if (metrics_ != nullptr) shard.errors.Increment();
-  if (log_.Enabled(obs::LogLevel::kError)) {
-    obs::Json fields = obs::Json::Object();
-    fields.Set("shard", obs::Json(static_cast<std::uint64_t>(shard.index)));
-    fields.Set("stream", obs::Json(id));
-    fields.Set("code", obs::Json(StatusCodeName(error.code())));
-    log_.Error(error.message(), fields);
-  }
   if (flight_ != nullptr) {
     flight_->Record(obs::FlightEventKind::kError,
                     static_cast<std::uint32_t>(shard.index), id,
@@ -371,13 +345,6 @@ void EstimatorService::DoCreate(Shard& shard, Op& op) {
   if (flight_ != nullptr) {
     flight_->Record(obs::FlightEventKind::kCreate,
                     static_cast<std::uint32_t>(shard.index), op.id);
-  }
-  if (log_.Enabled(obs::LogLevel::kDebug)) {
-    obs::Json fields = obs::Json::Object();
-    fields.Set("shard", obs::Json(static_cast<std::uint64_t>(shard.index)));
-    fields.Set("stream", obs::Json(op.id));
-    fields.Set("kind", obs::Json(KindName(op.spec.kind)));
-    log_.Debug("stream created", fields);
   }
   op.status_promise->set_value(Status::Ok());
 }
@@ -512,15 +479,6 @@ void EstimatorService::DoCheckpoint(Shard& shard, Op& op) {
                     static_cast<std::uint32_t>(shard.index),
                     shard.streams.size(), manifest.size());
   }
-  if (log_.Enabled(obs::LogLevel::kInfo)) {
-    obs::Json fields = obs::Json::Object();
-    fields.Set("shard", obs::Json(static_cast<std::uint64_t>(shard.index)));
-    fields.Set("streams",
-               obs::Json(static_cast<std::uint64_t>(shard.streams.size())));
-    fields.Set("bytes",
-               obs::Json(static_cast<std::uint64_t>(manifest.size())));
-    log_.Info("shard checkpoint", fields);
-  }
   op.bytes_promise->set_value(std::move(manifest));
 }
 
@@ -532,21 +490,6 @@ void EstimatorService::DoRestore(Shard& shard, Op& op) {
                     static_cast<std::uint32_t>(shard.index),
                     status.ok() ? 1 : 0,
                     static_cast<std::uint64_t>(status.code()));
-  }
-  const obs::LogLevel level =
-      status.ok() ? obs::LogLevel::kInfo : obs::LogLevel::kError;
-  if (log_.Enabled(level)) {
-    obs::Json fields = obs::Json::Object();
-    fields.Set("shard", obs::Json(static_cast<std::uint64_t>(shard.index)));
-    fields.Set("ok", obs::Json(status.ok()));
-    fields.Set("code", obs::Json(StatusCodeName(status.code())));
-    fields.Set("streams",
-               obs::Json(static_cast<std::uint64_t>(shard.streams.size())));
-    if (status.ok()) {
-      log_.Info("shard restored", fields);
-    } else {
-      log_.Error("shard restore failed: " + status.message(), fields);
-    }
   }
   op.status_promise->set_value(std::move(status));
 }
@@ -641,12 +584,6 @@ void EstimatorService::DoKill(Shard& shard, Op& op) {
     // Chaos crash point: dump the rings so the post-mortem shows what the
     // killed shard was doing (no-op unless CYCLESTREAM_FLIGHT_DUMP is set).
     flight_->DumpToEnvPath();
-  }
-  if (log_.Enabled(obs::LogLevel::kWarn)) {
-    obs::Json fields = obs::Json::Object();
-    fields.Set("shard", obs::Json(static_cast<std::uint64_t>(shard.index)));
-    fields.Set("streams_lost", obs::Json(static_cast<std::uint64_t>(lost)));
-    log_.Warn("shard killed", fields);
   }
   op.count_promise->set_value(lost);
 }

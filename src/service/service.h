@@ -43,10 +43,11 @@
 // for every op class (error latches and dropped ops are per-shard:
 // `service.errors_latched/shard=N`). `ScrapeMetrics()` renders the whole
 // registry in Prometheus text format at any instant. An attached
-// `obs::Logger` gets structured records for control ops and latched
-// errors; an attached `obs::FlightRecorder` gets a wait-free event per
-// enqueue/drain/op, dumped to `CYCLESTREAM_FLIGHT_DUMP` on any latched
-// Status and on chaos KillShard. Telemetry never touches estimator
+// `obs::FlightRecorder` gets a wait-free event per enqueue, drain and op
+// (control ops and latched errors included, with their counts and status
+// codes), dumped to `CYCLESTREAM_FLIGHT_DUMP` on any latched Status and on
+// chaos KillShard; the message text reaches the caller as the Status that
+// `Query` or `RestoreShard` returns. Telemetry never touches estimator
 // inputs, so instrumented and bare services produce bit-identical
 // estimates.
 //
@@ -78,7 +79,6 @@
 
 #include "graph/types.h"
 #include "obs/flight_recorder.h"
-#include "obs/logger.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
@@ -119,8 +119,6 @@ struct ServiceOptions {
   std::size_t drain_budget = 1024;
   /// Optional metrics sink (owned by the caller, must outlive the service).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional structured logger ("service" component scope; caller-owned).
-  obs::Logger* logger = nullptr;
   /// Optional flight recorder for post-mortem event rings (caller-owned).
   obs::FlightRecorder* flight = nullptr;
   /// Optional Chrome-trace session: request spans + per-stream flow events
@@ -240,8 +238,8 @@ class EstimatorService {
   void DoKill(Shard& shard, Op& op);
 
   /// Telemetry for a Status latched on a stream: per-shard error counter,
-  /// structured error record, flight kError event, and the fatal-Status
-  /// flight dump (CYCLESTREAM_FLIGHT_DUMP).
+  /// flight kError event, and the fatal-Status flight dump
+  /// (CYCLESTREAM_FLIGHT_DUMP).
   void OnErrorLatched(Shard& shard, StreamId id, const Status& error);
 
   const std::size_t drain_budget_;
@@ -251,7 +249,6 @@ class EstimatorService {
   obs::Profiler* const prof_;
   const std::uint64_t trace_salt_;  // per-instance flow-id namespace
   std::atomic<std::uint64_t> next_span_id_{1};
-  obs::LogScope log_;
   std::vector<std::unique_ptr<Shard>> shards_;
   runtime::ThreadPool pool_;  // declared last: destroyed (joined) first
 };

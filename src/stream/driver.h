@@ -39,10 +39,8 @@
 // Batched delivery: streams that expose whole adjacency lists hand each list
 // to RunSink::OnList, which forwards it to the algorithm's OnListBatch (the
 // algorithm-facing contract in stream/algorithm.h makes this
-// indistinguishable from the per-pair loop). Two exceptions deliver per
-// pair: a tracer asking for mid-list samples (`pair_stride != 0`), so every
-// stride sample fires at the same pair count with the same value; and a
-// list the contract rejects part-way, whose valid prefix is all the
+// indistinguishable from the per-pair loop). One exception delivers per
+// pair: a list the contract rejects part-way, whose valid prefix is all the
 // algorithm may see.
 //
 // Space audit: every space sample (`internal::SampleSpace`, also used by the
@@ -64,14 +62,14 @@
 // error Status before any state is trusted.
 //
 // Observability: both entry points take `TraceOptions`. A `SpaceTracer`
-// receives the same space samples the report's peaks are computed from
-// (plus optional mid-list samples every `pair_stride` pairs), so the
-// tracer's timeline max equals `reported_peak_bytes` exactly; a
-// `MetricsRegistry` receives driver counters (and, for checked runs,
-// contract counters) at the end of the run; a `TraceSession` receives
-// pass/list spans (and, for checked runs, validate spans). Tracing never
-// touches the algorithm's inputs, so traced and untraced runs produce
-// bit-identical estimates.
+// receives exactly the space samples the report's peaks are computed from
+// (the model measures at list boundaries), so the tracer's timeline max
+// equals `reported_peak_bytes`; a `MetricsRegistry` receives driver
+// counters (and, for checked runs, contract counters) at the end of the
+// run; a `TraceSession` receives pass/list spans (and, for checked runs,
+// validate spans); a `Profiler` times each pass under a
+// "driver.pass/pass=N" scope. Tracing never touches the algorithm's
+// inputs, so traced and untraced runs produce bit-identical estimates.
 
 #ifndef CYCLESTREAM_STREAM_DRIVER_H_
 #define CYCLESTREAM_STREAM_DRIVER_H_
@@ -88,7 +86,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/logger.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/space_tracer.h"
@@ -113,12 +110,6 @@ struct PassReport {
   std::size_t audited_peak_bytes = 0;
   /// Pairs delivered in this pass.
   std::size_t pairs_processed = 0;
-  /// Hardware counters spent in this pass (all zero unless
-  /// TraceOptions::prof was set). Observability, not algorithm state:
-  /// excluded from snapshot serialization, so a resumed run's counters
-  /// cover only post-resume work and checkpoint bytes stay identical
-  /// with profiling on or off.
-  obs::ProfCounters prof;
 };
 
 /// Result of driving an algorithm over a stream.
@@ -141,8 +132,6 @@ struct RunReport {
   /// Per-pass breakdown; size() == passes completed (may be <
   /// passes_requested if a checked run aborted on a violation).
   std::vector<PassReport> per_pass;
-  /// Sum of per_pass prof counters (see PassReport::prof).
-  obs::ProfCounters prof;
 };
 
 /// Optional instrumentation for a driver run. Default-constructed ==
@@ -150,29 +139,24 @@ struct RunReport {
 /// identical either way.
 struct TraceOptions {
   /// If set, receives BeginPass + a space sample at every list boundary
-  /// (and mid-list per the tracer's pair_stride) and at each pass end.
+  /// and at each pass end.
   obs::SpaceTracer* tracer = nullptr;
   /// If set, receives "driver.*" counters (and, for checked runs,
   /// "validator.*") when the run finishes.
   obs::MetricsRegistry* metrics = nullptr;
   /// If set, receives execution spans: one "pass" span per pass, one
-  /// strided "list" span per `list_span_stride` adjacency lists, and (in
+  /// strided "list" span per `kListSpanStride` adjacency lists, and (in
   /// checked runs) a strided "validate" span timing the validator's work
   /// on one list per stride window.
   obs::TraceSession* spans = nullptr;
-  /// Lists per "list" span; 1 = a span per list (hot — use on small
-  /// streams only).
-  std::size_t list_span_stride = 1024;
-  /// If set, receives structured "driver" records: one debug record per
-  /// completed pass (pass index, pairs, peak bytes). Never consulted on
-  /// the per-pair path.
-  obs::Logger* logger = nullptr;
-  /// If set, every pass runs under a ProfScope named
-  /// "driver.pass/pass=N" and its hardware-counter delta lands in
-  /// PassReport::prof / RunReport::prof. One branch per pass when null;
-  /// nothing on the per-pair path either way.
+  /// If set, every pass runs under a ProfScope named "driver.pass/pass=N",
+  /// whose hardware-counter delta lands in the profiler's aggregates. One
+  /// branch per pass when null; nothing on the per-pair path either way.
   obs::Profiler* prof = nullptr;
 };
+
+/// Adjacency lists per strided "list" (and "validate") span.
+inline constexpr std::size_t kListSpanStride = 1024;
 
 /// Receives one checkpoint: the pass, the lists completed in it so far, and
 /// the envelope bytes.
@@ -253,12 +237,7 @@ inline void SampleSpace(const AlgoT& algorithm, const obs::MemoryDomain* domain,
 
 // RunReport codec for checkpoint payloads: the report travels inside the
 // snapshot so a resumed run's peaks/counters continue from the exact values
-// the crashed run had accumulated. Prof counters are deliberately NOT part
-// of the codec: they are observability, not stream-position state, and
-// hardware counts are nondeterministic — serializing them would make
-// checkpoint bytes differ between profiled and unprofiled runs and break
-// the chaos harness's bit-identity checks. A resumed run's prof counters
-// therefore cover only post-resume work.
+// the crashed run had accumulated.
 inline void SerializeReport(const RunReport& report,
                             snapshot::SnapshotWriter& w) {
   w.WriteU64(report.reported_peak_bytes);
@@ -346,10 +325,7 @@ class RunSink {
         domain_(algorithm->memory_domain()),
         tracer_(trace.tracer),
         spans_(trace.spans),
-        prof_(trace.prof),
-        list_span_stride_(std::max<std::size_t>(trace.list_span_stride, 1)),
-        pair_stride_(trace.tracer != nullptr ? trace.tracer->pair_stride()
-                                             : 0) {}
+        prof_(trace.prof) {}
 
   void BeginPass(int pass) {
     report_->per_pass.emplace_back();
@@ -414,13 +390,12 @@ class RunSink {
       } else {
         ok_prefix = contract_->OnList(u, list);
       }
-      if (spans_ != nullptr && ++validate_window_ >= list_span_stride_) {
+      if (spans_ != nullptr && ++validate_window_ >= kListSpanStride) {
         validate_window_ = 0;
       }
     }
-    if (ok_prefix != list.size() || pair_stride_ != 0) {
-      // A rejected tail, or mid-list stride samples, which must fire at the
-      // same pair counts with the same values as per-pair delivery.
+    if (ok_prefix != list.size()) {
+      // A rejected tail: only the valid prefix reaches the algorithm.
       for (std::size_t i = 0; i < ok_prefix; ++i) DeliverPair(u, list[i]);
       return;
     }
@@ -438,7 +413,7 @@ class RunSink {
     if (!contract_->ok()) return;
     algorithm_->EndList(u);
     SampleSpace(*algorithm_, domain_, report_, tracer_);
-    if (spans_ != nullptr && ++lists_in_window_ >= list_span_stride_) {
+    if (spans_ != nullptr && ++lists_in_window_ >= kListSpanStride) {
       CloseListSpan(u);
     }
     if constexpr (kChecked) {
@@ -456,11 +431,7 @@ class RunSink {
           obs::Json(report_->per_pass.back().pairs_processed));
       pass_span_.End();
     }
-    if (prof_ != nullptr) {
-      const obs::ProfCounters delta = pass_prof_.End();
-      report_->per_pass.back().prof.Add(delta);
-      report_->prof.Add(delta);
-    }
+    pass_prof_.End();
   }
 
  private:
@@ -468,16 +439,6 @@ class RunSink {
     algorithm_->OnPair(u, v);
     ++report_->pairs_processed;
     ++report_->per_pass.back().pairs_processed;
-    if (pair_stride_ != 0 &&
-        report_->per_pass.back().pairs_processed % pair_stride_ == 0) {
-      // Mid-list sample: finer timeline resolution for long lists. Not
-      // fed into the peak (the model measures at list boundaries), and
-      // CurrentSpaceBytes() mid-list is <= the boundary value for every
-      // algorithm here, so the timeline max is unaffected.
-      tracer_->Sample(report_->per_pass.back().pairs_processed,
-                      algorithm_->CurrentSpaceBytes(),
-                      domain_ != nullptr ? domain_->live_bytes() : 0);
-    }
   }
 
   void Checkpoint() {
@@ -506,8 +467,6 @@ class RunSink {
   obs::SpaceTracer* tracer_;
   obs::TraceSession* spans_;
   obs::Profiler* prof_;
-  std::size_t list_span_stride_;
-  std::size_t pair_stride_;
   obs::TraceSession::Span pass_span_;
   obs::TraceSession::Span list_span_;
   obs::ProfScope pass_prof_;
@@ -569,32 +528,6 @@ inline void ExportDriverMetrics(const RunReport& report,
       .Increment(static_cast<std::uint64_t>(report.passes_requested));
   metrics->GetCounter("driver.pairs_processed")
       .Increment(report.pairs_processed);
-  if (!report.prof.IsZero()) {
-    metrics->GetCounter("driver.prof.cycles").Increment(report.prof.cycles);
-    metrics->GetCounter("driver.prof.instructions")
-        .Increment(report.prof.instructions);
-    metrics->GetCounter("driver.prof.cache_references")
-        .Increment(report.prof.cache_references);
-    metrics->GetCounter("driver.prof.cache_misses")
-        .Increment(report.prof.cache_misses);
-    metrics->GetCounter("driver.prof.branch_misses")
-        .Increment(report.prof.branch_misses);
-    metrics->GetCounter("driver.prof.task_clock_ns")
-        .Increment(report.prof.task_clock_ns);
-  }
-}
-
-// One structured record per completed pass (debug level; no-op without a
-// logger or below debug).
-inline void LogPass(obs::Logger* logger, int pass, const RunReport& report) {
-  if (logger == nullptr || !logger->Enabled(obs::LogLevel::kDebug)) return;
-  const PassReport& p = report.per_pass.back();
-  obs::Json fields = obs::Json::Object();
-  fields.Set("pass", obs::Json(static_cast<std::uint64_t>(pass)));
-  fields.Set("pairs", obs::Json(static_cast<std::uint64_t>(p.pairs_processed)));
-  fields.Set("peak_bytes",
-             obs::Json(static_cast<std::uint64_t>(p.reported_peak_bytes)));
-  logger->Log(obs::LogLevel::kDebug, "driver", "pass complete", fields);
 }
 
 // The pass loop: replays `stream` once per remaining pass from `start`
@@ -634,7 +567,6 @@ Status RunLoop(const StreamT& stream, AlgoT* algorithm, ContractT* contract,
     // accumulator) counts toward the peak, and the tracer must see every
     // sample the peak is computed from.
     sink.EndPass();
-    LogPass(trace.logger, pass, *report);
     if (!contract->ok()) break;
   }
   if (contract->ok()) ExportDriverMetrics(*report, trace.metrics);

@@ -256,25 +256,6 @@ TEST(SpaceTracer, TimelineMaxMatchesReportedPeak) {
   }
 }
 
-TEST(SpaceTracer, MidListStrideAddsPointsWithoutChangingMax) {
-  Graph g = gen::ErdosRenyiGnp(150, 0.1, 4);
-  stream::AdjacencyListStream s(&g, 9);
-  auto run = [&](std::uint64_t stride) {
-    core::OnePassTriangleOptions options;
-    options.sample_size = 32;
-    options.seed = 5;
-    core::OnePassTriangleCounter counter(options);
-    obs::SpaceTracer tracer(stride);
-    stream::RunPasses(s, &counter, stream::TraceOptions{&tracer, nullptr});
-    return tracer;
-  };
-  obs::SpaceTracer coarse = run(0);
-  obs::SpaceTracer fine = run(16);
-  EXPECT_GT(fine.timelines()[0].points.size(),
-            coarse.timelines()[0].points.size());
-  EXPECT_EQ(fine.MaxReportedBytes(), coarse.MaxReportedBytes());
-}
-
 TEST(Driver, TracedAndUntracedRunsAreBitIdentical) {
   Graph g = gen::ErdosRenyiGnp(200, 0.08, 21);
   stream::AdjacencyListStream s(&g, 13);
@@ -283,7 +264,7 @@ TEST(Driver, TracedAndUntracedRunsAreBitIdentical) {
     options.sample_size = 48;
     options.seed = 99;
     core::TwoPassTriangleCounter counter(options);
-    obs::SpaceTracer tracer(8);
+    obs::SpaceTracer tracer;
     obs::MetricsRegistry registry;
     stream::TraceOptions trace;
     if (traced) {
@@ -630,7 +611,6 @@ TEST(TraceSession, DriverEmitsPassAndListSpans) {
   obs::TraceSession session;
   stream::TraceOptions trace;
   trace.spans = &session;
-  trace.list_span_stride = 16;
   stream::RunPasses(s, &counter, trace);
   // Two pass spans plus at least one strided list span per pass, and no
   // validate span: the trusted run checks nothing.

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph.h"
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -831,6 +832,66 @@ TEST(ServiceErrors, LatchedStatusShowsInScrapeCountersAndFlightDump) {
   }
   EXPECT_TRUE(saw_error_event);
   EXPECT_NE(flight.DumpText().find("\"kind\":\"error\""), std::string::npos);
+}
+
+TEST(ServiceFlightRecorder, ControlOpsLeaveOneEventWithTheirOutcome) {
+  // The flight recorder is the service's op record: every control op leaves
+  // one event carrying what the caller got back. One shard on one worker,
+  // so the events arrive in submission order.
+  obs::FlightRecorder flight(256);
+  ServiceOptions options;
+  options.shards = 1;
+  options.threads = 1;
+  options.flight = &flight;
+  EstimatorService svc(options);
+
+  EstimatorSpec spec;
+  spec.kind = EstimatorKind::kExactStreamTriangle;
+  const StreamId id = 9;
+  ASSERT_TRUE(svc.Create(id, spec).get().ok());
+  Graph g = testing_util::Triangle();
+  stream::AdjacencyListStream stream(&g, 3);
+  for (VertexId u : stream.list_order()) svc.Append(id, u, stream.ListOf(u));
+  svc.EndPass(id);
+  StatusOr<std::vector<std::uint8_t>> manifest = svc.CheckpointShard(0).get();
+  ASSERT_TRUE(manifest.ok());
+  ASSERT_TRUE(svc.RestoreShard(0, *manifest).get().ok());
+  std::vector<std::uint8_t> bad = *manifest;
+  bad[bad.size() / 2] ^= 0x40;
+  const Status corrupt = svc.RestoreShard(0, bad).get();
+  ASSERT_FALSE(corrupt.ok());
+  const std::size_t lost = svc.KillShard(0).get();
+  EXPECT_EQ(lost, 1u);
+
+  std::vector<obs::FlightEvent> control;
+  for (const obs::FlightEvent& e : flight.Collect()) {
+    if (e.kind == obs::FlightEventKind::kCreate ||
+        e.kind == obs::FlightEventKind::kCheckpoint ||
+        e.kind == obs::FlightEventKind::kRestore ||
+        e.kind == obs::FlightEventKind::kKill) {
+      control.push_back(e);
+    }
+  }
+  struct Want {
+    obs::FlightEventKind kind;
+    std::uint64_t a, b;
+  };
+  const Want want[] = {
+      {obs::FlightEventKind::kCreate, id, 0},
+      {obs::FlightEventKind::kCheckpoint, 1, manifest->size()},
+      {obs::FlightEventKind::kRestore, 1, 0},
+      {obs::FlightEventKind::kRestore, 0,
+       static_cast<std::uint64_t>(corrupt.code())},
+      {obs::FlightEventKind::kKill, lost, 0},
+  };
+  ASSERT_EQ(control.size(), std::size(want));
+  for (std::size_t i = 0; i < control.size(); ++i) {
+    SCOPED_TRACE(obs::FlightEventKindName(want[i].kind));
+    EXPECT_EQ(control[i].kind, want[i].kind);
+    EXPECT_EQ(control[i].shard, 0u);
+    EXPECT_EQ(control[i].a, want[i].a);
+    EXPECT_EQ(control[i].b, want[i].b);
+  }
 }
 
 // ---------------------------------------------------------------------------

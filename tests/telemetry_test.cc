@@ -1,6 +1,5 @@
-// Tests for the live-telemetry layer (PR 8): structured logging
-// (obs/logger.h), the lock-free flight recorder (obs/flight_recorder.h),
-// Prometheus text exposition + the periodic scraper (obs/exposition.h),
+// Tests for the live-telemetry layer: the lock-free flight recorder
+// (obs/flight_recorder.h), Prometheus text exposition (obs/exposition.h),
 // and accuracy-vs-guarantee tracking (obs/accuracy.h).
 
 #include <atomic>
@@ -16,9 +15,7 @@
 #include "obs/accuracy.h"
 #include "obs/exposition.h"
 #include "obs/flight_recorder.h"
-#include "obs/logger.h"
 #include "obs/metrics.h"
-#include "runtime/thread_pool.h"
 
 namespace cyclestream {
 namespace obs {
@@ -33,116 +30,6 @@ std::string ReadFile(const std::string& path) {
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
-}
-
-// ---------------------------------------------------------------------------
-// Logger
-
-TEST(Logger, LevelNamesRoundTrip) {
-  EXPECT_STREQ(LogLevelName(LogLevel::kOff), "off");
-  EXPECT_STREQ(LogLevelName(LogLevel::kError), "error");
-  EXPECT_STREQ(LogLevelName(LogLevel::kDebug), "debug");
-  EXPECT_EQ(ParseLogLevel("info", LogLevel::kOff), LogLevel::kInfo);
-  EXPECT_EQ(ParseLogLevel("WARN", LogLevel::kOff), LogLevel::kWarn);
-  EXPECT_EQ(ParseLogLevel("bogus", LogLevel::kError), LogLevel::kError);
-  EXPECT_EQ(ParseLogLevel("", LogLevel::kDebug), LogLevel::kDebug);
-}
-
-TEST(Logger, EnabledRespectsLevelOrdering) {
-  Logger logger(LogLevel::kWarn);
-  EXPECT_TRUE(logger.Enabled(LogLevel::kError));
-  EXPECT_TRUE(logger.Enabled(LogLevel::kWarn));
-  EXPECT_FALSE(logger.Enabled(LogLevel::kInfo));
-  EXPECT_FALSE(logger.Enabled(LogLevel::kDebug));
-  // kOff as a *record* level is never emitted, whatever the logger level.
-  EXPECT_FALSE(logger.Enabled(LogLevel::kOff));
-  logger.SetLevel(LogLevel::kOff);
-  EXPECT_FALSE(logger.Enabled(LogLevel::kError));
-}
-
-TEST(Logger, FileSinkGetsJsonlWithFixedKeyOrder) {
-  const std::string path = TempPath("logger_sink.jsonl");
-  Logger logger(LogLevel::kDebug);
-  logger.EnableStderr(false);  // keep test output clean
-  ASSERT_TRUE(logger.OpenFileSink(path).ok());
-  Json fields = Json::Object();
-  fields.Set("shard", Json(std::uint64_t{3}));
-  logger.Log(LogLevel::kInfo, "service", "shard checkpoint", fields);
-  logger.Log(LogLevel::kError, "service", "boom");
-
-  const std::string text = ReadFile(path);
-  std::istringstream lines(text);
-  std::string line1, line2;
-  ASSERT_TRUE(std::getline(lines, line1));
-  ASSERT_TRUE(std::getline(lines, line2));
-  // Fixed key order: ts_ns, level, component, msg, then caller fields.
-  EXPECT_NE(line1.find("\"ts_ns\":"), std::string::npos);
-  EXPECT_LT(line1.find("\"ts_ns\""), line1.find("\"level\""));
-  EXPECT_LT(line1.find("\"level\""), line1.find("\"component\""));
-  EXPECT_LT(line1.find("\"component\""), line1.find("\"msg\""));
-  EXPECT_LT(line1.find("\"msg\""), line1.find("\"shard\":3"));
-  EXPECT_NE(line1.find("\"level\":\"info\""), std::string::npos);
-  EXPECT_NE(line2.find("\"level\":\"error\""), std::string::npos);
-  EXPECT_EQ(logger.records_written(), 2u);
-  std::remove(path.c_str());
-}
-
-TEST(Logger, DisabledLevelWritesNothing) {
-  const std::string path = TempPath("logger_off.jsonl");
-  Logger logger(LogLevel::kError);
-  logger.EnableStderr(false);
-  ASSERT_TRUE(logger.OpenFileSink(path).ok());
-  logger.Log(LogLevel::kDebug, "svc", "dropped");
-  logger.Log(LogLevel::kInfo, "svc", "dropped");
-  EXPECT_EQ(logger.records_written(), 0u);
-  EXPECT_TRUE(ReadFile(path).empty());
-  std::remove(path.c_str());
-}
-
-TEST(Logger, LogScopeOnNullLoggerIsInert) {
-  LogScope scope;  // no logger
-  EXPECT_FALSE(scope.Enabled(LogLevel::kError));
-  scope.Error("nobody hears this");
-  scope.Debug("nor this");
-
-  Logger logger(LogLevel::kInfo);
-  logger.EnableStderr(false);
-  LogScope bound(&logger, "driver");
-  EXPECT_TRUE(bound.Enabled(LogLevel::kInfo));
-  EXPECT_FALSE(bound.Enabled(LogLevel::kDebug));
-  bound.Info("counted but sinkless");
-  EXPECT_EQ(logger.records_written(), 1u);
-}
-
-TEST(Logger, ConcurrentWritersInterleaveWholeLines) {
-  const std::string path = TempPath("logger_concurrent.jsonl");
-  Logger logger(LogLevel::kInfo);
-  logger.EnableStderr(false);
-  ASSERT_TRUE(logger.OpenFileSink(path).ok());
-  constexpr int kThreads = 4, kPerThread = 50;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&logger, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        Json fields = Json::Object();
-        fields.Set("writer", Json(static_cast<std::uint64_t>(t)));
-        logger.Log(LogLevel::kInfo, "test", "tick", fields);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(logger.records_written(),
-            static_cast<std::uint64_t>(kThreads * kPerThread));
-  std::istringstream lines(ReadFile(path));
-  std::string line;
-  int count = 0;
-  while (std::getline(lines, line)) {
-    ++count;
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-  }
-  EXPECT_EQ(count, kThreads * kPerThread);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -320,93 +207,6 @@ TEST(Exposition, WritePrometheusTextRoundTrips) {
   std::remove(path.c_str());
   EXPECT_FALSE(
       WritePrometheusText(registry.Read(), "/nonexistent-dir/x.prom").ok());
-}
-
-// ---------------------------------------------------------------------------
-// PeriodicScraper
-
-TEST(PeriodicScraper, StopWritesAFinalScrape) {
-  MetricsRegistry registry;
-  registry.GetCounter("c").Increment(7);
-  const std::string path = TempPath("scraper_final.prom");
-  runtime::ThreadPool pool(1);
-  {
-    PeriodicScraper scraper(
-        &pool, [&registry] { return PrometheusText(registry.Read()); }, path,
-        std::chrono::milliseconds(60000));  // never fires on its own
-    scraper.Stop();
-    EXPECT_GE(scraper.scrapes(), 1u);
-  }
-  EXPECT_NE(ReadFile(path).find("c 7"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(PeriodicScraper, PeriodicTicksRewriteTheFile) {
-  MetricsRegistry registry;
-  std::atomic<std::uint64_t> ticks{0};
-  const std::string path = TempPath("scraper_ticks.prom");
-  runtime::ThreadPool pool(1);
-  PeriodicScraper scraper(
-      &pool,
-      [&ticks] {
-        ticks.fetch_add(1);
-        return std::string("# TYPE c counter\nc 1\n");
-      },
-      path, std::chrono::milliseconds(5));
-  // Wait for at least two periodic (non-final) scrapes.
-  for (int i = 0; i < 2000 && scraper.scrapes() < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(scraper.scrapes(), 2u);
-  scraper.Stop();
-  EXPECT_EQ(ReadFile(path), "# TYPE c counter\nc 1\n");
-  EXPECT_GE(ticks.load(), scraper.scrapes());
-  std::remove(path.c_str());
-}
-
-TEST(PeriodicScraper, SelfObservabilityRecordsScrapesAndErrors) {
-  MetricsRegistry registry;
-  registry.GetCounter("c").Increment(1);
-  const std::string path = TempPath("scraper_self.prom");
-  runtime::ThreadPool pool(1);
-  {
-    PeriodicScraper scraper(
-        &pool, [&registry] { return PrometheusText(registry.Read()); }, path,
-        std::chrono::milliseconds(60000), &registry);
-    scraper.Stop();  // final scrape observes itself
-  }
-  Snapshot snap = registry.Read();
-  EXPECT_GE(snap.counters["scraper.scrapes"], 1u);
-  EXPECT_EQ(snap.counters["scraper.errors"], 0u);
-  ASSERT_GT(snap.histograms["scraper.scrape_seconds"].count, 0u);
-  // The scrape's own metrics land in the file it writes (the final scrape
-  // renders the registry after observing at least one earlier state; the
-  // family names must be present once a prior scrape happened).
-  std::remove(path.c_str());
-
-  // Unwritable path: the error counter moves instead of the success path.
-  {
-    PeriodicScraper scraper(
-        &pool, [&registry] { return PrometheusText(registry.Read()); },
-        "/nonexistent-dir/self.prom", std::chrono::milliseconds(60000),
-        &registry);
-    scraper.Stop();
-  }
-  snap = registry.Read();
-  EXPECT_GE(snap.counters["scraper.errors"], 1u);
-}
-
-TEST(PeriodicScraper, StopIsIdempotent) {
-  const std::string path = TempPath("scraper_idem.prom");
-  runtime::ThreadPool pool(1);
-  PeriodicScraper scraper(
-      &pool, [] { return std::string("x 1\n"); }, path,
-      std::chrono::milliseconds(60000));
-  scraper.Stop();
-  const std::uint64_t after_first = scraper.scrapes();
-  scraper.Stop();  // no-op
-  EXPECT_EQ(scraper.scrapes(), after_first);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
