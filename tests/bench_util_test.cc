@@ -1,7 +1,10 @@
 // Tests for the bench support library: flag parsing, Summarize (median
 // semantics matching core::Median, empty-batch safety), MinimalSample,
-// FormatBytes, and the Table/Cell dual table/CSV emitter.
+// FormatBytes, the Table/Cell dual table/CSV emitter, and the manifest
+// record builders the benches and micro_substrate share.
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -164,6 +167,84 @@ TEST(TableTest, CsvModeQuotesFieldsWithCommasAndQuotes) {
                      {{"graph", 21, bench::kColStr}, {"T", 4, bench::kColInt}});
   EXPECT_EQ(plain.FormatRow({"chung-lu, gamma=2.5", std::size_t{12}}),
             "  chung-lu, gamma=2.5   12");
+}
+
+TEST(BenchManifestTest, RunRecordNamesTheBinaryAndKeepsItsArguments) {
+  std::vector<const char*> args = {"build/bench/bench_table1", "--full",
+                                   "--threads=2"};
+  const obs::Json run =
+      bench::RunRecord(static_cast<int>(args.size()), MakeArgv(args));
+  EXPECT_EQ(run.Find("record")->AsString(), "run");
+  EXPECT_EQ(run.Find("bench")->AsString(), "bench_table1");
+  ASSERT_NE(run.Find("git"), nullptr);
+  ASSERT_NE(run.Find("build_info"), nullptr);
+  EXPECT_TRUE(run.Find("build_info")->is_object());
+  const obs::Json* argv_json = run.Find("argv");
+  ASSERT_NE(argv_json, nullptr);
+  ASSERT_EQ(argv_json->size(), 2u);
+  EXPECT_EQ(argv_json->at(0).AsString(), "--full");
+  EXPECT_EQ(argv_json->at(1).AsString(), "--threads=2");
+
+  std::vector<const char*> bare = {"micro_substrate"};
+  EXPECT_EQ(bench::BenchName(1, MakeArgv(bare)), "micro_substrate");
+  EXPECT_EQ(bench::BenchName(0, nullptr), "unknown");
+}
+
+TEST(BenchManifestTest, ProfRecordsHoldOneRecordPerScope) {
+  obs::Profiler::Options prof_options;
+  prof_options.backend = obs::ProfBackend::kRusage;
+  obs::Profiler prof(prof_options);
+  EXPECT_TRUE(bench::ProfRecords(prof).empty());
+  obs::ProfCounters delta;
+  delta.cycles = 300;
+  delta.instructions = 600;
+  prof.Accumulate("driver.pass/pass=0", delta);
+  prof.Accumulate("driver.pass/pass=0", delta);
+  prof.Accumulate("trial", delta);
+  const std::vector<obs::Json> records = bench::ProfRecords(prof);
+  ASSERT_EQ(records.size(), 2u);
+  for (const obs::Json& record : records) {
+    for (const char* field :
+         {"record", "scope", "backend", "fallback", "count", "cycles",
+          "instructions", "cache_references", "cache_misses", "branch_misses",
+          "task_clock_ns", "ipc"}) {
+      ASSERT_NE(record.Find(field), nullptr) << field;
+    }
+    EXPECT_EQ(record.Find("record")->AsString(), "prof");
+    EXPECT_EQ(record.Find("backend")->AsString(), "rusage");
+    EXPECT_FALSE(record.Find("fallback")->AsBool());
+  }
+  // Scopes come in name order.
+  EXPECT_EQ(records[0].Find("scope")->AsString(), "driver.pass/pass=0");
+  EXPECT_EQ(records[0].Find("count")->AsUint64(), 2u);
+  EXPECT_EQ(records[0].Find("cycles")->AsDouble(), 600.0);
+  EXPECT_EQ(records[0].Find("instructions")->AsDouble(), 1200.0);
+  EXPECT_EQ(records[0].Find("ipc")->AsDouble(), 2.0);
+  EXPECT_EQ(records[1].Find("scope")->AsString(), "trial");
+  EXPECT_EQ(records[1].Find("count")->AsUint64(), 1u);
+}
+
+TEST(BenchManifestTest, RunEndRecordCountsEveryLineIncludingItself) {
+  const std::string path =
+      ::testing::TempDir() + "/bench_util_run_end.jsonl";
+  std::vector<const char*> args = {"bench_table1"};
+  {
+    auto writer = obs::ManifestWriter::Open(path);
+    ASSERT_TRUE(writer.ok());
+    writer->Write(bench::RunRecord(1, MakeArgv(args)));
+    writer->Write(obs::MakeRecord("batch"));
+    const obs::Json end = bench::RunEndRecord(*writer, 1.5);
+    EXPECT_EQ(end.Find("record")->AsString(), "run_end");
+    EXPECT_EQ(end.Find("records")->AsUint64(), 3u);
+    EXPECT_EQ(end.Find("wall_seconds")->AsDouble(), 1.5);
+    writer->Write(end);
+  }
+  std::ifstream in(path);
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(in, line)) ++lines;
+  EXPECT_EQ(lines, 3u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // registry under concurrent writers, space-timeline/driver agreement, and
 // JSONL manifest files.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
+#include "obs/prof.h"
 #include "obs/space_tracer.h"
 #include "obs/trace.h"
 #include "runtime/trial_runner.h"
@@ -256,6 +258,28 @@ TEST(SpaceTracer, TimelineMaxMatchesReportedPeak) {
   }
 }
 
+TEST(SpaceTracer, SamplesEveryListBoundaryAndThePassEnd) {
+  Graph g = gen::ErdosRenyiGnp(150, 0.1, 4);
+  stream::AdjacencyListStream s(&g, 9);
+  core::OnePassTriangleOptions options;
+  options.sample_size = 32;
+  options.seed = 5;
+  core::OnePassTriangleCounter counter(options);
+  obs::SpaceTracer tracer;
+  stream::RunPasses(s, &counter, stream::TraceOptions{&tracer, nullptr});
+  ASSERT_EQ(tracer.timelines().size(), 1u);
+  // One point where each adjacency list ends, then one at the pass end: no
+  // sample falls inside a list.
+  const std::vector<obs::SpacePoint>& points = tracer.timelines()[0].points;
+  ASSERT_EQ(points.size(), s.list_order().size() + 1);
+  std::uint64_t pairs = 0;
+  for (std::size_t i = 0; i < s.list_order().size(); ++i) {
+    pairs += s.ListOf(s.list_order()[i]).size();
+    EXPECT_EQ(points[i].pairs_processed, pairs) << "list " << i;
+  }
+  EXPECT_EQ(points.back().pairs_processed, s.stream_length());
+}
+
 TEST(Driver, TracedAndUntracedRunsAreBitIdentical) {
   Graph g = gen::ErdosRenyiGnp(200, 0.08, 21);
   stream::AdjacencyListStream s(&g, 13);
@@ -316,6 +340,36 @@ TEST(Driver, ExportsDriverMetrics) {
   // The trusted run checks nothing, so it exports no contract counters.
   for (const auto& [name, value] : snap.counters) {
     EXPECT_NE(name.rfind("validator.", 0), 0u) << name;
+  }
+}
+
+TEST(Driver, ProfilerTimesEachPassUnderItsOwnScope) {
+  Graph g = gen::ErdosRenyiGnp(100, 0.1, 71);
+  stream::AdjacencyListStream s(&g, 7);
+  core::TwoPassTriangleOptions options;
+  options.sample_size = 16;
+  options.seed = 1;
+  obs::Profiler::Options prof_options;
+  prof_options.backend = obs::ProfBackend::kRusage;
+  // Trusted and checked runs both leave one aggregate per pass, holding
+  // one scope each, and nothing else.
+  for (const bool checked : {false, true}) {
+    SCOPED_TRACE(checked ? "checked" : "trusted");
+    core::TwoPassTriangleCounter counter(options);
+    obs::Profiler prof(prof_options);
+    stream::TraceOptions trace;
+    trace.prof = &prof;
+    if (checked) {
+      stream::CheckedRunOptions checked_options;
+      checked_options.trace = trace;
+      ASSERT_TRUE(stream::RunPassesChecked(s, &counter, checked_options).ok());
+    } else {
+      stream::RunPasses(s, &counter, trace);
+    }
+    const auto scopes = prof.Read();
+    ASSERT_EQ(scopes.size(), 2u);
+    EXPECT_EQ(scopes.at("driver.pass/pass=0").count, 1u);
+    EXPECT_EQ(scopes.at("driver.pass/pass=1").count, 1u);
   }
 }
 
@@ -628,6 +682,35 @@ TEST(TraceSession, DriverEmitsPassAndListSpans) {
   EXPECT_EQ(pass_spans, 2u);
   EXPECT_GE(list_spans, 2u);
   EXPECT_EQ(validate_spans, 0u);
+}
+
+TEST(TraceSession, ListSpansCloseEveryListSpanStrideLists) {
+  // Two full windows, then a partial one that the pass end closes.
+  const std::size_t n = 2 * stream::kListSpanStride + 100;
+  Graph g = gen::ErdosRenyiGnp(n, 0.002, 61);
+  stream::AdjacencyListStream s(&g, 19);
+  core::OnePassTriangleOptions options;
+  options.sample_size = 16;
+  options.seed = 7;
+  core::OnePassTriangleCounter counter(options);
+  obs::TraceSession session;
+  stream::TraceOptions trace;
+  trace.spans = &session;
+  stream::RunPasses(s, &counter, trace);
+  std::vector<std::uint64_t> window_lists;
+  const obs::Json j = session.ToJson();
+  const obs::Json* events = j.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    const obs::Json* cat = events->at(i).Find("cat");
+    if (cat == nullptr || cat->AsString() != "list") continue;
+    window_lists.push_back(
+        events->at(i).Find("args")->Find("lists")->AsUint64());
+  }
+  std::sort(window_lists.begin(), window_lists.end());
+  const std::vector<std::uint64_t> want = {100, stream::kListSpanStride,
+                                           stream::kListSpanStride};
+  EXPECT_EQ(window_lists, want);
 }
 
 }  // namespace

@@ -894,6 +894,148 @@ TEST(ServiceFlightRecorder, ControlOpsLeaveOneEventWithTheirOutcome) {
   }
 }
 
+TEST(ServiceFlightRecorder, DataOpsLeaveListEndPassAndQueryEvents) {
+  // Each applied list, pass boundary and query answer leaves one event:
+  // kList{stream, pairs}, kEndPass{stream, new pass}, kQuery{stream, 1 if
+  // the reply is an error}. One shard on one worker keeps submission order.
+  obs::FlightRecorder flight(256);
+  ServiceOptions options;
+  options.shards = 1;
+  options.threads = 1;
+  options.flight = &flight;
+  EstimatorService svc(options);
+
+  EstimatorSpec spec;
+  spec.kind = EstimatorKind::kTwoPassTriangle;
+  spec.slots = 4;
+  spec.seed = 5;
+  const StreamId id = 4;
+  const StreamId unknown = 77;
+  ASSERT_TRUE(svc.Create(id, spec).get().ok());
+  Graph g = testing_util::TwoTrianglesSharedEdge();
+  stream::AdjacencyListStream stream(&g, 2);
+  struct Want {
+    obs::FlightEventKind kind;
+    std::uint64_t a, b;
+  };
+  std::vector<Want> want;
+  for (int pass = 1; pass <= 2; ++pass) {
+    for (VertexId u : stream.list_order()) {
+      svc.Append(id, u, stream.ListOf(u));
+      want.push_back(
+          {obs::FlightEventKind::kList, id, stream.ListOf(u).size()});
+    }
+    svc.EndPass(id);
+    want.push_back({obs::FlightEventKind::kEndPass, id,
+                    static_cast<std::uint64_t>(pass)});
+  }
+  ASSERT_TRUE(svc.Query(id).get().ok());
+  want.push_back({obs::FlightEventKind::kQuery, id, 0});
+  ASSERT_EQ(svc.Query(unknown).get().status().code(), StatusCode::kNotFound);
+  want.push_back({obs::FlightEventKind::kQuery, unknown, 1});
+
+  std::vector<obs::FlightEvent> data;
+  for (const obs::FlightEvent& e : flight.Collect()) {
+    if (e.kind == obs::FlightEventKind::kList ||
+        e.kind == obs::FlightEventKind::kEndPass ||
+        e.kind == obs::FlightEventKind::kQuery) {
+      data.push_back(e);
+    }
+  }
+  ASSERT_EQ(data.size(), want.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(data[i].kind, want[i].kind);
+    EXPECT_EQ(data[i].shard, 0u);
+    EXPECT_EQ(data[i].a, want[i].a);
+    EXPECT_EQ(data[i].b, want[i].b);
+  }
+}
+
+TEST(ServiceFlightRecorder, DrainEventsAccountForEveryEnqueuedOpAndPair) {
+  // Every enqueued op is drained in exactly one batch, so the drain events'
+  // batch sizes sum to the enqueue events, and their list pairs to the
+  // pairs appended. Flush's barriers are ops too, drained last.
+  obs::FlightRecorder flight(4096);
+  ServiceOptions options;
+  options.shards = 3;
+  options.threads = 2;
+  options.flight = &flight;
+  EstimatorService svc(options);
+
+  EstimatorSpec spec;
+  spec.kind = EstimatorKind::kExactStreamTriangle;
+  Graph g = testing_util::Square();
+  stream::AdjacencyListStream stream(&g, 8);
+  std::uint64_t ops = 0, pairs = 0;
+  for (StreamId id = 1; id <= 5; ++id) {
+    ASSERT_TRUE(svc.Create(id, spec).get().ok());
+    for (VertexId u : stream.list_order()) {
+      svc.Append(id, u, stream.ListOf(u));
+      pairs += stream.ListOf(u).size();
+      ++ops;
+    }
+    svc.EndPass(id);
+    ops += 2;  // the create and the pass boundary
+  }
+  svc.Flush();
+  ops += static_cast<std::uint64_t>(options.shards);
+
+  std::uint64_t enqueued = 0, drained = 0, drained_pairs = 0;
+  for (const obs::FlightEvent& e : flight.Collect()) {
+    if (e.kind == obs::FlightEventKind::kEnqueue) ++enqueued;
+    if (e.kind == obs::FlightEventKind::kDrain) {
+      EXPECT_GT(e.a, 0u);
+      drained += e.a;
+      drained_pairs += e.b;
+    }
+  }
+  EXPECT_EQ(enqueued, ops);
+  EXPECT_EQ(drained, ops);
+  EXPECT_EQ(drained_pairs, pairs);
+}
+
+TEST(ServiceFlightRecorder, StreamEventsCarryTheirStreamsShard) {
+  // A post-mortem attributes an event to a shard by its shard field: every
+  // event that names a stream carries the shard that stream hashes to.
+  obs::FlightRecorder flight(1024);
+  ServiceOptions options;
+  options.shards = 4;
+  options.threads = 2;
+  options.flight = &flight;
+  EstimatorService svc(options);
+
+  EstimatorSpec spec;
+  spec.kind = EstimatorKind::kExactStreamTriangle;
+  Graph g = testing_util::Triangle();
+  stream::AdjacencyListStream stream(&g, 6);
+  for (StreamId id = 10; id < 18; ++id) {
+    ASSERT_TRUE(svc.Create(id, spec).get().ok());
+    for (VertexId u : stream.list_order()) svc.Append(id, u, stream.ListOf(u));
+    svc.EndPass(id);
+    ASSERT_TRUE(svc.Query(id).get().ok());
+  }
+
+  std::set<std::uint32_t> shards_seen;
+  std::size_t checked = 0;
+  for (const obs::FlightEvent& e : flight.Collect()) {
+    if (e.kind != obs::FlightEventKind::kCreate &&
+        e.kind != obs::FlightEventKind::kList &&
+        e.kind != obs::FlightEventKind::kEndPass &&
+        e.kind != obs::FlightEventKind::kQuery) {
+      continue;
+    }
+    SCOPED_TRACE(obs::FlightEventKindName(e.kind));
+    EXPECT_EQ(e.shard, static_cast<std::uint32_t>(EstimatorService::ShardOf(
+                           static_cast<StreamId>(e.a), options.shards)));
+    shards_seen.insert(e.shard);
+    ++checked;
+  }
+  // Create, three lists, the pass boundary and the query, per stream.
+  EXPECT_EQ(checked, 8u * 6u);
+  EXPECT_GT(shards_seen.size(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Queries mid-stream.
 

@@ -15,6 +15,7 @@
 #include "obs/accuracy.h"
 #include "obs/exposition.h"
 #include "obs/flight_recorder.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace cyclestream {
@@ -90,6 +91,53 @@ TEST(FlightRecorder, DumpTextIsJsonlWithKindNames) {
     EXPECT_EQ(line.back(), '}');
   }
   EXPECT_EQ(count, 2);
+}
+
+TEST(FlightRecorder, DumpLinesCarryEveryFieldInFixedOrder) {
+  // One object per collected event, seven keys in a fixed order, each value
+  // the collected one.
+  FlightRecorder recorder(16);
+  recorder.Record(FlightEventKind::kCheckpoint, 1, 3, 4096);
+  recorder.Record(FlightEventKind::kRestore, 1, 0, 15);
+  const std::vector<FlightEvent> events = recorder.Collect();
+  ASSERT_EQ(events.size(), 2u);
+  const std::vector<std::string> want_keys = {"seq",   "t_ns", "kind",
+                                              "shard", "a",    "b",
+                                              "thread"};
+  std::istringstream lines(recorder.DumpText());
+  std::string line;
+  std::size_t i = 0;
+  while (std::getline(lines, line)) {
+    ASSERT_LT(i, events.size());
+    StatusOr<Json> parsed = Json::Parse(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    std::vector<std::string> keys;
+    for (const auto& item : parsed->items()) keys.push_back(item.first);
+    EXPECT_EQ(keys, want_keys) << line;
+    const FlightEvent& e = events[i];
+    EXPECT_EQ(parsed->Find("seq")->AsUint64(), e.seq);
+    EXPECT_EQ(parsed->Find("t_ns")->AsUint64(), e.t_ns);
+    EXPECT_EQ(parsed->Find("kind")->AsString(), FlightEventKindName(e.kind));
+    EXPECT_EQ(parsed->Find("shard")->AsUint64(), e.shard);
+    EXPECT_EQ(parsed->Find("a")->AsUint64(), e.a);
+    EXPECT_EQ(parsed->Find("b")->AsUint64(), e.b);
+    EXPECT_EQ(parsed->Find("thread")->AsUint64(), e.thread);
+    ++i;
+  }
+  EXPECT_EQ(i, events.size());
+}
+
+TEST(FlightRecorder, KindNamesAreTheTenDumpNames) {
+  // Dumps carry these names, and CI's flight-dump check accepts exactly
+  // them. The enum is append-only, so a value never changes its name.
+  const std::vector<std::string> want = {
+      "enqueue", "drain",      "create",  "list", "end_pass",
+      "query",   "checkpoint", "restore", "kill", "error"};
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(FlightEventKindName(static_cast<FlightEventKind>(k)), want[k]);
+  }
+  EXPECT_STREQ(FlightEventKindName(static_cast<FlightEventKind>(want.size())),
+               "unknown");
 }
 
 TEST(FlightRecorder, WriteToProducesFileAndDumpToEnvPathIsNoOpUnset) {
@@ -207,6 +255,23 @@ TEST(Exposition, WritePrometheusTextRoundTrips) {
   std::remove(path.c_str());
   EXPECT_FALSE(
       WritePrometheusText(registry.Read(), "/nonexistent-dir/x.prom").ok());
+}
+
+TEST(Exposition, WritePrometheusTextReplacesAnEarlierScrape) {
+  // A second write to the same path leaves exactly the newer scrape, never
+  // the older one or the two appended.
+  MetricsRegistry registry;
+  registry.GetCounter("c").Increment(7);
+  const std::string path = TempPath("scrape_replace.prom");
+  ASSERT_TRUE(WritePrometheusText(registry.Read(), path).ok());
+  registry.GetCounter("c").Increment(2);
+  const Snapshot latest = registry.Read();
+  ASSERT_TRUE(WritePrometheusText(latest, path).ok());
+  const std::string text = ReadFile(path);
+  EXPECT_EQ(text, PrometheusText(latest));
+  EXPECT_NE(text.find("c 9"), std::string::npos);
+  EXPECT_EQ(text.find("c 7"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
