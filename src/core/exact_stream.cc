@@ -33,31 +33,26 @@ void ExactStreamTriangleCounter::EndList(VertexId u) {
   current_list_.clear();
 }
 
+void ExactStreamTriangleCounter::Fields(auto& self, auto& ar) {
+  ar.U64(self.pair_events_);
+  ar.U64(self.triangles_);
+  ar.Scratch(self.current_list_);
+  ar.Buckets(self.edge_state_);
+  ar.Map(
+      self.edge_state_,
+      [&](auto key) -> auto& { return self.edge_state_[key]; },
+      [](auto& ar, auto& copies) { ar.U8(copies); });
+}
+
 void ExactStreamTriangleCounter::Serialize(snapshot::SnapshotWriter& w) const {
-  w.WriteU64(pair_events_);
-  w.WriteU64(triangles_);
-  snapshot::WriteScratchCapacity(w, current_list_);
-  snapshot::WriteBucketCount(w, edge_state_);
-  w.WriteU64(edge_state_.size());
-  for (const EdgeKey key : snapshot::SortedKeys(edge_state_)) {
-    w.WriteU64(key);
-    w.WriteU8(edge_state_.find(key)->second);
-  }
+  snapshot::Saver ar(w);
+  Fields(*this, ar);
 }
 
 Status ExactStreamTriangleCounter::Restore(snapshot::SnapshotReader& r) {
-  CYCLESTREAM_CHECK_EQ(edge_state_.size(), 0u);
-  pair_events_ = r.ReadU64();
-  triangles_ = r.ReadU64();
-  snapshot::ReadScratchCapacity(r, current_list_);
-  snapshot::RestoreBucketCount(r, edge_state_);
-  const std::uint64_t edges = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (std::uint64_t i = 0; i < edges && r.status().ok(); ++i) {
-    const EdgeKey key = r.ReadU64();
-    edge_state_.emplace(key, r.ReadU8());
-  }
-  return r.status();
+  snapshot::Loader ar(r);
+  Fields(*this, ar);
+  return ar.status();
 }
 
 std::size_t ExactStreamTriangleCounter::CurrentSpaceBytes() const {

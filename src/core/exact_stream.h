@@ -47,6 +47,9 @@ class ExactStreamTriangleCounter final : public stream::PairDispatch<ExactStream
   // Per-element mutation, driven by PairDispatch for both deliveries.
   void HandlePair(VertexId u, VertexId v);
 
+  // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
+  static void Fields(auto& self, auto& ar);
+
   obs::MemoryDomain space_domain_;  // must outlive the containers below
   // 0 = unseen, 1 = one copy seen, 2 = both copies seen.
   obs::AccountedUnorderedMap<EdgeKey, std::uint8_t> edge_state_;

@@ -129,91 +129,49 @@ void TwoPassFourCycleCounter::EndPass(int pass) {
   }
 }
 
-void TwoPassFourCycleCounter::Serialize(snapshot::SnapshotWriter& w) const {
-  w.WriteU64(options_.sample_size);
-  w.WriteU64(options_.seed);
-  w.WriteU64(options_.max_wedges);
-  w.WriteU64(static_cast<std::uint64_t>(pass_ + 1));  // -1-safe
-  w.WriteU64(pair_events_);
-  w.WriteU64(wedge_incidences_);
-  w.WriteBool(wedge_cap_hit_);
-  w.WriteBool(finished_);
-  edge_sample_.Serialize(w, [](snapshot::SnapshotWriter& /*pw*/,
-                               EdgeKey /*key*/, const EdgeEntry& /*entry*/) {
-    // lo/hi derive from the key on restore; nothing else to record.
-  });
+void TwoPassFourCycleCounter::Fields(auto& self, auto& ar) {
+  ar.Option(self.options_.sample_size, "sample_size");
+  ar.Option(self.options_.seed, "seed");
+  ar.Option(self.options_.max_wedges, "max_wedges");
+  ar.Pass(self.pass_, self.passes());
+  ar.U64(self.pair_events_);
+  ar.U64(self.wedge_incidences_);
+  ar.Bool(self.wedge_cap_hit_);
+  ar.Bool(self.finished_);
+  // lo/hi derive from the key on restore; nothing else to record.
+  sampling::BottomKSampler<EdgeEntry>::Fields(
+      self.edge_sample_, ar,
+      [](auto key) { return EdgeEntry{EdgeKeyLo(key), EdgeKeyHi(key)}; },
+      [](auto& /*ar*/, auto& /*entry*/) {});
   // Q is serialized verbatim (slot order = watcher indices), not rebuilt via
   // BuildWedges: that keeps restores bit-identical regardless of hash-map
   // iteration order, including runs where max_wedges truncated the build.
-  snapshot::WriteVec(w, wedges_,
-                     [](snapshot::SnapshotWriter& vw, const WedgeState& ws) {
-                       CYCLESTREAM_CHECK(!ws.flag_lo && !ws.flag_hi);
-                       vw.WriteU32(ws.wedge.center);
-                       vw.WriteU32(ws.wedge.end_lo);
-                       vw.WriteU32(ws.wedge.end_hi);
-                       vw.WriteU64(ws.count);
-                     });
-  snapshot::WriteBucketCount(w, wedge_watchers_);
-  w.WriteU64(wedge_watchers_.size());
-  for (const VertexId vertex : snapshot::SortedKeys(wedge_watchers_)) {
-    const auto& watchers = wedge_watchers_.find(vertex)->second;
-    w.WriteU32(vertex);
-    snapshot::WriteVec(w, watchers, [](snapshot::SnapshotWriter& vw,
-                                       std::uint32_t idx) { vw.WriteU32(idx); });
-  }
-  snapshot::WriteScratchCapacity(w, touched_wedges_);
-  snapshot::WriteBucketCount(w, found_cycles_);
-  w.WriteU64(found_cycles_.size());
-  for (std::uint64_t key : snapshot::SortedElements(found_cycles_)) {
-    w.WriteU64(key);
-  }
+  ar.Vec(self.wedges_, [](auto& ar, auto& ws) {
+    CYCLESTREAM_CHECK(!ws.flag_lo && !ws.flag_hi);
+    ar.U32(ws.wedge.center);
+    ar.U32(ws.wedge.end_lo);
+    ar.U32(ws.wedge.end_hi);
+    ar.U64(ws.count);
+  });
+  ar.Buckets(self.wedge_watchers_);
+  ar.Map(
+      self.wedge_watchers_,
+      [&](auto v) -> auto& { return self.WedgeWatchers(v); },
+      [](auto& ar, auto& slots) { ar.Vec(slots); });
+  ar.Scratch(self.touched_wedges_);
+  ar.Buckets(self.found_cycles_);
+  ar.Set(self.found_cycles_);
+}
+
+void TwoPassFourCycleCounter::Serialize(snapshot::SnapshotWriter& w) const {
+  snapshot::Saver ar(w);
+  Fields(*this, ar);
 }
 
 Status TwoPassFourCycleCounter::Restore(snapshot::SnapshotReader& r) {
-  CYCLESTREAM_CHECK_EQ(pair_events_, 0u);
-  const std::uint64_t sample_size = r.ReadU64();
-  const std::uint64_t seed = r.ReadU64();
-  const std::uint64_t max_wedges = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  if (sample_size != options_.sample_size || seed != options_.seed ||
-      max_wedges != options_.max_wedges) {
-    return Status::FailedPrecondition(
-        "two-pass 4-cycle snapshot options mismatch");
-  }
-  pass_ = static_cast<int>(r.ReadU64()) - 1;
-  pair_events_ = r.ReadU64();
-  wedge_incidences_ = r.ReadU64();
-  wedge_cap_hit_ = r.ReadBool();
-  finished_ = r.ReadBool();
-  Status sample_status =
-      edge_sample_.Restore(r, [](snapshot::SnapshotReader& /*pr*/, EdgeKey key) {
-        return EdgeEntry{EdgeKeyLo(key), EdgeKeyHi(key)};
-      });
-  if (!sample_status.ok()) return sample_status;
-  snapshot::ReadVec(r, wedges_, [](snapshot::SnapshotReader& vr) {
-    WedgeState ws;
-    ws.wedge.center = vr.ReadU32();
-    ws.wedge.end_lo = vr.ReadU32();
-    ws.wedge.end_hi = vr.ReadU32();
-    ws.count = vr.ReadU64();
-    return ws;
-  });
-  snapshot::RestoreBucketCount(r, wedge_watchers_);
-  const std::uint64_t watcher_lists = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (std::uint64_t i = 0; i < watcher_lists && r.status().ok(); ++i) {
-    const VertexId vertex = r.ReadU32();
-    snapshot::ReadVec(r, WedgeWatchers(vertex),
-                      [](snapshot::SnapshotReader& vr) { return vr.ReadU32(); });
-  }
-  snapshot::ReadScratchCapacity(r, touched_wedges_);
-  snapshot::RestoreBucketCount(r, found_cycles_);
-  const std::uint64_t cycles = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (std::uint64_t i = 0; i < cycles && r.status().ok(); ++i) {
-    found_cycles_.insert(r.ReadU64());
-  }
-  return r.status();
+  snapshot::Loader ar(r);
+  Fields(*this, ar);
+  return ar.status();
 }
 
 std::size_t TwoPassFourCycleCounter::CurrentSpaceBytes() const {

@@ -88,6 +88,9 @@ class TwoPassFourCycleCounter final : public stream::PairDispatch<TwoPassFourCyc
   // Per-element mutation, driven by PairDispatch for both deliveries.
   void HandlePair(VertexId u, VertexId v);
 
+  // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
+  static void Fields(auto& self, auto& ar);
+
   struct WedgeState {
     Wedge wedge;
     std::uint64_t count = 0;  // T_w restricted to pass-2 detections

@@ -4,6 +4,7 @@
 #include <future>
 
 #include "runtime/thread_pool.h"
+#include "snapshot/codec.h"
 #include "util/check.h"
 #include "util/hashing.h"
 
@@ -65,23 +66,20 @@ std::size_t ParallelCopies::CurrentSpaceBytes() const {
   return total;
 }
 
+void ParallelCopies::Fields(auto& self, auto& ar) {
+  ar.Option(self.copies_.size(), "copy count");
+  for (auto& copy : self.copies_) ar.Nested(*copy);
+}
+
 void ParallelCopies::Serialize(snapshot::SnapshotWriter& w) const {
-  w.WriteU64(copies_.size());
-  for (const auto& copy : copies_) copy->Serialize(w);
+  snapshot::Saver ar(w);
+  Fields(*this, ar);
 }
 
 Status ParallelCopies::Restore(snapshot::SnapshotReader& r) {
-  const std::uint64_t count = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  if (count != copies_.size()) {
-    return Status::FailedPrecondition(
-        "parallel-copies snapshot copy count mismatch");
-  }
-  for (auto& copy : copies_) {
-    Status status = copy->Restore(r);
-    if (!status.ok()) return status;
-  }
-  return r.status();
+  snapshot::Loader ar(r);
+  Fields(*this, ar);
+  return ar.status();
 }
 
 double Median(std::vector<double> values) {

@@ -167,6 +167,9 @@ class ParallelCopies : public stream::StreamAlgorithm {
   }
 
  private:
+  // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
+  static void Fields(auto& self, auto& ar);
+
   std::vector<std::unique_ptr<stream::StreamAlgorithm>> copies_;
 };
 

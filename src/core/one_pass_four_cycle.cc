@@ -177,115 +177,65 @@ void OnePassFourCycleCounter::EndList(VertexId u) {
   touched_wedges_.clear();
 }
 
-void OnePassFourCycleCounter::Serialize(snapshot::SnapshotWriter& w) const {
-  w.WriteU64(options_.sample_size);
-  w.WriteU64(options_.seed);
-  w.WriteU64(pair_events_);
-  w.WriteU64(detections_);
-  w.WriteU64(live_wedges_);
-  edge_sample_.Serialize(w, [](snapshot::SnapshotWriter& pw, EdgeKey /*key*/,
-                               const EdgeState& state) {
-    pw.WriteBool(state.seen_twice);
-    snapshot::WriteVec(pw, state.wedges,
-                       [](snapshot::SnapshotWriter& vw, std::uint32_t idx) {
-                         vw.WriteU32(idx);
-                       });
-  });
-  snapshot::WriteBucketCount(w, edges_by_vertex_);
-  w.WriteU64(edges_by_vertex_.size());
-  for (const VertexId vertex : snapshot::SortedKeys(edges_by_vertex_)) {
-    w.WriteU32(vertex);
-    snapshot::WriteVec(w, edges_by_vertex_.find(vertex)->second,
-                       [](snapshot::SnapshotWriter& vw, EdgeKey key) {
-                         vw.WriteU64(key);
-                       });
-  }
+void OnePassFourCycleCounter::Fields(auto& self, auto& ar) {
+  ar.Option(self.options_.sample_size, "sample_size");
+  ar.Option(self.options_.seed, "seed");
+  ar.U64(self.pair_events_);
+  ar.U64(self.detections_);
+  ar.U64(self.live_wedges_);
+  sampling::BottomKSampler<EdgeState>::Fields(
+      self.edge_sample_, ar,
+      [&](auto key) {
+        EdgeState state{
+            obs::AccountedAllocator<std::uint32_t>(&self.space_domain_)};
+        state.lo = EdgeKeyLo(key);
+        state.hi = EdgeKeyHi(key);
+        return state;
+      },
+      [](auto& ar, auto& state) {
+        ar.Bool(state.seen_twice);
+        ar.Vec(state.wedges);
+      });
+  ar.Buckets(self.edges_by_vertex_);
+  ar.Map(
+      self.edges_by_vertex_,
+      [&](auto v) -> auto& { return self.EdgesByVertex(v); },
+      [](auto& ar, auto& keys) { ar.Vec(keys); });
   // The wedge slab: live slots carry real state; dead (free-listed) slots
   // are never read before being re-initialized, so they restore as defaults.
-  snapshot::WriteVec(w, wedges_,
-                     [](snapshot::SnapshotWriter& vw, const WedgeState& ws) {
-                       vw.WriteBool(ws.live);
-                       if (!ws.live) return;
-                       CYCLESTREAM_CHECK(!ws.flag_lo && !ws.flag_hi);
-                       vw.WriteU32(ws.wedge.center);
-                       vw.WriteU32(ws.wedge.end_lo);
-                       vw.WriteU32(ws.wedge.end_hi);
-                       vw.WriteU64(ws.detections);
-                     });
-  snapshot::WriteVec(w, free_wedges_,
-                     [](snapshot::SnapshotWriter& vw, std::uint32_t idx) {
-                       vw.WriteU32(idx);
-                     });
-  snapshot::WriteBucketCount(w, wedge_watchers_);
-  w.WriteU64(wedge_watchers_.size());
-  for (const VertexId vertex : snapshot::SortedKeys(wedge_watchers_)) {
-    w.WriteU32(vertex);
-    snapshot::WriteVec(w, wedge_watchers_.find(vertex)->second,
-                       [](snapshot::SnapshotWriter& vw, std::uint32_t idx) {
-                         vw.WriteU32(idx);
-                       });
-  }
-  snapshot::WriteScratchCapacity(w, touched_wedges_);
+  ar.Vec(self.wedges_, [](auto& ar, auto& ws) {
+    ar.Bool(ws.live);
+    if (!ws.live) return;
+    CYCLESTREAM_CHECK(!ws.flag_lo && !ws.flag_hi);
+    ar.U32(ws.wedge.center);
+    ar.U32(ws.wedge.end_lo);
+    ar.U32(ws.wedge.end_hi);
+    ar.U64(ws.detections);
+    if constexpr (ar.kLoading) {
+      if (ar.ok()) {
+        ws.edge_a = MakeEdgeKey(ws.wedge.center, ws.wedge.end_lo);
+        ws.edge_b = MakeEdgeKey(ws.wedge.center, ws.wedge.end_hi);
+      }
+    }
+  });
+  ar.Vec(self.free_wedges_);
+  ar.Buckets(self.wedge_watchers_);
+  ar.Map(
+      self.wedge_watchers_,
+      [&](auto v) -> auto& { return self.WedgeWatchers(v); },
+      [](auto& ar, auto& slots) { ar.Vec(slots); });
+  ar.Scratch(self.touched_wedges_);
+}
+
+void OnePassFourCycleCounter::Serialize(snapshot::SnapshotWriter& w) const {
+  snapshot::Saver ar(w);
+  Fields(*this, ar);
 }
 
 Status OnePassFourCycleCounter::Restore(snapshot::SnapshotReader& r) {
-  CYCLESTREAM_CHECK_EQ(pair_events_, 0u);
-  const std::uint64_t sample_size = r.ReadU64();
-  const std::uint64_t seed = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  if (sample_size != options_.sample_size || seed != options_.seed) {
-    return Status::FailedPrecondition(
-        "one-pass 4-cycle snapshot options mismatch");
-  }
-  pair_events_ = r.ReadU64();
-  detections_ = r.ReadU64();
-  live_wedges_ = r.ReadU64();
-  Status sample_status = edge_sample_.Restore(
-      r, [this](snapshot::SnapshotReader& pr, EdgeKey key) {
-        EdgeState state{obs::AccountedAllocator<std::uint32_t>(&space_domain_)};
-        state.lo = EdgeKeyLo(key);
-        state.hi = EdgeKeyHi(key);
-        state.seen_twice = pr.ReadBool();
-        snapshot::ReadVec(pr, state.wedges, [](snapshot::SnapshotReader& vr) {
-          return vr.ReadU32();
-        });
-        return state;
-      });
-  if (!sample_status.ok()) return sample_status;
-  snapshot::RestoreBucketCount(r, edges_by_vertex_);
-  const std::uint64_t vertex_lists = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (std::uint64_t i = 0; i < vertex_lists && r.status().ok(); ++i) {
-    const VertexId vertex = r.ReadU32();
-    snapshot::ReadVec(r, EdgesByVertex(vertex),
-                      [](snapshot::SnapshotReader& vr) { return vr.ReadU64(); });
-  }
-  snapshot::ReadVec(r, wedges_, [](snapshot::SnapshotReader& vr) {
-    WedgeState ws;
-    ws.live = vr.ReadBool();
-    if (!ws.live) return ws;  // dead slot: defaults, rebuilt on reuse
-    ws.wedge.center = vr.ReadU32();
-    ws.wedge.end_lo = vr.ReadU32();
-    ws.wedge.end_hi = vr.ReadU32();
-    ws.detections = vr.ReadU64();
-    if (vr.status().ok()) {
-      ws.edge_a = MakeEdgeKey(ws.wedge.center, ws.wedge.end_lo);
-      ws.edge_b = MakeEdgeKey(ws.wedge.center, ws.wedge.end_hi);
-    }
-    return ws;
-  });
-  snapshot::ReadVec(r, free_wedges_,
-                    [](snapshot::SnapshotReader& vr) { return vr.ReadU32(); });
-  snapshot::RestoreBucketCount(r, wedge_watchers_);
-  const std::uint64_t watcher_lists = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (std::uint64_t i = 0; i < watcher_lists && r.status().ok(); ++i) {
-    const VertexId vertex = r.ReadU32();
-    snapshot::ReadVec(r, WedgeWatchers(vertex),
-                      [](snapshot::SnapshotReader& vr) { return vr.ReadU32(); });
-  }
-  snapshot::ReadScratchCapacity(r, touched_wedges_);
-  return r.status();
+  snapshot::Loader ar(r);
+  Fields(*this, ar);
+  return ar.status();
 }
 
 std::size_t OnePassFourCycleCounter::CurrentSpaceBytes() const {

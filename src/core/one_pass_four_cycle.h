@@ -68,6 +68,9 @@ class OnePassFourCycleCounter final : public stream::PairDispatch<OnePassFourCyc
   // Per-element mutation, driven by PairDispatch for both deliveries.
   void HandlePair(VertexId u, VertexId v);
 
+  // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
+  static void Fields(auto& self, auto& ar);
+
   // No default constructor: the nested wedge list must bind to the owning
   // space domain (the sampler's map nodes carry the payload, so the vector
   // keeps its allocator through moves and evictions).

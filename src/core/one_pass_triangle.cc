@@ -96,65 +96,39 @@ void OnePassTriangleCounter::EndList(VertexId /*u*/) {
   finished_ = true;  // result is defined whenever the stream has ended
 }
 
+void OnePassTriangleCounter::Fields(auto& self, auto& ar) {
+  ar.Option(self.options_.sample_size, "sample_size");
+  ar.Option(self.options_.seed, "seed");
+  ar.U64(self.pair_events_);
+  ar.U64(self.detections_);
+  ar.Bool(self.finished_);
+  sampling::BottomKSampler<EdgeState>::Fields(
+      self.edge_sample_, ar,
+      [](auto key) { return EdgeState{EdgeKeyLo(key), EdgeKeyHi(key)}; },
+      [](auto& ar, auto& state) {
+        // flag_lo/flag_hi are per-list transients, always clear at
+        // boundaries; lo/hi are derived from the key on restore.
+        CYCLESTREAM_CHECK(!state.flag_lo && !state.flag_hi);
+        ar.Bool(state.seen_twice);
+        ar.U64(state.detections);
+      });
+  ar.Buckets(self.edge_watchers_);
+  // Watcher content order matters (swap-remove eviction), so verbatim.
+  ar.Map(
+      self.edge_watchers_, [&](auto v) -> auto& { return self.Watchers(v); },
+      [](auto& ar, auto& keys) { ar.Vec(keys); });
+  ar.Scratch(self.touched_edges_);
+}
+
 void OnePassTriangleCounter::Serialize(snapshot::SnapshotWriter& w) const {
-  w.WriteU64(options_.sample_size);
-  w.WriteU64(options_.seed);
-  w.WriteU64(pair_events_);
-  w.WriteU64(detections_);
-  w.WriteBool(finished_);
-  edge_sample_.Serialize(w, [](snapshot::SnapshotWriter& pw, EdgeKey /*key*/,
-                               const EdgeState& state) {
-    // flag_lo/flag_hi are per-list transients, always clear at boundaries;
-    // lo/hi are derived from the key on restore.
-    CYCLESTREAM_CHECK(!state.flag_lo && !state.flag_hi);
-    pw.WriteBool(state.seen_twice);
-    pw.WriteU64(state.detections);
-  });
-  snapshot::WriteBucketCount(w, edge_watchers_);
-  w.WriteU64(edge_watchers_.size());
-  for (const VertexId vertex : snapshot::SortedKeys(edge_watchers_)) {
-    w.WriteU32(vertex);
-    // Watcher content order matters (swap-remove eviction), so verbatim.
-    snapshot::WriteVec(w, edge_watchers_.find(vertex)->second,
-                       [](snapshot::SnapshotWriter& vw, EdgeKey key) {
-                         vw.WriteU64(key);
-                       });
-  }
-  snapshot::WriteScratchCapacity(w, touched_edges_);
+  snapshot::Saver ar(w);
+  Fields(*this, ar);
 }
 
 Status OnePassTriangleCounter::Restore(snapshot::SnapshotReader& r) {
-  CYCLESTREAM_CHECK_EQ(pair_events_, 0u);
-  const std::uint64_t sample_size = r.ReadU64();
-  const std::uint64_t seed = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  if (sample_size != options_.sample_size || seed != options_.seed) {
-    return Status::FailedPrecondition(
-        "one-pass triangle snapshot options mismatch");
-  }
-  pair_events_ = r.ReadU64();
-  detections_ = r.ReadU64();
-  finished_ = r.ReadBool();
-  Status sample_status = edge_sample_.Restore(
-      r, [](snapshot::SnapshotReader& pr, EdgeKey key) {
-        EdgeState state;
-        state.lo = EdgeKeyLo(key);
-        state.hi = EdgeKeyHi(key);
-        state.seen_twice = pr.ReadBool();
-        state.detections = pr.ReadU64();
-        return state;
-      });
-  if (!sample_status.ok()) return sample_status;
-  snapshot::RestoreBucketCount(r, edge_watchers_);
-  const std::uint64_t watcher_lists = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (std::uint64_t i = 0; i < watcher_lists && r.status().ok(); ++i) {
-    const VertexId vertex = r.ReadU32();
-    snapshot::ReadVec(r, Watchers(vertex),
-                      [](snapshot::SnapshotReader& vr) { return vr.ReadU64(); });
-  }
-  snapshot::ReadScratchCapacity(r, touched_edges_);
-  return r.status();
+  snapshot::Loader ar(r);
+  Fields(*this, ar);
+  return ar.status();
 }
 
 std::size_t OnePassTriangleCounter::CurrentSpaceBytes() const {

@@ -79,6 +79,9 @@ class OnePassTriangleCounter final : public stream::PairDispatch<OnePassTriangle
   // Per-element mutation, driven by PairDispatch for both deliveries.
   void HandlePair(VertexId u, VertexId v);
 
+  // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
+  static void Fields(auto& self, auto& ar);
+
   void OnEdgeEvicted(EdgeKey key, EdgeState&& state);
 
   // Watcher list for `v`, creating it bound to space_domain_ if absent

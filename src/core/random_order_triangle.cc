@@ -79,36 +79,31 @@ std::size_t RandomOrderTriangleCounter::CurrentSpaceBytes() const {
          prefix_adjacency_.size() * kMapEntryOverhead + adjacency_bytes;
 }
 
-void RandomOrderTriangleCounter::Serialize(snapshot::SnapshotWriter& w) const {
-  w.WriteU64(options_.prefix_size);
-  w.WriteU64(options_.seed);
-  w.WriteU64(edge_events_);
-  w.WriteU64(detections_);
+void RandomOrderTriangleCounter::Fields(auto& self, auto& ar) {
+  ar.Option(self.options_.prefix_size, "prefix_size");
+  ar.Option(self.options_.seed, "seed");
+  ar.U64(self.edge_events_);
+  ar.U64(self.detections_);
   // Arrival order only: the set and adjacency index are replay-derived, and
   // because both the original and the replay insert the same sequence into
   // empty containers, capacities and bucket counts agree bit for bit.
-  snapshot::WriteVec(w, prefix_edges_,
-                     [](snapshot::SnapshotWriter& vw, EdgeKey key) {
-                       vw.WriteU64(key);
-                     });
+  ar.Vec(self.prefix_edges_);
+  if constexpr (ar.kLoading) {
+    if (ar.ok()) {
+      for (EdgeKey key : self.prefix_edges_) self.IndexPrefixEdge(key);
+    }
+  }
+}
+
+void RandomOrderTriangleCounter::Serialize(snapshot::SnapshotWriter& w) const {
+  snapshot::Saver ar(w);
+  Fields(*this, ar);
 }
 
 Status RandomOrderTriangleCounter::Restore(snapshot::SnapshotReader& r) {
-  CYCLESTREAM_CHECK_EQ(edge_events_, 0u);
-  const std::uint64_t prefix_size = r.ReadU64();
-  const std::uint64_t seed = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  if (prefix_size != options_.prefix_size || seed != options_.seed) {
-    return Status::FailedPrecondition(
-        "random-order triangle snapshot options mismatch");
-  }
-  edge_events_ = r.ReadU64();
-  detections_ = r.ReadU64();
-  snapshot::ReadVec(r, prefix_edges_,
-                    [](snapshot::SnapshotReader& vr) { return vr.ReadU64(); });
-  if (!r.status().ok()) return r.status();
-  for (EdgeKey key : prefix_edges_) IndexPrefixEdge(key);
-  return r.status();
+  snapshot::Loader ar(r);
+  Fields(*this, ar);
+  return ar.status();
 }
 
 RandomOrderTriangleResult RandomOrderTriangleCounter::result() const {

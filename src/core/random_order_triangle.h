@@ -87,6 +87,9 @@ class RandomOrderTriangleCounter final
   // One arriving edge {u, v}, driven by PairDispatch for both deliveries.
   void HandlePair(VertexId u, VertexId v);
 
+  // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
+  static void Fields(auto& self, auto& ar);
+
   // Inserts `key` into the prefix adjacency index (set + per-endpoint
   // lists); shared by HandlePair and the Restore replay.
   void IndexPrefixEdge(EdgeKey key);

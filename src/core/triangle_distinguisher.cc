@@ -90,57 +90,37 @@ std::size_t TriangleDistinguisher::CurrentSpaceBytes() const {
          touched_edges_.capacity() * sizeof(EdgeKey);
 }
 
+void TriangleDistinguisher::Fields(auto& self, auto& ar) {
+  ar.Option(self.options_.sample_size, "sample_size");
+  ar.Option(self.options_.seed, "seed");
+  ar.Pass(self.pass_, self.passes());
+  ar.U64(self.pair_events_);
+  ar.U64(self.incidences_);
+  sampling::BottomKSampler<EdgeState>::Fields(
+      self.edge_sample_, ar,
+      [](auto key) { return EdgeState{EdgeKeyLo(key), EdgeKeyHi(key)}; },
+      [](auto& /*ar*/, auto& state) {
+        // Flags are per-list transients; boundaries only. lo/hi derive
+        // from the key.
+        CYCLESTREAM_CHECK(!state.flag_lo && !state.flag_hi);
+      });
+  ar.Buckets(self.edge_watchers_);
+  // Watcher content order matters (swap-remove eviction), so verbatim.
+  ar.Map(
+      self.edge_watchers_, [&](auto v) -> auto& { return self.Watchers(v); },
+      [](auto& ar, auto& keys) { ar.Vec(keys); });
+  ar.Scratch(self.touched_edges_);
+}
+
 void TriangleDistinguisher::Serialize(snapshot::SnapshotWriter& w) const {
-  w.WriteU64(options_.sample_size);
-  w.WriteU64(options_.seed);
-  w.WriteU64(static_cast<std::uint64_t>(pass_ + 1));  // -1-safe
-  w.WriteU64(pair_events_);
-  w.WriteU64(incidences_);
-  edge_sample_.Serialize(w, [](snapshot::SnapshotWriter& /*pw*/,
-                               EdgeKey /*key*/, const EdgeState& state) {
-    // Flags are per-list transients; boundaries only. lo/hi derive from key.
-    CYCLESTREAM_CHECK(!state.flag_lo && !state.flag_hi);
-  });
-  snapshot::WriteBucketCount(w, edge_watchers_);
-  w.WriteU64(edge_watchers_.size());
-  for (const VertexId vertex : snapshot::SortedKeys(edge_watchers_)) {
-    w.WriteU32(vertex);
-    // Watcher content order matters (swap-remove eviction), so verbatim.
-    snapshot::WriteVec(w, edge_watchers_.find(vertex)->second,
-                       [](snapshot::SnapshotWriter& vw, EdgeKey key) {
-                         vw.WriteU64(key);
-                       });
-  }
-  snapshot::WriteScratchCapacity(w, touched_edges_);
+  snapshot::Saver ar(w);
+  Fields(*this, ar);
 }
 
 Status TriangleDistinguisher::Restore(snapshot::SnapshotReader& r) {
-  CYCLESTREAM_CHECK_EQ(edge_sample_.size(), 0u);
-  const std::uint64_t sample_size = r.ReadU64();
-  const std::uint64_t seed = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  if (sample_size != options_.sample_size || seed != options_.seed) {
-    return Status::FailedPrecondition(
-        "triangle distinguisher snapshot options mismatch");
-  }
-  pass_ = static_cast<int>(r.ReadU64()) - 1;
-  pair_events_ = r.ReadU64();
-  incidences_ = r.ReadU64();
-  Status sample_status =
-      edge_sample_.Restore(r, [](snapshot::SnapshotReader& /*pr*/, EdgeKey key) {
-        return EdgeState{EdgeKeyLo(key), EdgeKeyHi(key), false, false};
-      });
-  if (!sample_status.ok()) return sample_status;
-  snapshot::RestoreBucketCount(r, edge_watchers_);
-  const std::uint64_t watcher_lists = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (std::uint64_t i = 0; i < watcher_lists && r.status().ok(); ++i) {
-    const VertexId vertex = r.ReadU32();
-    snapshot::ReadVec(r, Watchers(vertex),
-                      [](snapshot::SnapshotReader& vr) { return vr.ReadU64(); });
-  }
-  snapshot::ReadScratchCapacity(r, touched_edges_);
-  return r.status();
+  snapshot::Loader ar(r);
+  Fields(*this, ar);
+  return ar.status();
 }
 
 TriangleDistinguisherResult TriangleDistinguisher::result() const {

@@ -69,6 +69,9 @@ class TriangleDistinguisher final : public stream::PairDispatch<TriangleDistingu
   // Per-element mutation, driven by PairDispatch for both deliveries.
   void HandlePair(VertexId u, VertexId v);
 
+  // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
+  static void Fields(auto& self, auto& ar);
+
   struct EdgeState {
     VertexId lo = 0;
     VertexId hi = 0;

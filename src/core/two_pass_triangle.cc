@@ -363,166 +363,85 @@ std::size_t TwoPassTriangleCounter::CurrentSpaceBytes() const {
   return bytes;
 }
 
-void TwoPassTriangleCounter::Serialize(snapshot::SnapshotWriter& w) const {
-  w.WriteU64(options_.sample_size);
-  w.WriteU64(options_.seed);
-  w.WriteBool(options_.use_lightest_edge_rule);
-  w.WriteU64(static_cast<std::uint64_t>(pass_ + 1));  // -1-safe
-  w.WriteU32(list_pos_);
-  w.WriteU64(pair_events_);
-  w.WriteU64(t_prime_);
-  w.WriteBool(q_overflowed_);
-  w.WriteBool(finished_);
+void TwoPassTriangleCounter::Fields(auto& self, auto& ar) {
+  ar.Option(self.options_.sample_size, "sample_size");
+  ar.Option(self.options_.seed, "seed");
+  ar.Option(self.options_.use_lightest_edge_rule, "use_lightest_edge_rule");
+  ar.Pass(self.pass_, self.passes());
+  ar.U32(self.list_pos_);
+  ar.U64(self.pair_events_);
+  ar.U64(self.t_prime_);
+  ar.Bool(self.q_overflowed_);
+  ar.Bool(self.finished_);
 
-  edge_sample_.Serialize(w, [](snapshot::SnapshotWriter& pw, EdgeKey /*key*/,
-                               const EdgeState& state) {
-    CYCLESTREAM_CHECK(!state.flag_lo && !state.flag_hi);
-    pw.WriteU32(state.first_pos);
-    pw.WriteU64(state.tri_count);
-  });
-  snapshot::WriteBucketCount(w, edge_watchers_);
-  w.WriteU64(edge_watchers_.size());
-  for (const VertexId vertex : snapshot::SortedKeys(edge_watchers_)) {
-    w.WriteU32(vertex);
-    // Watcher content order matters (swap-remove eviction), so verbatim.
-    snapshot::WriteVec(w, edge_watchers_.find(vertex)->second,
-                       [](snapshot::SnapshotWriter& vw, EdgeKey key) {
-                         vw.WriteU64(key);
-                       });
-  }
-  snapshot::WriteScratchCapacity(w, touched_edges_);
+  sampling::BottomKSampler<EdgeState>::Fields(
+      self.edge_sample_, ar,
+      [](auto key) { return EdgeState{EdgeKeyLo(key), EdgeKeyHi(key)}; },
+      [](auto& ar, auto& state) {
+        CYCLESTREAM_CHECK(!state.flag_lo && !state.flag_hi);
+        ar.U32(state.first_pos);
+        ar.U64(state.tri_count);
+      });
+  ar.Buckets(self.edge_watchers_);
+  // Watcher content order matters (swap-remove eviction), so verbatim.
+  ar.Map(
+      self.edge_watchers_, [&](auto v) -> auto& { return self.Watchers(v); },
+      [](auto& ar, auto& keys) { ar.Vec(keys); });
+  ar.Scratch(self.touched_edges_);
 
-  pair_sample_.Serialize(w, [](snapshot::SnapshotWriter& pw,
-                               std::uint64_t /*pair_key*/,
-                               const std::uint32_t& idx) { pw.WriteU32(idx); });
+  sampling::BottomKSampler<std::uint32_t>::Fields(
+      self.pair_sample_, ar, [](auto /*pair_key*/) { return std::uint32_t{0}; },
+      [](auto& ar, auto& idx) { ar.U32(idx); });
   // The slab is serialized verbatim (live and dead slots): slab indices are
   // stored in the pair sample, subscriber lists, and vertex subscriptions,
   // so the slot layout itself is state.
-  snapshot::WriteVec(w, slab_,
-                     [](snapshot::SnapshotWriter& vw, const TriEntry& entry) {
-                       vw.WriteBool(entry.live);
-                       if (!entry.live) return;  // freed: defaults on reuse
-                       for (int slot = 0; slot < 3; ++slot) {
-                         vw.WriteU32(entry.vert[slot]);
-                       }
-                       for (int slot = 0; slot < 3; ++slot) {
-                         vw.WriteU64(entry.h[slot]);
-                       }
-                       vw.WriteU8((entry.seen[0] ? 1 : 0) |
-                                  (entry.seen[1] ? 2 : 0) |
-                                  (entry.seen[2] ? 4 : 0));
-                     });
-  snapshot::WriteVec(w, free_slots_,
-                     [](snapshot::SnapshotWriter& vw, std::uint32_t idx) {
-                       vw.WriteU32(idx);
-                     });
-  snapshot::WriteBucketCount(w, tri_edges_);
-  w.WriteU64(tri_edges_.size());
-  for (const EdgeKey key : snapshot::SortedKeys(tri_edges_)) {
-    const TriEdgeWatch& watch = tri_edges_.find(key)->second;
-    CYCLESTREAM_CHECK(!watch.flag_lo && !watch.flag_hi);
-    w.WriteU64(key);
-    snapshot::WriteVec(w, watch.subscribers,
-                       [](snapshot::SnapshotWriter& vw,
-                          const TriEdgeWatch::Subscriber& sub) {
-                         vw.WriteU32(sub.first);
-                         vw.WriteU8(sub.second);
-                       });
-  }
-  snapshot::WriteBucketCount(w, tri_verts_);
-  w.WriteU64(tri_verts_.size());
-  for (const VertexId vertex : snapshot::SortedKeys(tri_verts_)) {
-    w.WriteU32(vertex);
-    snapshot::WriteVec(w, tri_verts_.find(vertex)->second,
-                       [](snapshot::SnapshotWriter& vw, std::uint32_t idx) {
-                         vw.WriteU32(idx);
-                       });
-  }
-  snapshot::WriteScratchCapacity(w, touched_tri_edges_);
+  ar.Vec(self.slab_, [](auto& ar, auto& entry) {
+    ar.Bool(entry.live);
+    if (!entry.live) return;  // freed: defaults on reuse
+    for (auto& vert : entry.vert) ar.U32(vert);
+    for (auto& h : entry.h) ar.U64(h);
+    std::uint8_t seen = (entry.seen[0] ? 1 : 0) | (entry.seen[1] ? 2 : 0) |
+                        (entry.seen[2] ? 4 : 0);
+    ar.U8(seen);
+    if constexpr (ar.kLoading) {
+      for (int slot = 0; slot < 3; ++slot) {
+        entry.seen[slot] = (seen >> slot) & 1;
+      }
+    }
+  });
+  ar.Vec(self.free_slots_);
+  ar.Buckets(self.tri_edges_);
+  ar.Map(
+      self.tri_edges_,
+      [&](auto key) -> auto& {
+        TriEdgeWatch& watch = self.TriEdgeFor(key);
+        watch.lo = EdgeKeyLo(key);
+        watch.hi = EdgeKeyHi(key);
+        return watch;
+      },
+      [](auto& ar, auto& watch) {
+        CYCLESTREAM_CHECK(!watch.flag_lo && !watch.flag_hi);
+        ar.Vec(watch.subscribers, [](auto& ar, auto& sub) {
+          ar.U32(sub.first);
+          ar.U8(sub.second);
+        });
+      });
+  ar.Buckets(self.tri_verts_);
+  ar.Map(
+      self.tri_verts_, [&](auto v) -> auto& { return self.TriVerts(v); },
+      [](auto& ar, auto& slots) { ar.Vec(slots); });
+  ar.Scratch(self.touched_tri_edges_);
+}
+
+void TwoPassTriangleCounter::Serialize(snapshot::SnapshotWriter& w) const {
+  snapshot::Saver ar(w);
+  Fields(*this, ar);
 }
 
 Status TwoPassTriangleCounter::Restore(snapshot::SnapshotReader& r) {
-  CYCLESTREAM_CHECK_EQ(edge_sample_.size(), 0u);
-  CYCLESTREAM_CHECK_EQ(pair_sample_.size(), 0u);
-  const std::uint64_t sample_size = r.ReadU64();
-  const std::uint64_t seed = r.ReadU64();
-  const bool lightest = r.ReadBool();
-  if (!r.status().ok()) return r.status();
-  if (sample_size != options_.sample_size || seed != options_.seed ||
-      lightest != options_.use_lightest_edge_rule) {
-    return Status::FailedPrecondition(
-        "two-pass triangle snapshot options mismatch");
-  }
-  pass_ = static_cast<int>(r.ReadU64()) - 1;
-  list_pos_ = r.ReadU32();
-  pair_events_ = r.ReadU64();
-  t_prime_ = r.ReadU64();
-  q_overflowed_ = r.ReadBool();
-  finished_ = r.ReadBool();
-
-  Status sample_status = edge_sample_.Restore(
-      r, [](snapshot::SnapshotReader& pr, EdgeKey key) {
-        EdgeState state;
-        state.lo = EdgeKeyLo(key);
-        state.hi = EdgeKeyHi(key);
-        state.first_pos = pr.ReadU32();
-        state.tri_count = pr.ReadU64();
-        return state;
-      });
-  if (!sample_status.ok()) return sample_status;
-  snapshot::RestoreBucketCount(r, edge_watchers_);
-  const std::uint64_t watcher_lists = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (std::uint64_t i = 0; i < watcher_lists && r.status().ok(); ++i) {
-    const VertexId vertex = r.ReadU32();
-    snapshot::ReadVec(r, Watchers(vertex),
-                      [](snapshot::SnapshotReader& vr) { return vr.ReadU64(); });
-  }
-  snapshot::ReadScratchCapacity(r, touched_edges_);
-
-  Status pair_status = pair_sample_.Restore(
-      r, [](snapshot::SnapshotReader& pr, std::uint64_t /*pair_key*/) {
-        return pr.ReadU32();
-      });
-  if (!pair_status.ok()) return pair_status;
-  snapshot::ReadVec(r, slab_, [](snapshot::SnapshotReader& vr) {
-    TriEntry entry;
-    entry.live = vr.ReadBool();
-    if (!entry.live) return entry;
-    for (int slot = 0; slot < 3; ++slot) entry.vert[slot] = vr.ReadU32();
-    for (int slot = 0; slot < 3; ++slot) entry.h[slot] = vr.ReadU64();
-    const std::uint8_t seen_bits = vr.ReadU8();
-    for (int slot = 0; slot < 3; ++slot) {
-      entry.seen[slot] = (seen_bits >> slot) & 1;
-    }
-    return entry;
-  });
-  snapshot::ReadVec(r, free_slots_,
-                    [](snapshot::SnapshotReader& vr) { return vr.ReadU32(); });
-  snapshot::RestoreBucketCount(r, tri_edges_);
-  const std::uint64_t watched_edges = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (std::uint64_t i = 0; i < watched_edges && r.status().ok(); ++i) {
-    const EdgeKey key = r.ReadU64();
-    if (!r.status().ok()) break;
-    TriEdgeWatch& watch = TriEdgeFor(key);
-    watch.lo = EdgeKeyLo(key);
-    watch.hi = EdgeKeyHi(key);
-    snapshot::ReadVec(r, watch.subscribers, [](snapshot::SnapshotReader& vr) {
-      const std::uint32_t idx = vr.ReadU32();
-      return TriEdgeWatch::Subscriber{idx, vr.ReadU8()};
-    });
-  }
-  snapshot::RestoreBucketCount(r, tri_verts_);
-  const std::uint64_t vert_lists = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (std::uint64_t i = 0; i < vert_lists && r.status().ok(); ++i) {
-    const VertexId vertex = r.ReadU32();
-    snapshot::ReadVec(r, TriVerts(vertex),
-                      [](snapshot::SnapshotReader& vr) { return vr.ReadU32(); });
-  }
-  snapshot::ReadScratchCapacity(r, touched_tri_edges_);
-  return r.status();
+  snapshot::Loader ar(r);
+  Fields(*this, ar);
+  return ar.status();
 }
 
 TwoPassTriangleResult TwoPassTriangleCounter::result() const {

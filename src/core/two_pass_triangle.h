@@ -149,6 +149,9 @@ class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangle
   // Per-element mutation, driven by PairDispatch for both deliveries.
   void HandlePair(VertexId u, VertexId v);
 
+  // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
+  static void Fields(auto& self, auto& ar);
+
   EdgeKey EdgeKeyOfSlot(const TriEntry& entry, int slot) const;
   std::uint32_t AllocEntry();
   void FreeEntry(std::uint32_t idx);

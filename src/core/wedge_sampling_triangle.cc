@@ -82,70 +82,38 @@ void WedgeSamplingTriangleCounter::HandlePair(VertexId u, VertexId v) {
   current_list_.push_back(v);
 }
 
-void WedgeSamplingTriangleCounter::Serialize(snapshot::SnapshotWriter& w) const {
-  w.WriteU64(options_.reservoir_size);
-  w.WriteU64(options_.seed);
-  std::uint64_t rng_state[4];
-  rng_.GetState(rng_state);
-  for (std::uint64_t word : rng_state) w.WriteU64(word);
-  w.WriteU64(wedge_count_);
-  snapshot::WriteVec(w, reservoir_,
-                     [](snapshot::SnapshotWriter& vw, const Slot& slot) {
-                       vw.WriteU32(slot.wedge.center);
-                       vw.WriteU32(slot.wedge.end_lo);
-                       vw.WriteU32(slot.wedge.end_hi);
-                       vw.WriteBool(slot.closed);
-                     });
-  snapshot::WriteBucketCount(w, closure_watch_);
-  w.WriteU64(closure_watch_.size());
-  for (const std::uint64_t key : snapshot::SortedKeys(closure_watch_)) {
-    w.WriteU64(key);
-    // Slot content order matters (swap-remove on resample), so verbatim.
-    snapshot::WriteVec(w, closure_watch_.find(key)->second,
-                       [](snapshot::SnapshotWriter& vw, std::uint32_t slot) {
-                         vw.WriteU32(slot);
-                       });
-  }
+void WedgeSamplingTriangleCounter::Fields(auto& self, auto& ar) {
+  ar.Option(self.options_.reservoir_size, "reservoir_size");
+  ar.Option(self.options_.seed, "seed");
+  ar.Rng(self.rng_);
+  ar.U64(self.wedge_count_);
+  ar.Vec(self.reservoir_, [](auto& ar, auto& slot) {
+    ar.U32(slot.wedge.center);
+    ar.U32(slot.wedge.end_lo);
+    ar.U32(slot.wedge.end_hi);
+    ar.Bool(slot.closed);
+  });
+  ar.Buckets(self.closure_watch_);
+  // Slot content order matters (swap-remove on resample), so verbatim.
+  ar.Map(
+      self.closure_watch_,
+      [&](auto key) -> auto& { return self.WatchersFor(key); },
+      [](auto& ar, auto& slots) { ar.Vec(slots); });
   // current_list_'s contents are never read after a list boundary (BeginList
   // clears before any use); only its capacity is space-visible state.
   // current_center_ likewise is overwritten by the next BeginList.
-  w.WriteU64(current_list_.capacity());
+  ar.Capacity(self.current_list_);
+}
+
+void WedgeSamplingTriangleCounter::Serialize(snapshot::SnapshotWriter& w) const {
+  snapshot::Saver ar(w);
+  Fields(*this, ar);
 }
 
 Status WedgeSamplingTriangleCounter::Restore(snapshot::SnapshotReader& r) {
-  CYCLESTREAM_CHECK_EQ(wedge_count_, 0u);
-  const std::uint64_t reservoir_size = r.ReadU64();
-  const std::uint64_t seed = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  if (reservoir_size != options_.reservoir_size || seed != options_.seed) {
-    return Status::FailedPrecondition(
-        "wedge sampling snapshot options mismatch");
-  }
-  std::uint64_t rng_state[4];
-  for (std::uint64_t& word : rng_state) word = r.ReadU64();
-  wedge_count_ = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  rng_.SetState(rng_state);
-  reservoir_.clear();
-  snapshot::ReadVec(r, reservoir_, [](snapshot::SnapshotReader& vr) {
-    Slot slot;
-    slot.wedge.center = vr.ReadU32();
-    slot.wedge.end_lo = vr.ReadU32();
-    slot.wedge.end_hi = vr.ReadU32();
-    slot.closed = vr.ReadBool();
-    return slot;
-  });
-  snapshot::RestoreBucketCount(r, closure_watch_);
-  const std::uint64_t watch_lists = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  for (std::uint64_t i = 0; i < watch_lists && r.status().ok(); ++i) {
-    const EdgeKey key = r.ReadU64();
-    snapshot::ReadVec(r, WatchersFor(key),
-                      [](snapshot::SnapshotReader& vr) { return vr.ReadU32(); });
-  }
-  const std::uint64_t list_capacity = r.ReadU64();
-  if (r.status().ok()) current_list_.reserve(list_capacity);
-  return r.status();
+  snapshot::Loader ar(r);
+  Fields(*this, ar);
+  return ar.status();
 }
 
 std::size_t WedgeSamplingTriangleCounter::CurrentSpaceBytes() const {

@@ -77,6 +77,9 @@ class WedgeSamplingTriangleCounter final : public stream::PairDispatch<WedgeSamp
   // wedge offers (and thus rng_ draws) happen in the identical sequence.
   void HandlePair(VertexId u, VertexId v);
 
+  // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
+  static void Fields(auto& self, auto& ar);
+
   void OfferWedge(const Wedge& w);
   void WatchSlot(std::uint32_t slot);
   void UnwatchSlot(std::uint32_t slot);

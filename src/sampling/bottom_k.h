@@ -29,10 +29,8 @@
 #include <vector>
 
 #include "obs/accounting.h"
-#include "snapshot/snapshot.h"
 #include "util/check.h"
 #include "util/hashing.h"
-#include "util/status.h"
 
 namespace cyclestream {
 namespace sampling {
@@ -141,57 +139,30 @@ class BottomKSampler {
            heap_.size() * sizeof(HeapEntry);
   }
 
-  /// Writes the complete sampler state into `w`: the member set with
-  /// payloads (via `write_payload(w, key, payload)`) in ascending key order
-  /// — a pure function of content, so a restored sampler re-serializes to
-  /// identical bytes — plus the internal max-heap verbatim: entry keys in
-  /// array order and the backing vector's capacity. Replaying the heap
-  /// exactly (stale entries from Erase() included) is what makes a restored
-  /// sampler's admissions, evictions, compactions, and MemoryBytes()
-  /// trajectory bit-identical to the original's; priorities are recomputed
-  /// from the hash seed, never stored.
-  template <typename WritePayload>
-  void Serialize(snapshot::SnapshotWriter& w, WritePayload&& write_payload)
-      const {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(members_.size());
-    for (const auto& [key, payload] : members_) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    w.WriteU64(members_.size());
-    for (std::uint64_t key : keys) {
-      w.WriteU64(key);
-      write_payload(w, key, members_.find(key)->second);
-    }
-    w.WriteU64(heap_.size());
-    w.WriteU64(heap_.capacity());
-    for (const HeapEntry& entry : heap_) w.WriteU64(entry.second);
-  }
-
-  /// Rebuilds Serialize() output into this freshly constructed sampler
-  /// (same capacity and hash seed required — the seed reproduces the
-  /// priorities). `read_payload(r, key)` decodes one payload. Members are
-  /// installed directly (no Offer), so no eviction can fire mid-restore.
-  template <typename ReadPayload>
-  Status Restore(snapshot::SnapshotReader& r, ReadPayload&& read_payload) {
-    CYCLESTREAM_CHECK_EQ(members_.size(), 0u);
-    const std::uint64_t count = r.ReadU64();
-    for (std::uint64_t i = 0; i < count && r.status().ok(); ++i) {
-      const std::uint64_t key = r.ReadU64();
-      members_.emplace(key, read_payload(r, key));
-    }
-    const std::uint64_t heap_size = r.ReadU64();
-    const std::uint64_t heap_capacity = r.ReadU64();
-    if (!r.status().ok()) return r.status();
-    HeapVec restored{HeapAlloc(domain_)};
-    restored.reserve(heap_capacity);
-    for (std::uint64_t i = 0; i < heap_size && r.status().ok(); ++i) {
-      const std::uint64_t key = r.ReadU64();
-      restored.push_back({PriorityOf(key), key});
-    }
-    // Serialized in array order from a valid heap, so it is one already; no
-    // make_heap (which could permute equal-length layouts differently).
-    heap_ = std::move(restored);
-    return r.status();
+  /// Checkpoint layout (snapshot/codec.h): the members in ascending key
+  /// order, each payload through `value(ar, payload)`, then the internal
+  /// max-heap verbatim: its size, capacity and entry keys in array order.
+  /// On load `make(key)` builds each payload before `value` fills it in;
+  /// members are installed directly (no Offer), so no eviction can fire
+  /// mid-restore. Replaying the heap exactly (stale entries from Erase()
+  /// included) is what makes a restored sampler's admissions, evictions,
+  /// compactions, and MemoryBytes() trajectory bit-identical to the
+  /// original's; priorities are recomputed from the hash seed, never
+  /// stored. The restoring sampler must be fresh, with the same capacity
+  /// and hash seed.
+  static void Fields(auto& self, auto& ar, auto&& make, auto&& value) {
+    ar.Map(
+        self.members_,
+        [&](auto key) -> auto& {
+          return self.members_.emplace(key, make(key)).first->second;
+        },
+        value);
+    // Serialized in array order from a valid heap, so it is one already;
+    // no make_heap (which could permute equal-length layouts differently).
+    ar.Vec(self.heap_, [&](auto& ar, auto& entry) {
+      ar.U64(entry.second);
+      if constexpr (ar.kLoading) entry.first = self.PriorityOf(entry.second);
+    });
   }
 
  private:

@@ -11,6 +11,7 @@
 #include "core/triangle_distinguisher.h"
 #include "core/two_pass_triangle.h"
 #include "core/wedge_sampling_triangle.h"
+#include "snapshot/codec.h"
 
 namespace cyclestream {
 namespace service {
@@ -121,22 +122,20 @@ StatusOr<HostedEstimator> MakeHosted(const EstimatorSpec& spec) {
 }
 
 void SerializeSpec(const EstimatorSpec& spec, snapshot::SnapshotWriter& w) {
-  w.WriteU8(static_cast<std::uint8_t>(spec.kind));
-  w.WriteU64(spec.slots);
-  w.WriteU64(spec.seed);
+  snapshot::Saver ar(w);
+  EstimatorSpec::Fields(spec, ar);
 }
 
 StatusOr<EstimatorSpec> RestoreSpec(snapshot::SnapshotReader& r) {
   EstimatorSpec spec;
-  const std::uint8_t kind = r.ReadU8();
-  spec.slots = r.ReadU64();
-  spec.seed = r.ReadU64();
-  if (!r.status().ok()) return r.status();
+  snapshot::Loader ar(r);
+  EstimatorSpec::Fields(spec, ar);
+  if (!ar.ok()) return ar.status();
+  const unsigned kind = static_cast<unsigned>(spec.kind);
   if (kind >= kEstimatorKinds) {
     return Status::InvalidArgument("unknown estimator kind " +
-                                   std::to_string(unsigned{kind}));
+                                   std::to_string(kind));
   }
-  spec.kind = static_cast<EstimatorKind>(kind);
   return spec;
 }
 

@@ -47,6 +47,13 @@ struct EstimatorSpec {
   std::uint64_t seed = 1;
 
   friend bool operator==(const EstimatorSpec&, const EstimatorSpec&) = default;
+
+  /// Checkpoint layout (snapshot/codec.h).
+  static void Fields(auto& self, auto& ar) {
+    ar.U8(self.kind);
+    ar.U64(self.slots);
+    ar.U64(self.seed);
+  }
 };
 
 /// A hosted instance: the algorithm plus a uniform estimate read-out (the
@@ -65,7 +72,8 @@ const char* KindName(EstimatorKind kind);
 /// the envelope CRC vouches for the bytes).
 StatusOr<HostedEstimator> MakeHosted(const EstimatorSpec& spec);
 
-/// Spec codec for checkpoint manifests.
+/// Spec codec for checkpoint manifests. RestoreSpec returns
+/// kInvalidArgument for an unknown kind byte.
 void SerializeSpec(const EstimatorSpec& spec, snapshot::SnapshotWriter& w);
 StatusOr<EstimatorSpec> RestoreSpec(snapshot::SnapshotReader& r);
 

@@ -10,6 +10,7 @@
 
 #include "obs/exposition.h"
 #include "service/mailbox.h"
+#include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
 #include "util/check.h"
 #include "util/hashing.h"
@@ -86,6 +87,28 @@ struct EstimatorService::StreamState {
   bool finished = false;
   Status error;  // latched by misuse; OK in the normal lifecycle
   stream::RunReport report;
+
+  // Checkpoint layout of a manifest entry between its spec and its
+  // estimator's section (absent while an error is latched): the run
+  // cursor, the latched error and the report.
+  static void Fields(auto& self, auto& ar) {
+    ar.U64(self.pass);
+    ar.Bool(self.finished);
+    bool has_error = !self.error.ok();
+    ar.Bool(has_error);
+    if (has_error) {
+      StatusCode code = self.error.code();
+      std::string message = self.error.message();
+      ar.U32(code);
+      ar.String(message);
+      if constexpr (ar.kLoading) {
+        if (ar.ok() && code != StatusCode::kOk) {
+          self.error = Status(code, std::move(message));
+        }
+      }
+    }
+    stream::RunReport::Fields(self.report, ar);
+  }
 };
 
 struct EstimatorService::Shard {
@@ -456,22 +479,16 @@ void EstimatorService::DoQuery(Shard& shard, Op& op) {
 void EstimatorService::DoCheckpoint(Shard& shard, Op& op) {
   if (metrics_ != nullptr) shard.checkpoints.Increment();
   snapshot::SnapshotWriter outer;
-  outer.WriteU64(shard.streams.size());
+  snapshot::Saver entries(outer);
+  entries.U64(shard.streams.size());
   for (const auto& [id, state] : shard.streams) {
-    outer.WriteU64(id);
+    entries.U64(id);
     snapshot::SnapshotWriter inner;
     SerializeSpec(state.spec, inner);
-    inner.WriteU64(static_cast<std::uint64_t>(state.pass));
-    inner.WriteBool(state.finished);
-    inner.WriteBool(!state.error.ok());
-    if (!state.error.ok()) {
-      inner.WriteU32(static_cast<std::uint32_t>(state.error.code()));
-      inner.WriteString(state.error.message());
-    }
-    stream::internal::SerializeReport(state.report, inner);
-    if (state.error.ok()) state.hosted.algo->Serialize(inner);
-    const std::vector<std::uint8_t> bytes = std::move(inner).Finish();
-    outer.WriteBytes(std::span<const std::uint8_t>(bytes));
+    snapshot::Saver ar(inner);
+    StreamState::Fields(state, ar);
+    if (state.error.ok()) ar.Nested(*state.hosted.algo);
+    entries.Bytes(std::move(inner).Finish());
   }
   std::vector<std::uint8_t> manifest = std::move(outer).Finish();
   if (flight_ != nullptr) {
@@ -501,13 +518,17 @@ Status EstimatorService::DoRestoreImpl(Shard& shard, Op& op) {
   if (!outer.ok()) {
     return outer.status();
   }
-  const std::uint64_t count = outer->ReadU64();
+  snapshot::Loader entries(*outer);
+  std::uint64_t count = 0;
+  entries.U64(count);
   std::map<StreamId, StreamState> restored;
   for (std::uint64_t i = 0; i < count; ++i) {
-    const StreamId id = outer->ReadU64();
-    const std::vector<std::uint8_t> bytes = outer->ReadBytesVec();
-    if (!outer->status().ok()) {
-      return outer->status();
+    StreamId id = 0;
+    std::vector<std::uint8_t> bytes;
+    entries.U64(id);
+    entries.Bytes(bytes);
+    if (!entries.ok()) {
+      return entries.status();
     }
     if (ShardOf(id, shards()) != shard_index) {
       return Status::FailedPrecondition(
@@ -530,20 +551,10 @@ Status EstimatorService::DoRestoreImpl(Shard& shard, Op& op) {
     StreamState state;
     state.spec = *spec;
     state.hosted = std::move(hosted).value();
-    state.pass = static_cast<int>(inner->ReadU64());
-    state.finished = inner->ReadBool();
-    const bool has_error = inner->ReadBool();
-    if (has_error) {
-      const StatusCode code = static_cast<StatusCode>(inner->ReadU32());
-      std::string message = inner->ReadString();
-      if (inner->status().ok() && code != StatusCode::kOk) {
-        state.error = Status(code, std::move(message));
-      }
-    }
-    Status report_status =
-        stream::internal::RestoreReport(*inner, &state.report);
-    if (!report_status.ok()) {
-      return report_status;
+    snapshot::Loader ar(*inner);
+    StreamState::Fields(state, ar);
+    if (!ar.ok()) {
+      return ar.status();
     }
     // Pass bookkeeping must be self-consistent before the estimator's own
     // payload is trusted (the driver's resume check).
@@ -555,9 +566,9 @@ Status EstimatorService::DoRestoreImpl(Shard& shard, Op& op) {
           std::to_string(id));
     }
     if (state.error.ok()) {
-      Status algo_status = state.hosted.algo->Restore(*inner);
-      if (!algo_status.ok()) {
-        return algo_status;
+      ar.Nested(*state.hosted.algo);
+      if (!ar.ok()) {
+        return ar.status();
       }
     }
     Status final_status = inner->Final();

@@ -27,10 +27,11 @@
 //
 // Reads are additionally bounds-checked ("poisoned reader"): a read past the
 // declared payload marks the reader failed, every subsequent read returns
-// zero, and `status()` reports kDataLoss. Restore implementations finish by
-// returning `reader.status()`, so a structurally short payload (possible
-// only through a writer/reader version skew, since the CRC already vouches
-// for the bytes) surfaces as an error instead of garbage state.
+// zero, and `status()` reports kDataLoss. Restore implementations decode
+// through snapshot::Loader (codec.h) and return its status, so a
+// structurally short payload (possible only through a writer/reader
+// version skew, since the CRC already vouches for the bytes) surfaces as an
+// error instead of garbage state.
 
 #ifndef CYCLESTREAM_SNAPSHOT_SNAPSHOT_H_
 #define CYCLESTREAM_SNAPSHOT_SNAPSHOT_H_

@@ -96,17 +96,22 @@ class StreamAlgorithm {
   /// at adjacency-list boundaries (between EndList and the next BeginList,
   /// or at pass boundaries). The payload size is also the one-way message
   /// size the lower-bound protocol simulation charges (src/snapshot/,
-  /// lowerbound/protocol.h). Default: CHECK-fails — estimators must opt in.
+  /// lowerbound/protocol.h). Implement `Fields` once and run it over a
+  /// snapshot::Saver here and a snapshot::Loader in Restore (the pattern is
+  /// in snapshot/codec.h); never hand-write the two directions. Default:
+  /// CHECK-fails — estimators must opt in.
   virtual void Serialize(snapshot::SnapshotWriter& w) const {
     (void)w;
     CYCLESTREAM_CHECK(false && "algorithm does not implement Serialize");
   }
 
-  /// Rebuilds state written by Serialize() on a same-options fresh instance.
-  /// Returns kFailedPrecondition when the snapshot's recorded options or
-  /// seed disagree with this instance's, and the reader's kDataLoss when the
-  /// payload runs short (see snapshot.h). On error the instance must not be
-  /// used further. Default: snapshots unsupported.
+  /// Rebuilds state written by Serialize() on a same-options fresh instance
+  /// by running the same `Fields` over a snapshot::Loader. Returns
+  /// kFailedPrecondition when the snapshot's recorded options or seed
+  /// disagree with this instance's or its pass field exceeds passes(), and
+  /// kDataLoss when the payload runs short, a count exceeds the payload or a
+  /// generator state is all zeros (see snapshot/codec.h). On error the
+  /// instance must not be used further. Default: snapshots unsupported.
   virtual Status Restore(snapshot::SnapshotReader& r) {
     (void)r;
     return Status::FailedPrecondition(

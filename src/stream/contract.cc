@@ -1,7 +1,6 @@
 #include "stream/contract.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "snapshot/codec.h"
@@ -100,90 +99,6 @@ void ModelContract::ExportMetrics(obs::MetricsRegistry* metrics) const {
                      ViolationKindName(static_cast<ViolationKind>(i)))
         .Increment(counters_.violations_by_kind[i]);
   }
-}
-
-namespace internal {
-
-void WriteViolationOpt(snapshot::SnapshotWriter& w,
-                       const std::optional<Violation>& v) {
-  w.WriteBool(v.has_value());
-  if (!v.has_value()) return;
-  w.WriteU8(static_cast<std::uint8_t>(v->kind));
-  w.WriteU64(static_cast<std::uint64_t>(v->pass));
-  w.WriteU64(v->position);
-  w.WriteU32(v->list);
-  w.WriteString(v->detail);
-}
-
-std::optional<Violation> ReadViolationOpt(snapshot::SnapshotReader& r) {
-  if (!r.ReadBool()) return std::nullopt;
-  Violation v;
-  v.kind = static_cast<ViolationKind>(r.ReadU8());
-  v.pass = static_cast<int>(r.ReadU64());
-  v.position = r.ReadU64();
-  v.list = r.ReadU32();
-  v.detail = r.ReadString();
-  return v;
-}
-
-}  // namespace internal
-
-void ModelContract::SerializeCommon(snapshot::SnapshotWriter& w) const {
-  // Graph-shape and model guards: a checkpoint only resumes against the
-  // same graph streamed under the same model.
-  w.WriteU64(graph_->num_vertices());
-  w.WriteU64(graph_->num_edges());
-  w.WriteU8(static_cast<std::uint8_t>(descriptor_.model));
-  w.WriteU64(descriptor_.order_seed);
-  w.WriteDouble(descriptor_.epsilon);
-  internal::WriteViolationOpt(w, violation_);
-  w.WriteU64(counters_.events_checked);
-  w.WriteU64(counters_.passes_checked);
-  w.WriteU64(counters_.lists_checked);
-  w.WriteU64(counters_.pairs_checked);
-  w.WriteU64(counters_.violations_total);
-  for (std::uint64_t count : counters_.violations_by_kind) w.WriteU64(count);
-  w.WriteU64(static_cast<std::uint64_t>(pass_ + 1));  // -1-safe
-  w.WriteBool(in_pass_);
-  w.WriteU64(position_);
-}
-
-Status ModelContract::RestoreCommon(snapshot::SnapshotReader& r) {
-  const std::uint64_t vertices = r.ReadU64();
-  const std::uint64_t edges = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  if (vertices != graph_->num_vertices() || edges != graph_->num_edges()) {
-    return Status::FailedPrecondition(
-        "contract snapshot was taken against a different graph");
-  }
-  const auto model = static_cast<StreamModel>(r.ReadU8());
-  const std::uint64_t order_seed = r.ReadU64();
-  const double epsilon = r.ReadDouble();
-  if (!r.status().ok()) return r.status();
-  if (ModelDescriptor{model, order_seed, epsilon} != descriptor_) {
-    return Status::FailedPrecondition(
-        "contract snapshot was taken under a different stream model");
-  }
-  violation_ = internal::ReadViolationOpt(r);
-  counters_.events_checked = r.ReadU64();
-  counters_.passes_checked = r.ReadU64();
-  counters_.lists_checked = r.ReadU64();
-  counters_.pairs_checked = r.ReadU64();
-  counters_.violations_total = r.ReadU64();
-  for (std::uint64_t& count : counters_.violations_by_kind) count = r.ReadU64();
-  const std::uint64_t pass_field = r.ReadU64();  // pass + 1
-  in_pass_ = r.ReadBool();
-  position_ = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  // Range-checked before the subtraction: the field is read from the bytes.
-  constexpr std::uint64_t kMaxPassField = std::numeric_limits<int>::max();
-  if (pass_field > kMaxPassField) {
-    return Status::FailedPrecondition("contract snapshot pass field " +
-                                      std::to_string(pass_field) +
-                                      " is out of range");
-  }
-  pass_ = static_cast<int>(pass_field) - 1;
-  return Status::Ok();
 }
 
 EdgeStreamContract::EdgeStreamContract(const Graph* graph,
@@ -318,52 +233,25 @@ void EdgeStreamContract::EndPass(int pass) {
   in_pass_ = false;
 }
 
+void EdgeStreamContract::Fields(auto& self, auto& ar) {
+  CommonFields(self, ar);
+  ar.Option(self.expected_order_ != nullptr, "declared permutation");
+  // The bucket count travels after the elements (unlike the estimators'
+  // tables), so Restore fixes the table geometry after reinsertion.
+  ar.Set(self.seen_);
+  ar.Buckets(self.seen_);
+  ar.Vec(self.first_pass_keys_);
+}
+
 void EdgeStreamContract::Serialize(snapshot::SnapshotWriter& w) const {
-  SerializeCommon(w);
-  w.WriteBool(expected_order_ != nullptr);
-  // Sorted elements make the encoding a pure function of content; the
-  // bucket count travels last so Restore can fix the table geometry after
-  // reinsertion (see snapshot/codec.h).
-  const std::vector<EdgeKey> sorted = snapshot::SortedElements(seen_);
-  w.WriteU64(sorted.size());
-  for (EdgeKey key : sorted) w.WriteU64(key);
-  snapshot::WriteBucketCount(w, seen_);
-  snapshot::WriteVec(w, first_pass_keys_,
-                     [](snapshot::SnapshotWriter& w2, EdgeKey key) {
-                       w2.WriteU64(key);
-                     });
+  snapshot::Saver ar(w);
+  Fields(*this, ar);
 }
 
 Status EdgeStreamContract::Restore(snapshot::SnapshotReader& r) {
-  Status common = RestoreCommon(r);
-  if (!common.ok()) return common;
-  const bool had_expected = r.ReadBool();
-  if (!r.status().ok()) return r.status();
-  if (had_expected != (expected_order_ != nullptr)) {
-    return Status::FailedPrecondition(
-        "contract snapshot disagrees about the declared permutation");
-  }
-  const std::uint64_t seen_count = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  // The CRC vouches for the bytes, not for this count: one the payload
-  // cannot hold (8 bytes per key) would otherwise size the reservation.
-  if (seen_count > r.remaining() / 8) {
-    return Status::DataLoss("contract snapshot claims " +
-                            std::to_string(seen_count) +
-                            " seen edges but holds " +
-                            std::to_string(r.remaining()) + " bytes");
-  }
-  seen_.clear();
-  seen_.reserve(seen_count);
-  for (std::uint64_t i = 0; i < seen_count && r.status().ok(); ++i) {
-    seen_.insert(r.ReadU64());
-  }
-  snapshot::RestoreBucketCount(r, seen_);
-  first_pass_keys_.clear();
-  first_pass_keys_.shrink_to_fit();
-  snapshot::ReadVec(r, first_pass_keys_,
-                    [](snapshot::SnapshotReader& r2) { return r2.ReadU64(); });
-  return r.status();
+  snapshot::Loader ar(r);
+  Fields(*this, ar);
+  return ar.status();
 }
 
 }  // namespace stream

@@ -28,6 +28,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -77,6 +78,22 @@ struct Violation {
   /// for the Status produced by `ModelContract::ToStatus()`.
   std::string ToString() const;
 };
+
+namespace internal {
+// Checkpoint layout of an optional violation, shared by the contracts'
+// Fields: a presence flag, then the violation's fields.
+void ViolationFields(auto& violation, auto& ar) {
+  bool present = violation.has_value();
+  ar.Bool(present);
+  if (!present) return;
+  if constexpr (ar.kLoading) violation.emplace();
+  ar.U8(violation->kind);
+  ar.U64(violation->pass);
+  ar.U64(violation->position);
+  ar.U32(violation->list);
+  ar.String(violation->detail);
+}
+}  // namespace internal
 
 /// Abstract contract checker for one stream model. Concrete contracts
 /// (`AdjacencyListContract` in stream/validator.h, `EdgeStreamContract`
@@ -170,11 +187,28 @@ class ModelContract {
   /// Records `v` as the run's violation iff none is recorded yet.
   void SetFirst(Violation v);
 
-  /// Graph shape + descriptor + first violation + counters + pass
-  /// bookkeeping — the state every contract shares. Subclasses call these
-  /// first from their Serialize/Restore, then handle their own state.
-  void SerializeCommon(snapshot::SnapshotWriter& w) const;
-  Status RestoreCommon(snapshot::SnapshotReader& r);
+  /// Checkpoint layout of the state every contract shares (snapshot/
+  /// codec.h): graph shape and model descriptor as options, so a
+  /// checkpoint only resumes against the same graph streamed under the same
+  /// model; first violation; counters; pass bookkeeping. Subclasses' Fields
+  /// run it first.
+  static void CommonFields(auto& self, auto& ar) {
+    ar.Option(self.graph_->num_vertices(), "graph vertices");
+    ar.Option(self.graph_->num_edges(), "graph edges");
+    ar.Option(self.descriptor_.model, "stream model");
+    ar.Option(self.descriptor_.order_seed, "order seed");
+    ar.Option(self.descriptor_.epsilon, "epsilon");
+    internal::ViolationFields(self.violation_, ar);
+    ar.U64(self.counters_.events_checked);
+    ar.U64(self.counters_.passes_checked);
+    ar.U64(self.counters_.lists_checked);
+    ar.U64(self.counters_.pairs_checked);
+    ar.U64(self.counters_.violations_total);
+    for (auto& count : self.counters_.violations_by_kind) ar.U64(count);
+    ar.Pass(self.pass_, std::numeric_limits<int>::max());
+    ar.Bool(self.in_pass_);
+    ar.U64(self.position_);
+  }
 
   const Graph* graph_;
   ModelDescriptor descriptor_;
@@ -184,13 +218,6 @@ class ModelContract {
   bool in_pass_ = false;
   std::size_t position_ = 0;  // stream elements delivered this pass
 };
-
-namespace internal {
-// Violation option codec shared by the concrete contracts' snapshots.
-void WriteViolationOpt(snapshot::SnapshotWriter& w,
-                       const std::optional<Violation>& v);
-std::optional<Violation> ReadViolationOpt(snapshot::SnapshotReader& r);
-}  // namespace internal
 
 /// Contract for the single-copy edge-stream models (arbitrary,
 /// random-order, adversarial-perturbed). Promises checked:
@@ -231,6 +258,9 @@ class EdgeStreamContract final : public ModelContract {
   // both deliveries observe identical positions and counters.
   void CheckEdge(VertexId u, VertexId v);
   void Report(ViolationKind kind, VertexId list, std::string detail);
+
+  // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
+  static void Fields(auto& self, auto& ar);
 
   const std::vector<Edge>* expected_order_;  // nullable: no order promise
   std::unordered_set<EdgeKey> seen_;         // edges delivered this pass

@@ -90,6 +90,7 @@
 #include "obs/prof.h"
 #include "obs/space_tracer.h"
 #include "obs/trace.h"
+#include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
 #include "stream/adjacency_stream.h"
 #include "stream/algorithm.h"
@@ -132,6 +133,23 @@ struct RunReport {
   /// Per-pass breakdown; size() == passes completed (may be <
   /// passes_requested if a checked run aborted on a violation).
   std::vector<PassReport> per_pass;
+
+  /// Checkpoint layout (snapshot/codec.h): the report travels inside the
+  /// snapshot so a resumed run's peaks and counters continue from the exact
+  /// values the interrupted run had accumulated.
+  static void Fields(auto& self, auto& ar) {
+    ar.U64(self.reported_peak_bytes);
+    ar.U64(self.audited_peak_bytes);
+    ar.U64(self.max_divergence_bytes);
+    ar.U64(self.pairs_processed);
+    ar.U64(self.passes_requested);
+    ar.Size(self.per_pass, 3 * 8);
+    for (auto& pass : self.per_pass) {
+      ar.U64(pass.reported_peak_bytes);
+      ar.U64(pass.audited_peak_bytes);
+      ar.U64(pass.pairs_processed);
+    }
+  }
 };
 
 /// Optional instrumentation for a driver run. Default-constructed ==
@@ -235,52 +253,11 @@ inline void SampleSpace(const AlgoT& algorithm, const obs::MemoryDomain* domain,
   }
 }
 
-// RunReport codec for checkpoint payloads: the report travels inside the
-// snapshot so a resumed run's peaks/counters continue from the exact values
-// the crashed run had accumulated.
+// Writes `report` as a checkpoint section.
 inline void SerializeReport(const RunReport& report,
                             snapshot::SnapshotWriter& w) {
-  w.WriteU64(report.reported_peak_bytes);
-  w.WriteU64(report.audited_peak_bytes);
-  w.WriteU64(report.max_divergence_bytes);
-  w.WriteU64(report.pairs_processed);
-  w.WriteU64(static_cast<std::uint64_t>(report.passes_requested));
-  w.WriteU64(report.per_pass.size());
-  for (const PassReport& pass : report.per_pass) {
-    w.WriteU64(pass.reported_peak_bytes);
-    w.WriteU64(pass.audited_peak_bytes);
-    w.WriteU64(pass.pairs_processed);
-  }
-}
-
-// Serialized size of one PassReport (three u64 fields).
-inline constexpr std::size_t kPassReportBytes = 3 * 8;
-
-inline Status RestoreReport(snapshot::SnapshotReader& r, RunReport* report) {
-  report->reported_peak_bytes = static_cast<std::size_t>(r.ReadU64());
-  report->audited_peak_bytes = static_cast<std::size_t>(r.ReadU64());
-  report->max_divergence_bytes = static_cast<std::size_t>(r.ReadU64());
-  report->pairs_processed = static_cast<std::size_t>(r.ReadU64());
-  report->passes_requested = static_cast<int>(r.ReadU64());
-  const std::uint64_t passes = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  // The CRC vouches for the bytes, not for this count: one the payload
-  // cannot hold would otherwise size the reservation below.
-  if (passes > r.remaining() / kPassReportBytes) {
-    return Status::DataLoss("checkpoint claims " + std::to_string(passes) +
-                            " passes but holds " +
-                            std::to_string(r.remaining()) + " bytes");
-  }
-  report->per_pass.clear();
-  report->per_pass.reserve(static_cast<std::size_t>(passes));
-  for (std::uint64_t i = 0; i < passes; ++i) {
-    PassReport pass;
-    pass.reported_peak_bytes = static_cast<std::size_t>(r.ReadU64());
-    pass.audited_peak_bytes = static_cast<std::size_t>(r.ReadU64());
-    pass.pairs_processed = static_cast<std::size_t>(r.ReadU64());
-    report->per_pass.push_back(pass);
-  }
-  return r.status();
+  snapshot::Saver ar(w);
+  RunReport::Fields(report, ar);
 }
 
 // The pass bookkeeping a restored report must satisfy before any algorithm
@@ -300,6 +277,12 @@ struct RunCursor {
   int pass = 0;
   std::size_t lists_done = 0;
   bool resumed = false;
+
+  // Checkpoint layout: the first section of every driver checkpoint.
+  static void Fields(auto& self, auto& ar) {
+    ar.U64(self.pass);
+    ar.U64(self.lists_done);
+  }
 };
 
 // The one sink every run goes through. Each event reaches the contract
@@ -443,11 +426,12 @@ class RunSink {
 
   void Checkpoint() {
     snapshot::SnapshotWriter w;
-    w.WriteU64(static_cast<std::uint64_t>(pass_));
-    w.WriteU64(lists_done_);
-    SerializeReport(*report_, w);
-    contract_->Serialize(w);
-    algorithm_->Serialize(w);
+    snapshot::Saver ar(w);
+    const RunCursor cursor{.pass = pass_, .lists_done = lists_done_};
+    RunCursor::Fields(cursor, ar);
+    RunReport::Fields(*report_, ar);
+    ar.Nested(*contract_);
+    ar.Nested(*algorithm_);
     (*on_checkpoint_)(pass_, lists_done_, std::move(w).Finish());
   }
 
@@ -500,21 +484,24 @@ Status RestoreRun(std::span<const std::uint8_t> bytes, AlgoT* algorithm,
   StatusOr<snapshot::SnapshotReader> reader =
       snapshot::SnapshotReader::Open(bytes);
   if (!reader.ok()) return reader.status();
-  cursor->pass = static_cast<int>(reader->ReadU64());
-  cursor->lists_done = static_cast<std::size_t>(reader->ReadU64());
+  snapshot::Loader ar(*reader);
+  RunCursor::Fields(*cursor, ar);
   cursor->resumed = true;
-  if (Status s = RestoreReport(*reader, report); !s.ok()) return s;
+  RunReport::Fields(*report, ar);
+  if (!ar.ok()) return ar.status();
   if (!PassShapeMatches(*report, algorithm->passes(), cursor->pass,
                         /*finished=*/false)) {
     return Status::FailedPrecondition(
         "checkpoint pass bookkeeping does not match the algorithm");
   }
-  if (Status s = contract->Restore(*reader); !s.ok()) return s;
+  ar.Nested(*contract);
+  if (!ar.ok()) return ar.status();
   if (contract->open_pass() != cursor->pass) {
     return Status::FailedPrecondition(
         "checkpoint contract is not inside the checkpointed pass");
   }
-  if (Status s = algorithm->Restore(*reader); !s.ok()) return s;
+  ar.Nested(*algorithm);
+  if (!ar.ok()) return ar.status();
   return reader->Final();
 }
 

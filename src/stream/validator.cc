@@ -256,59 +256,48 @@ void AdjacencyListContract::EndPass(int pass) {
   in_pass_ = false;
 }
 
-void AdjacencyListContract::Serialize(snapshot::SnapshotWriter& w) const {
-  SerializeCommon(w);
-  internal::WriteViolationOpt(w, pending_missing_);
+void AdjacencyListContract::Fields(auto& self, auto& ar) {
+  CommonFields(self, ar);
+  internal::ViolationFields(self.pending_missing_, ar);
   // Only list-boundary snapshots are defined (no list may be open); the
   // per-list transients (fingerprint, pair count, marks) are therefore
   // dead state and are not serialized. A restored contract's first list
   // draws a fresh mark like any other.
-  CYCLESTREAM_CHECK(!list_open_);
-  w.WriteU64(open_list_index_);
-  w.WriteU64(closed_.size());
-  std::uint8_t packed = 0;
-  for (std::size_t i = 0; i < closed_.size(); ++i) {
-    if (closed_[i]) packed |= static_cast<std::uint8_t>(1u << (i % 8));
-    if (i % 8 == 7 || i + 1 == closed_.size()) {
-      w.WriteU8(packed);
-      packed = 0;
+  CYCLESTREAM_CHECK(!self.list_open_);
+  ar.U64(self.open_list_index_);
+  ar.Option(self.closed_.size(), "closed-list bitmap size");
+  for (std::size_t i = 0; i < self.closed_.size(); i += 8) {
+    const std::size_t bits = std::min<std::size_t>(8, self.closed_.size() - i);
+    std::uint8_t packed = 0;
+    for (std::size_t b = 0; b < bits; ++b) {
+      if (self.closed_[i + b]) packed |= static_cast<std::uint8_t>(1u << b);
+    }
+    ar.U8(packed);
+    if constexpr (ar.kLoading) {
+      for (std::size_t b = 0; b < bits; ++b) {
+        self.closed_[i + b] = (packed >> b) & 1;
+      }
     }
   }
-  w.WriteU64(first_pass_order_.size());
-  for (VertexId u : first_pass_order_) w.WriteU32(u);
-  for (std::uint64_t fp : first_pass_fingerprints_) w.WriteU64(fp);
-  w.WriteU64(first_pass_pairs_);
+  // One count, then the list order and one fingerprint per list.
+  ar.Size(self.first_pass_order_, sizeof(VertexId) + sizeof(std::uint64_t));
+  if constexpr (ar.kLoading) {
+    self.first_pass_fingerprints_.resize(self.first_pass_order_.size());
+  }
+  for (auto& u : self.first_pass_order_) ar.U32(u);
+  for (auto& fp : self.first_pass_fingerprints_) ar.U64(fp);
+  ar.U64(self.first_pass_pairs_);
+}
+
+void AdjacencyListContract::Serialize(snapshot::SnapshotWriter& w) const {
+  snapshot::Saver ar(w);
+  Fields(*this, ar);
 }
 
 Status AdjacencyListContract::Restore(snapshot::SnapshotReader& r) {
-  Status common = RestoreCommon(r);
-  if (!common.ok()) return common;
-  pending_missing_ = internal::ReadViolationOpt(r);
-  list_open_ = false;
-  open_list_index_ = r.ReadU64();
-  const std::uint64_t closed_bits = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  if (closed_bits != closed_.size()) {
-    return Status::FailedPrecondition(
-        "validator snapshot closed-list bitmap size mismatch");
-  }
-  std::uint8_t packed = 0;
-  for (std::size_t i = 0; i < closed_bits; ++i) {
-    if (i % 8 == 0) packed = r.ReadU8();
-    closed_[i] = (packed >> (i % 8)) & 1;
-  }
-  const std::uint64_t first_lists = r.ReadU64();
-  if (!r.status().ok()) return r.status();
-  first_pass_order_.clear();
-  first_pass_fingerprints_.clear();
-  for (std::uint64_t i = 0; i < first_lists && r.status().ok(); ++i) {
-    first_pass_order_.push_back(r.ReadU32());
-  }
-  for (std::uint64_t i = 0; i < first_lists && r.status().ok(); ++i) {
-    first_pass_fingerprints_.push_back(r.ReadU64());
-  }
-  first_pass_pairs_ = r.ReadU64();
-  return r.status();
+  snapshot::Loader ar(r);
+  Fields(*this, ar);
+  return ar.status();
 }
 
 }  // namespace stream

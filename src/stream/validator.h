@@ -102,6 +102,9 @@ class AdjacencyListContract final : public ModelContract {
   void Report(ViolationKind kind, VertexId list, std::string detail);
   void FlushPending();
 
+  // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
+  static void Fields(auto& self, auto& ar);
+
   // A short list is only *provisionally* a missing pair: if the same list
   // reopens later in the pass, the truth is a split list. The provisional
   // violation is promoted at the next unrelated violation or at EndPass,

@@ -10,9 +10,11 @@
 // before the crash" — a fresh instance resumes from it and the final state
 // is compared field-by-field against the uninterrupted reference.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -21,9 +23,12 @@
 #include <gtest/gtest.h>
 
 #include "core/exact_stream.h"
+#include "core/four_cycle.h"
 #include "core/one_pass_triangle.h"
 #include "core/random_order_triangle.h"
+#include "core/triangle_distinguisher.h"
 #include "core/two_pass_triangle.h"
+#include "core/wedge_sampling_triangle.h"
 #include "gen/barabasi_albert.h"
 #include "gen/erdos_renyi.h"
 #include "graph/graph.h"
@@ -454,6 +459,136 @@ TEST(ChaosRecovery, ResumeOverFaultyStreamStillDetectsTheFault) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ref.status().code());
   EXPECT_EQ(result.status().message(), ref.status().message());
+}
+
+// The envelopes a checked run of `algo` over `stream` checkpoints in `pass`.
+std::vector<std::vector<std::uint8_t>> CheckpointsInPass(
+    const AdjacencyListStream& stream, StreamAlgorithm* algo, int pass) {
+  std::vector<std::vector<std::uint8_t>> out;
+  auto collect = [&](int at, std::size_t, std::vector<std::uint8_t> bytes) {
+    if (at == pass) out.push_back(std::move(bytes));
+  };
+  EXPECT_TRUE(RunPassesChecked(stream, algo, {.on_checkpoint = collect}).ok());
+  return out;
+}
+
+// Envelope offset just past the last copy of the fields `write` encodes.
+// The estimator's section is a checkpoint's last, so the last copy of its
+// leading options is its own, whatever the contract section holds.
+std::size_t OffsetAfter(const std::vector<std::uint8_t>& envelope,
+                        const std::function<void(snapshot::SnapshotWriter&)>&
+                            write) {
+  snapshot::SnapshotWriter w;
+  write(w);
+  const std::vector<std::uint8_t> sealed = std::move(w).Finish();
+  const auto fields = sealed.begin() + 20;
+  const auto fields_end = sealed.end() - 4;
+  const auto at =
+      std::find_end(envelope.begin(), envelope.end(), fields, fields_end);
+  EXPECT_NE(at, envelope.end());
+  return static_cast<std::size_t>((at - envelope.begin()) +
+                                  (fields_end - fields));
+}
+
+TEST(ChaosRecovery, EstimatorPassFieldOutOfRangeIsFailedPrecondition) {
+  // An estimator's own pass field (stored as pass + 1) is read from the
+  // bytes. One above the estimator's pass count, resealed into a mid-pass-0
+  // checkpoint under a valid CRC, must be rejected before any arithmetic
+  // on it, not resume to a wrong estimate.
+  const Graph g = gen::ErdosRenyiGnp(40, 0.3, 7);
+  const AdjacencyListStream stream(&g, 7);
+  core::TwoPassTriangleOptions triangle;
+  triangle.sample_size = 30;
+  triangle.seed = 3;
+  core::TriangleDistinguisherOptions distinguisher;
+  distinguisher.sample_size = 30;
+  distinguisher.seed = 3;
+  core::FourCycleOptions four_cycle;
+  four_cycle.sample_size = 30;
+  four_cycle.seed = 3;
+  struct Case {
+    const char* name;
+    std::function<std::unique_ptr<StreamAlgorithm>()> make;
+    // The options the estimator's section starts with, ahead of its pass.
+    std::function<void(snapshot::SnapshotWriter&)> options;
+  };
+  const Case cases[] = {
+      {"two-pass-triangle",
+       [&] { return std::make_unique<core::TwoPassTriangleCounter>(triangle); },
+       [](snapshot::SnapshotWriter& w) {
+         w.WriteU64(30);
+         w.WriteU64(3);
+         w.WriteBool(true);
+       }},
+      {"triangle-distinguisher",
+       [&] {
+         return std::make_unique<core::TriangleDistinguisher>(distinguisher);
+       },
+       [](snapshot::SnapshotWriter& w) {
+         w.WriteU64(30);
+         w.WriteU64(3);
+       }},
+      {"two-pass-four-cycle",
+       [&] {
+         return std::make_unique<core::TwoPassFourCycleCounter>(four_cycle);
+       },
+       [](snapshot::SnapshotWriter& w) {
+         w.WriteU64(30);
+         w.WriteU64(3);
+         w.WriteU64(0);  // max_wedges
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::unique_ptr<StreamAlgorithm> algo = c.make();
+    const std::vector<std::vector<std::uint8_t>> checkpoints =
+        CheckpointsInPass(stream, algo.get(), 0);
+    ASSERT_FALSE(checkpoints.empty());
+    const std::vector<std::uint8_t>& mid = checkpoints[checkpoints.size() / 2];
+    const std::size_t at = OffsetAfter(mid, c.options);
+    ASSERT_EQ(testing_util::PeekU64(mid, at), 1u);  // pass 0
+    for (const std::uint64_t field :
+         {std::uint64_t{3}, std::uint64_t{1} << 31, ~std::uint64_t{0}}) {
+      std::vector<std::uint8_t> bad = mid;
+      testing_util::PatchU64(bad, at, field);
+      testing_util::Reseal(bad);
+      std::unique_ptr<StreamAlgorithm> resumed = c.make();
+      StatusOr<RunReport> result =
+          RunPassesChecked(stream, resumed.get(), {.resume_from = bad});
+      ASSERT_FALSE(result.ok()) << "pass field " << field;
+      EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition)
+          << "pass field " << field << ": " << result.status().ToString();
+    }
+  }
+}
+
+TEST(ChaosRecovery, ZeroGeneratorStateIsDataLoss) {
+  // Wedge sampling stores its generator's four state words, and no seeded
+  // generator reaches all zeros. A checkpoint resealed with them zeroed is
+  // corrupt: the resume must fail with kDataLoss, not abort the process.
+  const Graph g = gen::ErdosRenyiGnp(40, 0.3, 7);
+  const AdjacencyListStream stream(&g, 7);
+  core::WedgeSamplingOptions options;
+  options.reservoir_size = 12;
+  options.seed = 3;
+  core::WedgeSamplingTriangleCounter algo(options);
+  const std::vector<std::vector<std::uint8_t>> checkpoints =
+      CheckpointsInPass(stream, &algo, 0);
+  ASSERT_FALSE(checkpoints.empty());
+  std::vector<std::uint8_t> bad = checkpoints[checkpoints.size() / 2];
+  const std::size_t at = OffsetAfter(bad, [](snapshot::SnapshotWriter& w) {
+    w.WriteU64(12);
+    w.WriteU64(3);
+  });
+  ASSERT_NE(testing_util::PeekU64(bad, at), 0u);
+  std::fill(bad.begin() + at, bad.begin() + at + 4 * 8, 0);
+  testing_util::Reseal(bad);
+  core::WedgeSamplingTriangleCounter resumed(options);
+  StatusOr<RunReport> result =
+      RunPassesChecked(stream, &resumed, {.resume_from = bad});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+      << result.status().ToString();
 }
 
 TEST(ChaosRecovery, SnapshotPayloadTracksAuditedBytes) {

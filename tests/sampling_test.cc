@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "sampling/bottom_k.h"
-#include "sampling/reservoir.h"
 
 namespace cyclestream {
 namespace sampling {
@@ -131,35 +130,6 @@ TEST(BottomK, MemoryStaysBoundedUnderChurn) {
   for (std::uint64_t key = 0; key < 100000; ++key) s.Offer(key, 0);
   // Heap compaction keeps the footprint O(capacity), not O(offers).
   EXPECT_LT(s.MemoryBytes(), 32u * 200);
-}
-
-TEST(Reservoir, KeepsAllUnderCapacity) {
-  ReservoirSampler<int> r(10, 1);
-  for (int i = 0; i < 5; ++i) r.Offer(i);
-  EXPECT_EQ(r.sample().size(), 5u);
-}
-
-TEST(Reservoir, ExactCapacityAfterOverflow) {
-  ReservoirSampler<int> r(10, 2);
-  for (int i = 0; i < 1000; ++i) r.Offer(i);
-  EXPECT_EQ(r.sample().size(), 10u);
-  EXPECT_EQ(r.offered(), 1000u);
-}
-
-TEST(Reservoir, UniformInclusionProbability) {
-  constexpr int kTrials = 3000;
-  constexpr int kItems = 40;
-  constexpr std::size_t kCap = 8;
-  std::vector<int> hits(kItems, 0);
-  for (int t = 0; t < kTrials; ++t) {
-    ReservoirSampler<int> r(kCap, 500 + t);
-    for (int i = 0; i < kItems; ++i) r.Offer(i);
-    for (int kept : r.sample()) ++hits[kept];
-  }
-  const double expected = kTrials * static_cast<double>(kCap) / kItems;
-  for (int i = 0; i < kItems; ++i) {
-    EXPECT_NEAR(hits[i], expected, 6 * std::sqrt(expected)) << "item " << i;
-  }
 }
 
 }  // namespace

@@ -724,6 +724,64 @@ TEST(ServiceChaos, RestoreRejectsAHugePassCountAndTheShardKeepsDraining) {
   EXPECT_EQ(after->estimate, before->estimate);
 }
 
+TEST(ServiceChaos, RestoreRejectsAZeroGeneratorStateAndTheShardKeepsServing) {
+  // Wedge sampling's generator words, zeroed in a manifest resealed under
+  // valid CRCs, must fail the restore with kDataLoss rather than abort the
+  // process from the shard's drain task; the shard keeps its streams.
+  ServiceOptions options;
+  options.shards = 1;
+  EstimatorService svc(options);
+  EstimatorSpec spec;
+  spec.kind = EstimatorKind::kWedgeSamplingTriangle;
+  spec.slots = 12;
+  spec.seed = 3;
+  const StreamId id = 7;
+  ASSERT_TRUE(svc.Create(id, spec).get().ok());
+  const Graph g = gen::ErdosRenyiGnp(40, 0.3, 7);
+  stream::AdjacencyListStream stream(&g, 7);
+  for (VertexId u : stream.list_order()) svc.Append(id, u, stream.ListOf(u));
+  svc.EndPass(id);
+  StatusOr<StreamView> before = svc.Query(id).get();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  StatusOr<std::vector<std::uint8_t>> manifest = svc.CheckpointShard(0).get();
+  ASSERT_TRUE(manifest.ok());
+
+  // The estimator's section opens with its options (reservoir size, seed),
+  // then the four generator words. The spec carries the same two numbers
+  // earlier, so take the last copy.
+  snapshot::SnapshotWriter w;
+  w.WriteU64(spec.slots);
+  w.WriteU64(spec.seed);
+  const std::vector<std::uint8_t> sealed = std::move(w).Finish();
+  std::vector<std::uint8_t> bad = *manifest;
+  const auto options_at = std::find_end(bad.begin(), bad.end(),
+                                        sealed.begin() + 20, sealed.end() - 4);
+  ASSERT_NE(options_at, bad.end());
+  const std::size_t rng_at =
+      static_cast<std::size_t>(options_at - bad.begin()) + 2 * 8;
+  ASSERT_NE(testing_util::PeekU64(bad, rng_at), 0u);
+  std::fill(bad.begin() + rng_at, bad.begin() + rng_at + 4 * 8, 0);
+  // Reseal the nested envelope (the manifest's second magic), then the
+  // manifest around it.
+  const std::string magic = "CYSNAPSH";
+  const auto nested_at =
+      std::search(bad.begin() + 1, bad.end(), magic.begin(), magic.end());
+  ASSERT_NE(nested_at, bad.end());
+  const std::size_t nested = static_cast<std::size_t>(nested_at - bad.begin());
+  const std::uint64_t payload = testing_util::PeekU64(bad, nested + 12);
+  testing_util::Reseal(std::span<std::uint8_t>(bad).subspan(
+      nested, payload + snapshot::kEnvelopeBytes));
+  testing_util::Reseal(bad);
+
+  Status restored = svc.RestoreShard(0, bad).get();
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.code(), StatusCode::kDataLoss) << restored.ToString();
+  StatusOr<StreamView> after = svc.Query(id).get();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ExpectReportsEqual(after->report, before->report);
+  EXPECT_EQ(after->estimate, before->estimate);
+}
+
 // ---------------------------------------------------------------------------
 // API misuse surfaces as typed errors, never wrong answers.
 

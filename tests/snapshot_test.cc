@@ -2,14 +2,21 @@
 // the part the chaos harness leans on — every corruption class mapping to
 // its typed Status code, never to a successfully-opened reader.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
+#include "util/random.h"
 #include "util/status.h"
 
 namespace cyclestream {
@@ -204,6 +211,240 @@ TEST(Snapshot, PayloadSizeMatchesEnvelope) {
   EXPECT_EQ(payload, 8u + 8u + 2u);
   std::vector<std::uint8_t> bytes = std::move(w).Finish();
   EXPECT_EQ(bytes.size(), payload + kEnvelopeBytes);
+}
+
+// --- The archive (snapshot/codec.h): one layout, written once. ---
+
+// A section with its own Serialize/Restore, archived through Nested.
+struct ArchiveSection {
+  std::uint64_t value = 0;
+
+  static void Fields(auto& self, auto& ar) { ar.U64(self.value); }
+  void Serialize(SnapshotWriter& w) const {
+    Saver ar(w);
+    Fields(*this, ar);
+  }
+  Status Restore(SnapshotReader& r) {
+    Loader ar(r);
+    Fields(*this, ar);
+    return ar.status();
+  }
+};
+
+// One field per archive method.
+struct ArchiveSample {
+  std::uint8_t u8 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  bool flag = false;
+  std::string text;
+  std::vector<std::uint8_t> blob;
+  std::uint64_t option = 0;
+  int pass = -1;
+  std::vector<std::uint32_t> ids;
+  std::vector<std::pair<std::uint32_t, std::uint8_t>> pairs;
+  std::vector<std::uint64_t> sized;
+  std::vector<std::uint32_t> scratch;
+  std::vector<std::uint32_t> dead;
+  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> map;
+  std::unordered_set<std::uint64_t> set;
+  Rng rng{5};
+  ArchiveSection section;
+
+  static void Fields(auto& self, auto& ar) {
+    ar.U8(self.u8);
+    ar.U32(self.u32);
+    ar.U64(self.u64);
+    ar.Bool(self.flag);
+    ar.String(self.text);
+    ar.Bytes(self.blob);
+    ar.Option(self.option, "option");
+    ar.Pass(self.pass, 2);
+    ar.Vec(self.ids);
+    ar.Vec(self.pairs, [](auto& ar, auto& p) {
+      ar.U32(p.first);
+      ar.U8(p.second);
+    });
+    ar.Size(self.sized, 8);
+    for (auto& x : self.sized) ar.U64(x);
+    ar.Scratch(self.scratch);
+    ar.Capacity(self.dead);
+    ar.Buckets(self.map);
+    ar.Map(
+        self.map, [&](auto key) -> auto& { return self.map[key]; },
+        [](auto& ar, auto& list) { ar.Vec(list); });
+    ar.Set(self.set);
+    ar.Buckets(self.set);
+    ar.Rng(self.rng);
+    ar.Nested(self.section);
+  }
+};
+
+// Envelope around a raw payload, as SnapshotWriter::Finish seals one.
+std::vector<std::uint8_t> SealPayload(std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> out = {'C', 'Y', 'S', 'N', 'A', 'P', 'S', 'H'};
+  auto put = [&out](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+    }
+  };
+  put(kSnapshotVersion, 4);
+  put(payload.size(), 8);
+  out.insert(out.end(), payload.begin(), payload.end());
+  put(Crc32(out), 4);
+  return out;
+}
+
+TEST(SnapshotArchive, SaverWritesTheVersion1SequenceAndLoaderInvertsIt) {
+  ArchiveSample in;
+  in.u8 = 0xa5;
+  in.u32 = 0xdeadbeef;
+  in.u64 = 0x0123456789abcdefULL;
+  in.flag = true;
+  in.text = "list";
+  in.blob = {0, 7, 255};
+  in.option = 42;
+  in.pass = 1;
+  in.ids = {3, 1, 4};
+  in.ids.reserve(9);
+  in.pairs = {{5, 2}, {6, 0}};
+  in.sized = {10, 20};
+  in.scratch.reserve(12);
+  in.dead = {8, 8};
+  in.map[9] = {90, 91};
+  in.map[2] = {20};
+  in.map[7];
+  in.set = {33, 11, 22};
+  in.rng.Next64();
+  in.section.value = 77;
+
+  SnapshotWriter saved;
+  Saver saver(saved);
+  ArchiveSample::Fields(in, saver);
+  const std::vector<std::uint8_t> bytes = std::move(saved).Finish();
+
+  // The same fields by hand, in the version-1 order; record where the
+  // fields the failure cases patch begin.
+  SnapshotWriter w;
+  w.WriteU8(in.u8);
+  w.WriteU32(in.u32);
+  w.WriteU64(in.u64);
+  w.WriteBool(in.flag);
+  w.WriteString(in.text);
+  w.WriteBytes(in.blob);
+  const std::size_t option_at = w.payload_size();
+  w.WriteU64(in.option);
+  const std::size_t pass_at = w.payload_size();
+  w.WriteU64(static_cast<std::uint64_t>(in.pass + 1));
+  w.WriteU64(in.ids.size());
+  w.WriteU64(in.ids.capacity());
+  for (std::uint32_t id : in.ids) w.WriteU32(id);
+  w.WriteU64(in.pairs.size());
+  w.WriteU64(in.pairs.capacity());
+  for (const auto& [first, second] : in.pairs) {
+    w.WriteU32(first);
+    w.WriteU8(second);
+  }
+  w.WriteU64(in.sized.size());
+  for (std::uint64_t x : in.sized) w.WriteU64(x);
+  w.WriteU64(in.scratch.capacity());
+  w.WriteU64(in.dead.capacity());
+  w.WriteU64(in.map.bucket_count());
+  w.WriteU64(in.map.size());
+  for (std::uint32_t key : {2u, 7u, 9u}) {
+    const std::vector<std::uint64_t>& list = in.map.at(key);
+    w.WriteU32(key);
+    w.WriteU64(list.size());
+    w.WriteU64(list.capacity());
+    for (std::uint64_t x : list) w.WriteU64(x);
+  }
+  w.WriteU64(in.set.size());
+  for (std::uint64_t x : {11u, 22u, 33u}) w.WriteU64(x);
+  w.WriteU64(in.set.bucket_count());
+  const std::size_t rng_at = w.payload_size();
+  std::uint64_t state[4];
+  in.rng.GetState(state);
+  for (std::uint64_t word : state) w.WriteU64(word);
+  const std::size_t section_at = w.payload_size();
+  w.WriteU64(in.section.value);
+  EXPECT_EQ(bytes, std::move(w).Finish());
+
+  // Round trip: the Loader rebuilds content and geometry, so the restored
+  // sample saves to the same bytes.
+  StatusOr<SnapshotReader> r = SnapshotReader::Open(bytes);
+  ASSERT_TRUE(r.ok());
+  ArchiveSample out;
+  out.option = in.option;
+  Loader loader(*r);
+  ArchiveSample::Fields(out, loader);
+  ASSERT_TRUE(loader.status().ok()) << loader.status().ToString();
+  EXPECT_TRUE(r->Final().ok());
+  EXPECT_EQ(out.pass, 1);
+  EXPECT_EQ(out.text, "list");
+  EXPECT_EQ(out.blob, in.blob);
+  EXPECT_EQ(out.ids.capacity(), 9u);
+  EXPECT_EQ(out.scratch.capacity(), 12u);
+  EXPECT_EQ(out.map, in.map);
+  EXPECT_EQ(out.set, in.set);
+  EXPECT_EQ(out.section.value, 77u);
+  SnapshotWriter again;
+  Saver resaver(again);
+  ArchiveSample::Fields(out, resaver);
+  EXPECT_EQ(std::move(again).Finish(), bytes);
+  EXPECT_EQ(out.rng.Next64(), in.rng.Next64());
+
+  // Each failure has its code, and the Loader reads nothing after it: the
+  // reader's remaining() is where the failing field left it.
+  const std::span<const std::uint8_t> payload =
+      std::span<const std::uint8_t>(bytes).subspan(
+          20, bytes.size() - kEnvelopeBytes);
+  struct Case {
+    const char* name;
+    std::vector<std::uint8_t> payload;
+    std::uint64_t option;
+    StatusCode code;
+    std::size_t consumed;  // payload bytes read up to the failure
+  };
+  std::vector<Case> cases;
+  cases.push_back({"short payload",
+                   {payload.begin(), payload.end() - 3},
+                   in.option,
+                   StatusCode::kDataLoss,
+                   payload.size() - 3});
+  cases.push_back({"option mismatch",
+                   {payload.begin(), payload.end()},
+                   in.option + 1,
+                   StatusCode::kFailedPrecondition,
+                   pass_at});
+  std::vector<std::uint8_t> bad_pass(payload.begin(), payload.end());
+  bad_pass[pass_at] = 3;  // pass 2 of a two-pass layout
+  cases.push_back({"pass out of range", bad_pass, in.option,
+                   StatusCode::kFailedPrecondition, pass_at + 8});
+  std::vector<std::uint8_t> zero_rng(payload.begin(), payload.end());
+  std::fill(zero_rng.begin() + rng_at, zero_rng.begin() + section_at, 0);
+  cases.push_back({"zero generator", zero_rng, in.option,
+                   StatusCode::kDataLoss, section_at});
+  ASSERT_LT(option_at, pass_at);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<std::uint8_t> sealed = SealPayload(c.payload);
+    StatusOr<SnapshotReader> reader = SnapshotReader::Open(sealed);
+    ASSERT_TRUE(reader.ok());
+    ArchiveSample target;
+    target.option = c.option;
+    Loader failing(*reader);
+    ArchiveSample::Fields(target, failing);
+    EXPECT_FALSE(failing.ok());
+    EXPECT_EQ(failing.status().code(), c.code) << failing.status().ToString();
+    EXPECT_EQ(reader->remaining(), c.payload.size() - c.consumed);
+    const std::size_t remaining = reader->remaining();
+    std::uint64_t untouched = 5;
+    failing.U64(untouched);
+    failing.Nested(target.section);
+    EXPECT_EQ(untouched, 5u);
+    EXPECT_EQ(reader->remaining(), remaining);
+    EXPECT_EQ(failing.status().code(), c.code);
+  }
 }
 
 }  // namespace
