@@ -7,10 +7,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -30,9 +32,12 @@
 #include "gen/erdos_renyi.h"
 #include "gen/projective_plane.h"
 #include "sampling/bottom_k.h"
+#include "service/estimator_host.h"
 #include "stream/adjacency_stream.h"
 #include "stream/driver.h"
+#include "stream/random_order_stream.h"
 #include "stream/validator.h"
+#include "util/check.h"
 #include "util/random.h"
 
 namespace cyclestream {
@@ -394,6 +399,67 @@ void WriteReplayThroughputCurves(obs::ManifestWriter& writer) {
   }
 }
 
+// Space-meter rows for the manifest. The driver samples CurrentSpaceBytes()
+// at every list boundary, so it must be O(1) in the algorithm's state
+// (stream/algorithm.h). Per hosted kind 1-7, the state a full run leaves at
+// m/256 and at m/32 slots (8x apart) on one Chung-Lu graph gives curves
+// "space_sample/<kind>/small" and ".../large": one point each, y = the best
+// over reps of the mean ns of one call in a batch of calls. The two states'
+// reps alternate, so drift in the host's speed hits both alike. The
+// random-order counter runs over a random-order stream, the rest over
+// adjacency lists. `bench_report.py validate` fails a kind whose
+// large/small ratio exceeds 2.
+void WriteSpaceSampleCurves(obs::ManifestWriter& writer) {
+  constexpr int kReps = 500;
+  constexpr int kCallsPerRep = 64;
+  const Graph g = gen::ChungLuPowerLaw(5000, 16.0, 2.3, 1);
+  const stream::AdjacencyListStream lists(&g, 7);
+  const stream::RandomOrderStream edges(&g, 7);
+  struct Budget {
+    const char* name;
+    std::uint64_t slots;
+    std::unique_ptr<stream::StreamAlgorithm> algo;
+    double best_ns = std::numeric_limits<double>::infinity();
+  };
+  for (int k = 1; k <= 7; ++k) {
+    const auto kind = static_cast<service::EstimatorKind>(k);
+    Budget budgets[] = {{"small", g.num_edges() / 256, nullptr},
+                        {"large", g.num_edges() / 32, nullptr}};
+    for (Budget& budget : budgets) {
+      StatusOr<service::HostedEstimator> hosted =
+          service::MakeHosted({kind, budget.slots, 1});
+      CYCLESTREAM_CHECK(hosted.ok());
+      budget.algo = std::move(hosted->algo);
+      if (kind == service::EstimatorKind::kRandomOrderTriangle) {
+        stream::RunPasses(edges, budget.algo.get());
+      } else {
+        stream::RunPasses(lists, budget.algo.get());
+      }
+    }
+    for (int r = 0; r < kReps; ++r) {
+      for (Budget& budget : budgets) {
+        const auto start = std::chrono::steady_clock::now();
+        for (int c = 0; c < kCallsPerRep; ++c) {
+          benchmark::DoNotOptimize(budget.algo->CurrentSpaceBytes());
+        }
+        const std::chrono::duration<double, std::nano> elapsed =
+            std::chrono::steady_clock::now() - start;
+        budget.best_ns =
+            std::min(budget.best_ns, elapsed.count() / kCallsPerRep);
+      }
+    }
+    for (const Budget& budget : budgets) {
+      obs::Json point = obs::MakeRecord("curve_point");
+      point.Set("curve", obs::Json(std::string("space_sample/") +
+                                   service::KindName(kind) + "/" +
+                                   budget.name));
+      point.Set("x", obs::Json(static_cast<double>(budget.slots)));
+      point.Set("y", obs::Json(budget.best_ns));
+      writer.Write(point);
+    }
+  }
+}
+
 // Hardware-counter curves behind --prof: one profiled replay per (graph
 // family, delivery mode), emitted as curve_point rows so the baseline can
 // carry per-pair IPC / cache-miss curves. Per-pair task-clock is always
@@ -546,6 +612,7 @@ int main(int argc, char** argv) {
     run.Set("prof", obs::Json(prof != nullptr));
     writer->Write(run);
     WriteReplayThroughputCurves(*writer);
+    WriteSpaceSampleCurves(*writer);
     if (prof != nullptr) {
       auto prof_span =
           obs::TraceSession::Begin(spans.get(), "prof-curves", "bench");

@@ -14,7 +14,12 @@ This script is their consumer:
               (hardware-counter aggregates from src/obs/prof.h) must carry
               non-negative counters, an IPC inside a sanity band when the
               perf_event backend measured real cycles, and a fallback flag
-              consistent with the backend name.
+              consistent with the backend name. Replay-throughput curve
+              pairs must not show batched delivery below per-pair
+              delivery, and space-sample curve pairs must not show one
+              CurrentSpaceBytes() call costing more than
+              SPACE_SAMPLE_MAX_RATIO times as much at the large state as
+              at the small one.
   report    — human-readable summary: batches, space curves with fitted
               log-log slopes, exponent fits, slope checks, metrics.
   fit       — refit every "fit" record's space curve (log-log least
@@ -120,6 +125,12 @@ AUDIT_SLACK_PER_SLOT_BYTES = 64
 # Batch-config keys that carry the estimator's configured slot count
 # (sample size / reservoir capacity), used for the audit slack.
 SLOT_CONFIG_KEYS = ("sample", "reservoir")
+
+# A space sample is O(1) in the algorithm's state (src/stream/algorithm.h).
+# micro_substrate times one CurrentSpaceBytes() call per estimator at two
+# state sizes 8x apart; an O(1) meter costs the same at both, so a ratio
+# above this one means the meter walks its state.
+SPACE_SAMPLE_MAX_RATIO = 2.0
 
 
 class ManifestError(Exception):
@@ -345,6 +356,33 @@ def check_throughput_pairs(path, grouped):
     return errors
 
 
+def check_space_samples(path, grouped):
+    """The space meter must be O(1): for every curve pair
+    ``space_sample/<kind>/small`` and ``space_sample/<kind>/large`` (one
+    CurrentSpaceBytes() call's ns at two state sizes 8x apart), the large
+    curve's mean y must be at most SPACE_SAMPLE_MAX_RATIO times the small
+    curve's."""
+    errors = []
+    for curve in sorted(grouped["curves"]):
+        if not (curve.startswith("space_sample/") and
+                curve.endswith("/small")):
+            continue
+        base = curve[: -len("/small")]
+        large = grouped["curves"].get(base + "/large")
+        if not large:
+            continue
+        small = grouped["curves"][curve]
+        small_mean = sum(y for _, y in small) / len(small)
+        large_mean = sum(y for _, y in large) / len(large)
+        if large_mean > SPACE_SAMPLE_MAX_RATIO * small_mean:
+            errors.append(
+                f"{path}: curve {base!r}: a space sample costs "
+                f"{large_mean:.4g} ns at the large state, "
+                f"{large_mean / small_mean:.3g}x the small state's "
+                f"{small_mean:.4g} ns (limit {SPACE_SAMPLE_MAX_RATIO:g}x)")
+    return errors
+
+
 def check_driver_counters(path, grouped):
     """A run cannot complete more passes than were requested: in every
     metrics snapshot carrying both counters, driver.passes (completed) must
@@ -477,6 +515,7 @@ def cmd_validate(args):
             errors += check_audit(path, grouped)
             errors += check_timelines(path, grouped)
             errors += check_throughput_pairs(path, grouped)
+            errors += check_space_samples(path, grouped)
             errors += check_driver_counters(path, grouped)
             errors += check_accuracy(path, grouped)
             errors += check_prof(path, grouped)

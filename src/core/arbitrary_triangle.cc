@@ -1,6 +1,8 @@
 #include "core/arbitrary_triangle.h"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 
 #include "util/check.h"
 #include "util/hashing.h"
@@ -14,16 +16,8 @@ ArbitraryOrderTriangleCounter::ArbitraryOrderTriangleCounter(
       edge_sample_(std::max<std::size_t>(options.sample_size, 1),
                    Mix64(options.seed) ^ 0x8888888888888888ULL,
                    &space_domain_),
-      edges_by_vertex_(
-          decltype(edges_by_vertex_)::allocator_type(&space_domain_)) {
+      edges_by_vertex_(&space_domain_) {
   CYCLESTREAM_CHECK_GE(options.sample_size, 1u);
-}
-
-obs::AccountedVector<EdgeKey>& ArbitraryOrderTriangleCounter::EdgesByVertex(
-    VertexId v) {
-  return edges_by_vertex_
-      .try_emplace(v, obs::AccountedAllocator<EdgeKey>(&space_domain_))
-      .first->second;
 }
 
 void ArbitraryOrderTriangleCounter::OnEdgeEvicted(EdgeKey key,
@@ -33,19 +27,8 @@ void ArbitraryOrderTriangleCounter::OnEdgeEvicted(EdgeKey key,
   // detection is subtracted exactly once — whichever wedge edge dies first
   // takes it with it).
   detections_ -= state.detections;
-  for (VertexId endpoint : {state.lo, state.hi}) {
-    auto it = edges_by_vertex_.find(endpoint);
-    if (it == edges_by_vertex_.end()) continue;
-    auto& vec = it->second;
-    for (std::size_t i = 0; i < vec.size(); ++i) {
-      if (vec[i] == key) {
-        vec[i] = vec.back();
-        vec.pop_back();
-        break;
-      }
-    }
-    if (vec.empty()) edges_by_vertex_.erase(it);
-  }
+  edges_by_vertex_.Remove(state.lo, key);
+  edges_by_vertex_.Remove(state.hi, key);
 }
 
 void ArbitraryOrderTriangleCounter::HandlePair(VertexId u, VertexId v) {
@@ -55,34 +38,28 @@ void ArbitraryOrderTriangleCounter::HandlePair(VertexId u, VertexId v) {
   // Detect wedges u-x-v with both edges sampled: iterate the sparser
   // endpoint's sampled incident edges and probe for the partner.
   VertexId a = u, b = v;
-  auto au = edges_by_vertex_.find(a);
-  auto bv = edges_by_vertex_.find(b);
-  std::size_t da = au == edges_by_vertex_.end() ? 0 : au->second.size();
-  std::size_t db = bv == edges_by_vertex_.end() ? 0 : bv->second.size();
-  if (db < da) {
+  std::span<const EdgeKey> at_a = edges_by_vertex_.Find(a);
+  std::span<const EdgeKey> at_b = edges_by_vertex_.Find(b);
+  if (at_b.size() < at_a.size()) {
     std::swap(a, b);
-    std::swap(au, bv);
-    std::swap(da, db);
+    std::swap(at_a, at_b);
   }
-  if (da > 0) {
-    // Copy: detections mutate nothing, but keep iteration clearly safe.
-    for (EdgeKey first : au->second) {
-      if (first == closing) continue;
-      VertexId x = OtherEndpoint(first, a);
-      if (x == b) continue;
-      EdgeKey second = MakeEdgeKey(x, b);
-      EdgeState* st2 = edge_sample_.Find(second);
-      if (st2 == nullptr) continue;
-      // Wedge a-x-b fully sampled; {u, v} closes the triangle. Attribute
-      // the detection to exactly one wedge edge (the one with the larger
-      // priority — the first to be evicted if either ever is), so rollback
-      // happens exactly once.
-      ++detections_;
-      if (edge_sample_.PriorityOf(first) > edge_sample_.PriorityOf(second)) {
-        edge_sample_.Find(first)->detections += 1;
-      } else {
-        st2->detections += 1;
-      }
+  for (EdgeKey first : at_a) {
+    if (first == closing) continue;
+    VertexId x = OtherEndpoint(first, a);
+    if (x == b) continue;
+    EdgeKey second = MakeEdgeKey(x, b);
+    EdgeState* st2 = edge_sample_.Find(second);
+    if (st2 == nullptr) continue;
+    // Wedge a-x-b fully sampled; {u, v} closes the triangle. Attribute the
+    // detection to exactly one wedge edge (the one with the larger priority
+    // — the first to be evicted if either ever is), so rollback happens
+    // exactly once.
+    ++detections_;
+    if (edge_sample_.PriorityOf(first) > edge_sample_.PriorityOf(second)) {
+      edge_sample_.Find(first)->detections += 1;
+    } else {
+      st2->detections += 1;
     }
   }
 
@@ -94,8 +71,8 @@ void ArbitraryOrderTriangleCounter::HandlePair(VertexId u, VertexId v) {
       closing, std::move(state),
       [this](EdgeKey k, EdgeState&& evicted) { OnEdgeEvicted(k, std::move(evicted)); });
   if (result == sampling::OfferResult::kInserted) {
-    EdgesByVertex(EdgeKeyLo(closing)).push_back(closing);
-    EdgesByVertex(EdgeKeyHi(closing)).push_back(closing);
+    edges_by_vertex_.Add(EdgeKeyLo(closing), closing);
+    edges_by_vertex_.Add(EdgeKeyHi(closing), closing);
   }
 }
 

@@ -18,8 +18,8 @@
 
 #include <cstdint>
 
+#include "core/watch_index.h"
 #include "graph/types.h"
-#include "obs/accounting.h"
 #include "sampling/bottom_k.h"
 #include "stream/algorithm.h"
 #include "stream/model.h"
@@ -56,9 +56,6 @@ class ArbitraryOrderTriangleCounter final
     return stream::IsEdgeModel(model);
   }
   std::size_t CurrentSpaceBytes() const override;
-  const obs::MemoryDomain* memory_domain() const override {
-    return &space_domain_;
-  }
 
   ArbitraryTriangleResult result() const;
   double Estimate() const { return result().estimate; }
@@ -80,16 +77,11 @@ class ArbitraryOrderTriangleCounter final
 
   void OnEdgeEvicted(EdgeKey key, EdgeState&& state);
 
-  // Incident-edge list for `v`, creating it bound to space_domain_ if absent.
-  obs::AccountedVector<EdgeKey>& EdgesByVertex(VertexId v);
-
   ArbitraryTriangleOptions options_;
   std::uint64_t edge_events_ = 0;
   std::uint64_t detections_ = 0;
-  obs::MemoryDomain space_domain_;  // must outlive the containers below
   sampling::BottomKSampler<EdgeState> edge_sample_;
-  obs::AccountedUnorderedMap<VertexId, obs::AccountedVector<EdgeKey>>
-      edges_by_vertex_;
+  WatchIndex<VertexId, EdgeKey> edges_by_vertex_;
 };
 
 }  // namespace core

@@ -29,9 +29,6 @@ class ExactStreamTriangleCounter final : public stream::PairDispatch<ExactStream
   void BeginList(VertexId u) override;
   void EndList(VertexId u) override;
   std::size_t CurrentSpaceBytes() const override;
-  const obs::MemoryDomain* memory_domain() const override {
-    return &space_domain_;
-  }
 
   std::uint64_t triangles() const { return triangles_; }
   std::uint64_t edge_count() const { return pair_events_ / 2; }
@@ -50,7 +47,6 @@ class ExactStreamTriangleCounter final : public stream::PairDispatch<ExactStream
   // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
   static void Fields(auto& self, auto& ar);
 
-  obs::MemoryDomain space_domain_;  // must outlive the containers below
   // 0 = unseen, 1 = one copy seen, 2 = both copies seen.
   obs::AccountedUnorderedMap<EdgeKey, std::uint8_t> edge_state_;
   obs::AccountedVector<VertexId> current_list_;

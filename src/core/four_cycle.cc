@@ -29,19 +29,11 @@ TwoPassFourCycleCounter::TwoPassFourCycleCounter(
                    Mix64(options.seed) ^ 0x5555555555555555ULL,
                    &space_domain_),
       wedges_(decltype(wedges_)::allocator_type(&space_domain_)),
-      wedge_watchers_(
-          decltype(wedge_watchers_)::allocator_type(&space_domain_)),
+      wedge_watchers_(&space_domain_),
       touched_wedges_(
           decltype(touched_wedges_)::allocator_type(&space_domain_)),
       found_cycles_(decltype(found_cycles_)::allocator_type(&space_domain_)) {
   CYCLESTREAM_CHECK_GE(options.sample_size, 1u);
-}
-
-obs::AccountedVector<std::uint32_t>& TwoPassFourCycleCounter::WedgeWatchers(
-    VertexId v) {
-  return wedge_watchers_
-      .try_emplace(v, obs::AccountedAllocator<std::uint32_t>(&space_domain_))
-      .first->second;
 }
 
 void TwoPassFourCycleCounter::BeginPass(int pass) { pass_ = pass; }
@@ -75,8 +67,8 @@ void TwoPassFourCycleCounter::BuildWedges() {
         state.wedge = MakeWedge(center, others[i], others[j]);
         std::uint32_t idx = static_cast<std::uint32_t>(wedges_.size());
         wedges_.push_back(state);
-        WedgeWatchers(state.wedge.end_lo).push_back(idx);
-        WedgeWatchers(state.wedge.end_hi).push_back(idx);
+        wedge_watchers_.Add(state.wedge.end_lo, idx);
+        wedge_watchers_.Add(state.wedge.end_hi, idx);
       }
     }
   }
@@ -90,9 +82,7 @@ void TwoPassFourCycleCounter::HandlePair(VertexId u, VertexId v) {
     return;
   }
   // Pass 2: flag wedges having endpoint v.
-  auto wit = wedge_watchers_.find(v);
-  if (wit == wedge_watchers_.end()) return;
-  for (std::uint32_t idx : wit->second) {
+  for (std::uint32_t idx : wedge_watchers_.Find(v)) {
     WedgeState& ws = wedges_[idx];
     if (!ws.flag_lo && !ws.flag_hi) touched_wedges_.push_back(idx);
     if (ws.wedge.end_lo == v) {
@@ -153,11 +143,7 @@ void TwoPassFourCycleCounter::Fields(auto& self, auto& ar) {
     ar.U32(ws.wedge.end_hi);
     ar.U64(ws.count);
   });
-  ar.Buckets(self.wedge_watchers_);
-  ar.Map(
-      self.wedge_watchers_,
-      [&](auto v) -> auto& { return self.WedgeWatchers(v); },
-      [](auto& ar, auto& slots) { ar.Vec(slots); });
+  WatchIndex<VertexId, std::uint32_t>::Fields(self.wedge_watchers_, ar);
   ar.Scratch(self.touched_wedges_);
   ar.Buckets(self.found_cycles_);
   ar.Set(self.found_cycles_);

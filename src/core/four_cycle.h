@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <span>
 
+#include "core/watch_index.h"
 #include "graph/types.h"
 #include "graph/wedge.h"
 #include "obs/accounting.h"
@@ -68,9 +69,6 @@ class TwoPassFourCycleCounter final : public stream::PairDispatch<TwoPassFourCyc
   void EndList(VertexId u) override;
   void EndPass(int pass) override;
   std::size_t CurrentSpaceBytes() const override;
-  const obs::MemoryDomain* memory_domain() const override {
-    return &space_domain_;
-  }
 
   FourCycleResult result() const;
   double Estimate() const { return result().estimate; }
@@ -105,18 +103,13 @@ class TwoPassFourCycleCounter final : public stream::PairDispatch<TwoPassFourCyc
 
   void BuildWedges();
 
-  // Watcher list for `v`, creating it bound to space_domain_ if absent.
-  obs::AccountedVector<std::uint32_t>& WedgeWatchers(VertexId v);
-
   FourCycleOptions options_;
   int pass_ = -1;
   std::uint64_t pair_events_ = 0;
 
-  obs::MemoryDomain space_domain_;  // must outlive the containers below
   sampling::BottomKSampler<EdgeEntry> edge_sample_;
   obs::AccountedVector<WedgeState> wedges_;
-  obs::AccountedUnorderedMap<VertexId, obs::AccountedVector<std::uint32_t>>
-      wedge_watchers_;
+  WatchIndex<VertexId, std::uint32_t> wedge_watchers_;
   obs::AccountedVector<std::uint32_t> touched_wedges_;
   obs::AccountedUnorderedSet<std::uint64_t> found_cycles_;
   std::uint64_t wedge_incidences_ = 0;

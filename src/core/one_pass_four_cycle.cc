@@ -15,29 +15,13 @@ OnePassFourCycleCounter::OnePassFourCycleCounter(
       edge_sample_(std::max<std::size_t>(options.sample_size, 1),
                    Mix64(options.seed) ^ 0x6666666666666666ULL,
                    &space_domain_),
-      edges_by_vertex_(
-          decltype(edges_by_vertex_)::allocator_type(&space_domain_)),
+      edges_by_vertex_(&space_domain_),
       wedges_(decltype(wedges_)::allocator_type(&space_domain_)),
       free_wedges_(decltype(free_wedges_)::allocator_type(&space_domain_)),
-      wedge_watchers_(
-          decltype(wedge_watchers_)::allocator_type(&space_domain_)),
+      wedge_watchers_(&space_domain_),
       touched_wedges_(
           decltype(touched_wedges_)::allocator_type(&space_domain_)) {
   CYCLESTREAM_CHECK_GE(options.sample_size, 1u);
-}
-
-obs::AccountedVector<EdgeKey>& OnePassFourCycleCounter::EdgesByVertex(
-    VertexId v) {
-  return edges_by_vertex_
-      .try_emplace(v, obs::AccountedAllocator<EdgeKey>(&space_domain_))
-      .first->second;
-}
-
-obs::AccountedVector<std::uint32_t>& OnePassFourCycleCounter::WedgeWatchers(
-    VertexId v) {
-  return wedge_watchers_
-      .try_emplace(v, obs::AccountedAllocator<std::uint32_t>(&space_domain_))
-      .first->second;
 }
 
 void OnePassFourCycleCounter::AddWedgesForNewEdge(EdgeKey key, VertexId lo,
@@ -45,9 +29,7 @@ void OnePassFourCycleCounter::AddWedgesForNewEdge(EdgeKey key, VertexId lo,
   // Pair the new edge with every sampled edge sharing an endpoint.
   for (VertexId center : {lo, hi}) {
     VertexId new_end = OtherEndpoint(key, center);
-    auto it = edges_by_vertex_.find(center);
-    if (it == edges_by_vertex_.end()) continue;
-    for (EdgeKey other : it->second) {
+    for (EdgeKey other : edges_by_vertex_.Find(center)) {
       if (other == key) continue;
       VertexId other_end = OtherEndpoint(other, center);
       if (other_end == new_end) continue;
@@ -66,8 +48,8 @@ void OnePassFourCycleCounter::AddWedgesForNewEdge(EdgeKey key, VertexId lo,
       w.edge_b = MakeEdgeKey(center, w.wedge.end_hi);
       w.live = true;
       ++live_wedges_;
-      WedgeWatchers(w.wedge.end_lo).push_back(idx);
-      WedgeWatchers(w.wedge.end_hi).push_back(idx);
+      wedge_watchers_.Add(w.wedge.end_lo, idx);
+      wedge_watchers_.Add(w.wedge.end_hi, idx);
       edge_sample_.Find(key)->wedges.push_back(idx);
       edge_sample_.Find(other)->wedges.push_back(idx);
     }
@@ -78,32 +60,13 @@ void OnePassFourCycleCounter::RemoveWedge(std::uint32_t idx) {
   WedgeState& w = wedges_[idx];
   if (!w.live) return;
   detections_ -= w.detections;
-  for (VertexId endpoint : {w.wedge.end_lo, w.wedge.end_hi}) {
-    auto it = wedge_watchers_.find(endpoint);
-    if (it == wedge_watchers_.end()) continue;
-    auto& vec = it->second;
-    for (std::size_t i = 0; i < vec.size(); ++i) {
-      if (vec[i] == idx) {
-        vec[i] = vec.back();
-        vec.pop_back();
-        break;
-      }
-    }
-    if (vec.empty()) wedge_watchers_.erase(it);
-  }
+  wedge_watchers_.Remove(w.wedge.end_lo, idx);
+  wedge_watchers_.Remove(w.wedge.end_hi, idx);
   // Detach from the surviving edge's wedge list (the evicted edge's state is
   // being destroyed by the sampler).
   for (EdgeKey ekey : {w.edge_a, w.edge_b}) {
     EdgeState* st = edge_sample_.Find(ekey);
-    if (st == nullptr) continue;
-    auto& vec = st->wedges;
-    for (std::size_t i = 0; i < vec.size(); ++i) {
-      if (vec[i] == idx) {
-        vec[i] = vec.back();
-        vec.pop_back();
-        break;
-      }
-    }
+    if (st != nullptr) SwapRemove(st->wedges, idx);
   }
   w.live = false;
   --live_wedges_;
@@ -113,19 +76,8 @@ void OnePassFourCycleCounter::RemoveWedge(std::uint32_t idx) {
 void OnePassFourCycleCounter::OnEdgeEvicted(EdgeKey key, EdgeState&& state) {
   obs::AccountedVector<std::uint32_t> wedges = std::move(state.wedges);
   for (std::uint32_t idx : wedges) RemoveWedge(idx);
-  for (VertexId endpoint : {state.lo, state.hi}) {
-    auto it = edges_by_vertex_.find(endpoint);
-    if (it == edges_by_vertex_.end()) continue;
-    auto& vec = it->second;
-    for (std::size_t i = 0; i < vec.size(); ++i) {
-      if (vec[i] == key) {
-        vec[i] = vec.back();
-        vec.pop_back();
-        break;
-      }
-    }
-    if (vec.empty()) edges_by_vertex_.erase(it);
-  }
+  edges_by_vertex_.Remove(state.lo, key);
+  edges_by_vertex_.Remove(state.hi, key);
 }
 
 void OnePassFourCycleCounter::HandlePair(VertexId u, VertexId v) {
@@ -138,24 +90,21 @@ void OnePassFourCycleCounter::HandlePair(VertexId u, VertexId v) {
       key, std::move(state),
       [this](EdgeKey k, EdgeState&& evicted) { OnEdgeEvicted(k, std::move(evicted)); });
   if (result == sampling::OfferResult::kInserted) {
-    EdgesByVertex(EdgeKeyLo(key)).push_back(key);
-    EdgesByVertex(EdgeKeyHi(key)).push_back(key);
+    edges_by_vertex_.Add(EdgeKeyLo(key), key);
+    edges_by_vertex_.Add(EdgeKeyHi(key), key);
     AddWedgesForNewEdge(key, EdgeKeyLo(key), EdgeKeyHi(key));
   } else if (result == sampling::OfferResult::kAlreadyPresent) {
     edge_sample_.Find(key)->seen_twice = true;
   }
 
   // Flag wedges having endpoint v.
-  auto wit = wedge_watchers_.find(v);
-  if (wit != wedge_watchers_.end()) {
-    for (std::uint32_t idx : wit->second) {
-      WedgeState& w = wedges_[idx];
-      if (!w.flag_lo && !w.flag_hi) touched_wedges_.push_back(idx);
-      if (w.wedge.end_lo == v) {
-        w.flag_lo = true;
-      } else {
-        w.flag_hi = true;
-      }
+  for (std::uint32_t idx : wedge_watchers_.Find(v)) {
+    WedgeState& w = wedges_[idx];
+    if (!w.flag_lo && !w.flag_hi) touched_wedges_.push_back(idx);
+    if (w.wedge.end_lo == v) {
+      w.flag_lo = true;
+    } else {
+      w.flag_hi = true;
     }
   }
 }
@@ -196,11 +145,7 @@ void OnePassFourCycleCounter::Fields(auto& self, auto& ar) {
         ar.Bool(state.seen_twice);
         ar.Vec(state.wedges);
       });
-  ar.Buckets(self.edges_by_vertex_);
-  ar.Map(
-      self.edges_by_vertex_,
-      [&](auto v) -> auto& { return self.EdgesByVertex(v); },
-      [](auto& ar, auto& keys) { ar.Vec(keys); });
+  WatchIndex<VertexId, EdgeKey>::Fields(self.edges_by_vertex_, ar);
   // The wedge slab: live slots carry real state; dead (free-listed) slots
   // are never read before being re-initialized, so they restore as defaults.
   ar.Vec(self.wedges_, [](auto& ar, auto& ws) {
@@ -219,11 +164,7 @@ void OnePassFourCycleCounter::Fields(auto& self, auto& ar) {
     }
   });
   ar.Vec(self.free_wedges_);
-  ar.Buckets(self.wedge_watchers_);
-  ar.Map(
-      self.wedge_watchers_,
-      [&](auto v) -> auto& { return self.WedgeWatchers(v); },
-      [](auto& ar, auto& slots) { ar.Vec(slots); });
+  WatchIndex<VertexId, std::uint32_t>::Fields(self.wedge_watchers_, ar);
   ar.Scratch(self.touched_wedges_);
 }
 

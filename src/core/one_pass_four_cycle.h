@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <span>
 
+#include "core/watch_index.h"
 #include "graph/types.h"
 #include "graph/wedge.h"
 #include "obs/accounting.h"
@@ -50,9 +51,6 @@ class OnePassFourCycleCounter final : public stream::PairDispatch<OnePassFourCyc
 
   void EndList(VertexId u) override;
   std::size_t CurrentSpaceBytes() const override;
-  const obs::MemoryDomain* memory_domain() const override {
-    return &space_domain_;
-  }
 
   OnePassFourCycleResult result() const;
   double Estimate() const { return result().estimate; }
@@ -97,23 +95,16 @@ class OnePassFourCycleCounter final : public stream::PairDispatch<OnePassFourCyc
   void RemoveWedge(std::uint32_t idx);
   void OnEdgeEvicted(EdgeKey key, EdgeState&& state);
 
-  // Accessors creating domain-bound nested vectors on first touch.
-  obs::AccountedVector<EdgeKey>& EdgesByVertex(VertexId v);
-  obs::AccountedVector<std::uint32_t>& WedgeWatchers(VertexId v);
-
   OnePassFourCycleOptions options_;
   std::uint64_t pair_events_ = 0;
   std::uint64_t detections_ = 0;
 
-  obs::MemoryDomain space_domain_;  // must outlive the containers below
   sampling::BottomKSampler<EdgeState> edge_sample_;
-  obs::AccountedUnorderedMap<VertexId, obs::AccountedVector<EdgeKey>>
-      edges_by_vertex_;
+  WatchIndex<VertexId, EdgeKey> edges_by_vertex_;
   obs::AccountedVector<WedgeState> wedges_;
   obs::AccountedVector<std::uint32_t> free_wedges_;
   std::size_t live_wedges_ = 0;
-  obs::AccountedUnorderedMap<VertexId, obs::AccountedVector<std::uint32_t>>
-      wedge_watchers_;
+  WatchIndex<VertexId, std::uint32_t> wedge_watchers_;
   obs::AccountedVector<std::uint32_t> touched_wedges_;
 };
 

@@ -15,32 +15,15 @@ OnePassTriangleCounter::OnePassTriangleCounter(
       edge_sample_(std::max<std::size_t>(options.sample_size, 1),
                    Mix64(options.seed) ^ 0x3333333333333333ULL,
                    &space_domain_),
-      edge_watchers_(decltype(edge_watchers_)::allocator_type(&space_domain_)),
+      edge_watchers_(&space_domain_),
       touched_edges_(decltype(touched_edges_)::allocator_type(&space_domain_)) {
   CYCLESTREAM_CHECK_GE(options.sample_size, 1u);
 }
 
-obs::AccountedVector<EdgeKey>& OnePassTriangleCounter::Watchers(VertexId v) {
-  return edge_watchers_
-      .try_emplace(v, obs::AccountedAllocator<EdgeKey>(&space_domain_))
-      .first->second;
-}
-
 void OnePassTriangleCounter::OnEdgeEvicted(EdgeKey key, EdgeState&& state) {
   detections_ -= state.detections;
-  for (VertexId endpoint : {state.lo, state.hi}) {
-    auto it = edge_watchers_.find(endpoint);
-    if (it == edge_watchers_.end()) continue;
-    auto& vec = it->second;
-    for (std::size_t i = 0; i < vec.size(); ++i) {
-      if (vec[i] == key) {
-        vec[i] = vec.back();
-        vec.pop_back();
-        break;
-      }
-    }
-    if (vec.empty()) edge_watchers_.erase(it);
-  }
+  edge_watchers_.Remove(state.lo, key);
+  edge_watchers_.Remove(state.hi, key);
 }
 
 void OnePassTriangleCounter::BeginPass(int pass) {
@@ -57,8 +40,8 @@ void OnePassTriangleCounter::HandlePair(VertexId u, VertexId v) {
       key, std::move(state),
       [this](EdgeKey k, EdgeState&& evicted) { OnEdgeEvicted(k, std::move(evicted)); });
   if (result == sampling::OfferResult::kInserted) {
-    Watchers(EdgeKeyLo(key)).push_back(key);
-    Watchers(EdgeKeyHi(key)).push_back(key);
+    edge_watchers_.Add(EdgeKeyLo(key), key);
+    edge_watchers_.Add(EdgeKeyHi(key), key);
   } else if (result == sampling::OfferResult::kAlreadyPresent) {
     // Second copy of a sampled edge: from the next list onward, completions
     // close a triangle whose earliest edge is this one.
@@ -67,17 +50,14 @@ void OnePassTriangleCounter::HandlePair(VertexId u, VertexId v) {
   }
 
   // Flag sampled edges having endpoint v.
-  auto wit = edge_watchers_.find(v);
-  if (wit != edge_watchers_.end()) {
-    for (EdgeKey wkey : wit->second) {
-      EdgeState* st = edge_sample_.Find(wkey);
-      if (st == nullptr) continue;
-      if (!st->flag_lo && !st->flag_hi) touched_edges_.push_back(wkey);
-      if (st->lo == v) {
-        st->flag_lo = true;
-      } else {
-        st->flag_hi = true;
-      }
+  for (EdgeKey wkey : edge_watchers_.Find(v)) {
+    EdgeState* st = edge_sample_.Find(wkey);
+    if (st == nullptr) continue;
+    if (!st->flag_lo && !st->flag_hi) touched_edges_.push_back(wkey);
+    if (st->lo == v) {
+      st->flag_lo = true;
+    } else {
+      st->flag_hi = true;
     }
   }
 }
@@ -112,11 +92,7 @@ void OnePassTriangleCounter::Fields(auto& self, auto& ar) {
         ar.Bool(state.seen_twice);
         ar.U64(state.detections);
       });
-  ar.Buckets(self.edge_watchers_);
-  // Watcher content order matters (swap-remove eviction), so verbatim.
-  ar.Map(
-      self.edge_watchers_, [&](auto v) -> auto& { return self.Watchers(v); },
-      [](auto& ar, auto& keys) { ar.Vec(keys); });
+  WatchIndex<VertexId, EdgeKey>::Fields(self.edge_watchers_, ar);
   ar.Scratch(self.touched_edges_);
 }
 

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <span>
 
+#include "core/watch_index.h"
 #include "graph/types.h"
 #include "obs/accounting.h"
 #include "sampling/bottom_k.h"
@@ -52,9 +53,6 @@ class OnePassTriangleCounter final : public stream::PairDispatch<OnePassTriangle
   void BeginPass(int pass) override;
   void EndList(VertexId u) override;
   std::size_t CurrentSpaceBytes() const override;
-  const obs::MemoryDomain* memory_domain() const override {
-    return &space_domain_;
-  }
 
   OnePassTriangleResult result() const;
   double Estimate() const { return result().estimate; }
@@ -84,17 +82,11 @@ class OnePassTriangleCounter final : public stream::PairDispatch<OnePassTriangle
 
   void OnEdgeEvicted(EdgeKey key, EdgeState&& state);
 
-  // Watcher list for `v`, creating it bound to space_domain_ if absent
-  // (same insertion/bucket behaviour as operator[]).
-  obs::AccountedVector<EdgeKey>& Watchers(VertexId v);
-
   OnePassTriangleOptions options_;
   std::uint64_t pair_events_ = 0;
   std::uint64_t detections_ = 0;
-  obs::MemoryDomain space_domain_;  // must outlive the containers below
   sampling::BottomKSampler<EdgeState> edge_sample_;
-  obs::AccountedUnorderedMap<VertexId, obs::AccountedVector<EdgeKey>>
-      edge_watchers_;
+  WatchIndex<VertexId, EdgeKey> edge_watchers_;
   obs::AccountedVector<EdgeKey> touched_edges_;
   bool finished_ = false;
 };

@@ -1,6 +1,7 @@
 #include "core/random_order_triangle.h"
 
 #include <algorithm>
+#include <span>
 
 #include "snapshot/codec.h"
 #include "util/check.h"
@@ -13,8 +14,7 @@ RandomOrderTriangleCounter::RandomOrderTriangleCounter(
     : options_(options),
       prefix_edges_(decltype(prefix_edges_)::allocator_type(&space_domain_)),
       prefix_set_(decltype(prefix_set_)::allocator_type(&space_domain_)),
-      prefix_adjacency_(
-          decltype(prefix_adjacency_)::allocator_type(&space_domain_)) {
+      prefix_adjacency_(&space_domain_) {
   CYCLESTREAM_CHECK_GE(options.prefix_size, 1u);
 }
 
@@ -22,33 +22,25 @@ void RandomOrderTriangleCounter::BeginPass(int pass) {
   CYCLESTREAM_CHECK_EQ(pass, 0);
 }
 
-obs::AccountedVector<VertexId>& RandomOrderTriangleCounter::Neighbors(
-    VertexId v) {
-  return prefix_adjacency_
-      .try_emplace(v, obs::AccountedAllocator<VertexId>(&space_domain_))
-      .first->second;
-}
-
 void RandomOrderTriangleCounter::IndexPrefixEdge(EdgeKey key) {
   prefix_set_.insert(key);
-  Neighbors(EdgeKeyLo(key)).push_back(EdgeKeyHi(key));
-  Neighbors(EdgeKeyHi(key)).push_back(EdgeKeyLo(key));
+  prefix_adjacency_.Add(EdgeKeyLo(key), EdgeKeyHi(key));
+  prefix_adjacency_.Add(EdgeKeyHi(key), EdgeKeyLo(key));
 }
 
 std::uint64_t RandomOrderTriangleCounter::CountCommonPrefixNeighbors(
     VertexId u, VertexId v) const {
-  auto au = prefix_adjacency_.find(u);
-  auto av = prefix_adjacency_.find(v);
-  if (au == prefix_adjacency_.end() || av == prefix_adjacency_.end()) return 0;
+  std::span<const VertexId> scan = prefix_adjacency_.Find(u);
+  std::span<const VertexId> at_v = prefix_adjacency_.Find(v);
+  if (scan.empty() || at_v.empty()) return 0;
   // Scan the sparser endpoint, probe the other via the prefix set.
   VertexId other = v;
-  const obs::AccountedVector<VertexId>* scan = &au->second;
-  if (av->second.size() < scan->size()) {
-    scan = &av->second;
+  if (at_v.size() < scan.size()) {
+    scan = at_v;
     other = u;
   }
   std::uint64_t common = 0;
-  for (VertexId w : *scan) {
+  for (VertexId w : scan) {
     if (w == other) continue;  // the closing edge itself is not a wedge apex
     if (prefix_set_.count(MakeEdgeKey(w, other)) != 0) ++common;
   }
@@ -69,14 +61,10 @@ void RandomOrderTriangleCounter::HandlePair(VertexId u, VertexId v) {
 std::size_t RandomOrderTriangleCounter::CurrentSpaceBytes() const {
   constexpr std::size_t kMapEntryOverhead = 48;
   constexpr std::size_t kSetEntryOverhead = 16;
-  std::size_t adjacency_bytes = 0;
-  for (const auto& [vertex, nbrs] : prefix_adjacency_) {
-    (void)vertex;
-    adjacency_bytes += nbrs.capacity() * sizeof(VertexId);
-  }
   return prefix_edges_.capacity() * sizeof(EdgeKey) +
          prefix_set_.size() * kSetEntryOverhead +
-         prefix_adjacency_.size() * kMapEntryOverhead + adjacency_bytes;
+         prefix_adjacency_.size() * kMapEntryOverhead +
+         prefix_adjacency_.capacity_bytes();
 }
 
 void RandomOrderTriangleCounter::Fields(auto& self, auto& ar) {

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 
+#include "core/watch_index.h"
 #include "graph/types.h"
 #include "obs/accounting.h"
 #include "stream/algorithm.h"
@@ -66,9 +67,6 @@ class RandomOrderTriangleCounter final
 
   void BeginPass(int pass) override;
   std::size_t CurrentSpaceBytes() const override;
-  const obs::MemoryDomain* memory_domain() const override {
-    return &space_domain_;
-  }
 
   RandomOrderTriangleResult result() const;
   double Estimate() const { return result().estimate; }
@@ -94,22 +92,17 @@ class RandomOrderTriangleCounter final
   // lists); shared by HandlePair and the Restore replay.
   void IndexPrefixEdge(EdgeKey key);
 
-  // Prefix-neighbor list for `v`, creating it bound to space_domain_.
-  obs::AccountedVector<VertexId>& Neighbors(VertexId v);
-
   // Common prefix-neighbors of u and v (smaller-list scan + O(1) probes).
   std::uint64_t CountCommonPrefixNeighbors(VertexId u, VertexId v) const;
 
   RandomOrderTriangleOptions options_;
   std::uint64_t edge_events_ = 0;
   std::uint64_t detections_ = 0;
-  obs::MemoryDomain space_domain_;  // must outlive the containers below
   // The first s edges in arrival order — the canonical state; everything
   // below is an index over it, rebuilt by replay on restore.
   obs::AccountedVector<EdgeKey> prefix_edges_;
   obs::AccountedUnorderedSet<EdgeKey> prefix_set_;
-  obs::AccountedUnorderedMap<VertexId, obs::AccountedVector<VertexId>>
-      prefix_adjacency_;
+  WatchIndex<VertexId, VertexId> prefix_adjacency_;
 };
 
 }  // namespace core

@@ -15,15 +15,9 @@ TriangleDistinguisher::TriangleDistinguisher(
       edge_sample_(std::max<std::size_t>(options.sample_size, 1),
                    Mix64(options.seed) ^ 0x4444444444444444ULL,
                    &space_domain_),
-      edge_watchers_(decltype(edge_watchers_)::allocator_type(&space_domain_)),
+      edge_watchers_(&space_domain_),
       touched_edges_(decltype(touched_edges_)::allocator_type(&space_domain_)) {
   CYCLESTREAM_CHECK_GE(options.sample_size, 1u);
-}
-
-obs::AccountedVector<EdgeKey>& TriangleDistinguisher::Watchers(VertexId v) {
-  return edge_watchers_
-      .try_emplace(v, obs::AccountedAllocator<EdgeKey>(&space_domain_))
-      .first->second;
 }
 
 void TriangleDistinguisher::BeginPass(int pass) { pass_ = pass; }
@@ -35,38 +29,24 @@ void TriangleDistinguisher::HandlePair(VertexId u, VertexId v) {
     EdgeState state{EdgeKeyLo(key), EdgeKeyHi(key), false, false};
     auto result = edge_sample_.Offer(
         key, std::move(state), [this](EdgeKey k, EdgeState&& evicted) {
-          for (VertexId endpoint : {evicted.lo, evicted.hi}) {
-            auto it = edge_watchers_.find(endpoint);
-            if (it == edge_watchers_.end()) continue;
-            auto& vec = it->second;
-            for (std::size_t i = 0; i < vec.size(); ++i) {
-              if (vec[i] == k) {
-                vec[i] = vec.back();
-                vec.pop_back();
-                break;
-              }
-            }
-            if (vec.empty()) edge_watchers_.erase(it);
-          }
+          edge_watchers_.Remove(evicted.lo, k);
+          edge_watchers_.Remove(evicted.hi, k);
         });
     if (result == sampling::OfferResult::kInserted) {
-      Watchers(EdgeKeyLo(key)).push_back(key);
-      Watchers(EdgeKeyHi(key)).push_back(key);
+      edge_watchers_.Add(EdgeKeyLo(key), key);
+      edge_watchers_.Add(EdgeKeyHi(key), key);
     }
     return;  // counting happens only in the second pass
   }
 
-  auto wit = edge_watchers_.find(v);
-  if (wit != edge_watchers_.end()) {
-    for (EdgeKey key : wit->second) {
-      EdgeState* st = edge_sample_.Find(key);
-      if (st == nullptr) continue;
-      if (!st->flag_lo && !st->flag_hi) touched_edges_.push_back(key);
-      if (st->lo == v) {
-        st->flag_lo = true;
-      } else {
-        st->flag_hi = true;
-      }
+  for (EdgeKey key : edge_watchers_.Find(v)) {
+    EdgeState* st = edge_sample_.Find(key);
+    if (st == nullptr) continue;
+    if (!st->flag_lo && !st->flag_hi) touched_edges_.push_back(key);
+    if (st->lo == v) {
+      st->flag_lo = true;
+    } else {
+      st->flag_hi = true;
     }
   }
 }
@@ -104,11 +84,7 @@ void TriangleDistinguisher::Fields(auto& self, auto& ar) {
         // from the key.
         CYCLESTREAM_CHECK(!state.flag_lo && !state.flag_hi);
       });
-  ar.Buckets(self.edge_watchers_);
-  // Watcher content order matters (swap-remove eviction), so verbatim.
-  ar.Map(
-      self.edge_watchers_, [&](auto v) -> auto& { return self.Watchers(v); },
-      [](auto& ar, auto& keys) { ar.Vec(keys); });
+  WatchIndex<VertexId, EdgeKey>::Fields(self.edge_watchers_, ar);
   ar.Scratch(self.touched_edges_);
 }
 

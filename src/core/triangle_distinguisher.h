@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "core/watch_index.h"
 #include "graph/types.h"
 #include "obs/accounting.h"
 #include "sampling/bottom_k.h"
@@ -48,9 +49,6 @@ class TriangleDistinguisher final : public stream::PairDispatch<TriangleDistingu
   void BeginPass(int pass) override;
   void EndList(VertexId u) override;
   std::size_t CurrentSpaceBytes() const override;
-  const obs::MemoryDomain* memory_domain() const override {
-    return &space_domain_;
-  }
 
   TriangleDistinguisherResult result() const;
 
@@ -79,17 +77,12 @@ class TriangleDistinguisher final : public stream::PairDispatch<TriangleDistingu
     bool flag_hi = false;
   };
 
-  // Watcher list for `v`, creating it bound to space_domain_ if absent.
-  obs::AccountedVector<EdgeKey>& Watchers(VertexId v);
-
   TriangleDistinguisherOptions options_;
   int pass_ = -1;
   std::uint64_t pair_events_ = 0;
   std::uint64_t incidences_ = 0;
-  obs::MemoryDomain space_domain_;  // must outlive the containers below
   sampling::BottomKSampler<EdgeState> edge_sample_;
-  obs::AccountedUnorderedMap<VertexId, obs::AccountedVector<EdgeKey>>
-      edge_watchers_;
+  WatchIndex<VertexId, EdgeKey> edge_watchers_;
   obs::AccountedVector<EdgeKey> touched_edges_;
 };
 

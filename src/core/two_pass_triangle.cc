@@ -28,7 +28,7 @@ TwoPassTriangleCounter::TwoPassTriangleCounter(
       edge_sample_(std::max<std::size_t>(options.sample_size, 1),
                    Mix64(options.seed) ^ 0x1111111111111111ULL,
                    &space_domain_),
-      edge_watchers_(decltype(edge_watchers_)::allocator_type(&space_domain_)),
+      edge_watchers_(&space_domain_),
       touched_edges_(decltype(touched_edges_)::allocator_type(&space_domain_)),
       pair_sample_(kQSlackFactor * std::max<std::size_t>(options.sample_size, 1),
                    Mix64(options.seed) ^ 0x2222222222222222ULL,
@@ -36,16 +36,10 @@ TwoPassTriangleCounter::TwoPassTriangleCounter(
       slab_(decltype(slab_)::allocator_type(&space_domain_)),
       free_slots_(decltype(free_slots_)::allocator_type(&space_domain_)),
       tri_edges_(decltype(tri_edges_)::allocator_type(&space_domain_)),
-      tri_verts_(decltype(tri_verts_)::allocator_type(&space_domain_)),
+      tri_verts_(&space_domain_),
       touched_tri_edges_(
           decltype(touched_tri_edges_)::allocator_type(&space_domain_)) {
   CYCLESTREAM_CHECK_GE(options.sample_size, 1u);
-}
-
-obs::AccountedVector<EdgeKey>& TwoPassTriangleCounter::Watchers(VertexId v) {
-  return edge_watchers_
-      .try_emplace(v, obs::AccountedAllocator<EdgeKey>(&space_domain_))
-      .first->second;
 }
 
 TwoPassTriangleCounter::TriEdgeWatch& TwoPassTriangleCounter::TriEdgeFor(
@@ -53,13 +47,6 @@ TwoPassTriangleCounter::TriEdgeWatch& TwoPassTriangleCounter::TriEdgeFor(
   return tri_edges_
       .try_emplace(key, obs::AccountedAllocator<TriEdgeWatch::Subscriber>(
                             &space_domain_))
-      .first->second;
-}
-
-obs::AccountedVector<std::uint32_t>& TwoPassTriangleCounter::TriVerts(
-    VertexId v) {
-  return tri_verts_
-      .try_emplace(v, obs::AccountedAllocator<std::uint32_t>(&space_domain_))
       .first->second;
 }
 
@@ -101,7 +88,7 @@ void TwoPassTriangleCounter::SubscribeEntry(std::uint32_t idx) {
       watch.hi = EdgeKeyHi(key);
     }
     watch.subscribers.push_back({idx, static_cast<std::uint8_t>(slot)});
-    TriVerts(entry.vert[slot]).push_back(idx);
+    tri_verts_.Add(entry.vert[slot], idx);
   }
 }
 
@@ -112,27 +99,11 @@ void TwoPassTriangleCounter::UnsubscribeEntry(std::uint32_t idx) {
     auto it = tri_edges_.find(key);
     if (it != tri_edges_.end()) {
       auto& subs = it->second.subscribers;
-      for (std::size_t i = 0; i < subs.size(); ++i) {
-        if (subs[i].first == idx && subs[i].second == slot) {
-          subs[i] = subs.back();
-          subs.pop_back();
-          break;
-        }
-      }
+      SwapRemove(subs,
+                 TriEdgeWatch::Subscriber{idx, static_cast<std::uint8_t>(slot)});
       if (subs.empty()) tri_edges_.erase(it);
     }
-    auto vit = tri_verts_.find(entry.vert[slot]);
-    if (vit != tri_verts_.end()) {
-      auto& vec = vit->second;
-      for (std::size_t i = 0; i < vec.size(); ++i) {
-        if (vec[i] == idx) {
-          vec[i] = vec.back();
-          vec.pop_back();
-          break;
-        }
-      }
-      if (vec.empty()) tri_verts_.erase(vit);
-    }
+    tri_verts_.Remove(entry.vert[slot], idx);
   }
 }
 
@@ -144,20 +115,8 @@ void TwoPassTriangleCounter::OnPairEvicted(std::uint64_t /*pair_key*/,
 
 void TwoPassTriangleCounter::OnEdgeEvicted(EdgeKey key, EdgeState&& state) {
   t_prime_ -= state.tri_count;
-  // Drop endpoint watchers.
-  for (VertexId endpoint : {state.lo, state.hi}) {
-    auto it = edge_watchers_.find(endpoint);
-    if (it == edge_watchers_.end()) continue;
-    auto& vec = it->second;
-    for (std::size_t i = 0; i < vec.size(); ++i) {
-      if (vec[i] == key) {
-        vec[i] = vec.back();
-        vec.pop_back();
-        break;
-      }
-    }
-    if (vec.empty()) edge_watchers_.erase(it);
-  }
+  edge_watchers_.Remove(state.lo, key);
+  edge_watchers_.Remove(state.hi, key);
   // Remove candidate pairs whose sampled edge was this one (slot-2
   // subscribers of this physical edge). Copy first: unsubscription mutates
   // the subscriber list we are scanning.
@@ -235,47 +194,41 @@ void TwoPassTriangleCounter::HandlePair(VertexId u, VertexId v) {
           OnEdgeEvicted(k, std::move(evicted));
         });
     if (result == sampling::OfferResult::kInserted) {
-      Watchers(EdgeKeyLo(key)).push_back(key);
-      Watchers(EdgeKeyHi(key)).push_back(key);
+      edge_watchers_.Add(EdgeKeyLo(key), key);
+      edge_watchers_.Add(EdgeKeyHi(key), key);
     }
   }
 
   // Flag sampled edges having endpoint v.
-  auto wit = edge_watchers_.find(v);
-  if (wit != edge_watchers_.end()) {
-    for (EdgeKey key : wit->second) {
-      EdgeState* st = edge_sample_.Find(key);
-      if (st == nullptr) continue;
-      if (!st->flag_lo && !st->flag_hi) touched_edges_.push_back(key);
-      if (st->lo == v) {
-        st->flag_lo = true;
-      } else {
-        st->flag_hi = true;
-      }
+  for (EdgeKey key : edge_watchers_.Find(v)) {
+    EdgeState* st = edge_sample_.Find(key);
+    if (st == nullptr) continue;
+    if (!st->flag_lo && !st->flag_hi) touched_edges_.push_back(key);
+    if (st->lo == v) {
+      st->flag_lo = true;
+    } else {
+      st->flag_hi = true;
     }
   }
 
   // In the second pass, flag triangle edges having endpoint v (for H
   // accumulation). Derive the edges from the entries containing v.
   if (pass_ == 1) {
-    auto vit = tri_verts_.find(v);
-    if (vit != tri_verts_.end()) {
-      for (std::uint32_t idx : vit->second) {
-        const TriEntry& entry = slab_[idx];
-        for (int slot = 0; slot < 3; ++slot) {
-          if (entry.vert[slot] == v) continue;  // edge opposite v excluded
-          EdgeKey key = EdgeKeyOfSlot(entry, slot);
-          auto eit = tri_edges_.find(key);
-          if (eit == tri_edges_.end()) continue;
-          TriEdgeWatch& watch = eit->second;
-          if (!watch.flag_lo && !watch.flag_hi) {
-            touched_tri_edges_.push_back(key);
-          }
-          if (watch.lo == v) {
-            watch.flag_lo = true;
-          } else {
-            watch.flag_hi = true;
-          }
+    for (std::uint32_t idx : tri_verts_.Find(v)) {
+      const TriEntry& entry = slab_[idx];
+      for (int slot = 0; slot < 3; ++slot) {
+        if (entry.vert[slot] == v) continue;  // edge opposite v excluded
+        EdgeKey key = EdgeKeyOfSlot(entry, slot);
+        auto eit = tri_edges_.find(key);
+        if (eit == tri_edges_.end()) continue;
+        TriEdgeWatch& watch = eit->second;
+        if (!watch.flag_lo && !watch.flag_hi) {
+          touched_tri_edges_.push_back(key);
+        }
+        if (watch.lo == v) {
+          watch.flag_lo = true;
+        } else {
+          watch.flag_hi = true;
         }
       }
     }
@@ -312,13 +265,10 @@ void TwoPassTriangleCounter::EndList(VertexId u) {
 
   if (pass_ == 1) {
     // Step 3: mark this list's vertex as seen for subscribed entries.
-    auto vit = tri_verts_.find(u);
-    if (vit != tri_verts_.end()) {
-      for (std::uint32_t idx : vit->second) {
-        TriEntry& entry = slab_[idx];
-        for (int slot = 0; slot < 3; ++slot) {
-          if (entry.vert[slot] == u) entry.seen[slot] = true;
-        }
+    for (std::uint32_t idx : tri_verts_.Find(u)) {
+      TriEntry& entry = slab_[idx];
+      for (int slot = 0; slot < 3; ++slot) {
+        if (entry.vert[slot] == u) entry.seen[slot] = true;
       }
     }
     // Reset triangle-edge flags.
@@ -382,11 +332,7 @@ void TwoPassTriangleCounter::Fields(auto& self, auto& ar) {
         ar.U32(state.first_pos);
         ar.U64(state.tri_count);
       });
-  ar.Buckets(self.edge_watchers_);
-  // Watcher content order matters (swap-remove eviction), so verbatim.
-  ar.Map(
-      self.edge_watchers_, [&](auto v) -> auto& { return self.Watchers(v); },
-      [](auto& ar, auto& keys) { ar.Vec(keys); });
+  WatchIndex<VertexId, EdgeKey>::Fields(self.edge_watchers_, ar);
   ar.Scratch(self.touched_edges_);
 
   sampling::BottomKSampler<std::uint32_t>::Fields(
@@ -426,10 +372,7 @@ void TwoPassTriangleCounter::Fields(auto& self, auto& ar) {
           ar.U8(sub.second);
         });
       });
-  ar.Buckets(self.tri_verts_);
-  ar.Map(
-      self.tri_verts_, [&](auto v) -> auto& { return self.TriVerts(v); },
-      [](auto& ar, auto& slots) { ar.Vec(slots); });
+  WatchIndex<VertexId, std::uint32_t>::Fields(self.tri_verts_, ar);
   ar.Scratch(self.touched_tri_edges_);
 }
 

@@ -37,6 +37,7 @@
 #include <span>
 #include <utility>
 
+#include "core/watch_index.h"
 #include "graph/types.h"
 #include "obs/accounting.h"
 #include "sampling/bottom_k.h"
@@ -87,9 +88,6 @@ class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangle
   void EndPass(int pass) override;
 
   std::size_t CurrentSpaceBytes() const override;
-  const obs::MemoryDomain* memory_domain() const override {
-    return &space_domain_;
-  }
 
   /// Estimate and diagnostics; valid after both passes.
   TwoPassTriangleResult result() const;
@@ -162,23 +160,18 @@ class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangle
   void HandleTriangleDetection(EdgeKey edge_key, EdgeState* edge,
                                VertexId apex);
 
-  // Accessors creating domain-bound nested containers on first touch (same
+  // The watch for `key`, creating it bound to space_domain_ if absent (same
   // insertion/bucket behaviour as operator[]).
-  obs::AccountedVector<EdgeKey>& Watchers(VertexId v);
   TriEdgeWatch& TriEdgeFor(EdgeKey key);
-  obs::AccountedVector<std::uint32_t>& TriVerts(VertexId v);
 
   TwoPassTriangleOptions options_;
   int pass_ = -1;
   std::uint32_t list_pos_ = 0;          // index of current list in this pass
   std::uint64_t pair_events_ = 0;       // stream pairs seen in pass 1 (= 2m)
 
-  obs::MemoryDomain space_domain_;  // must outlive the containers below
-
   // Edge sample S and its per-vertex watchers.
   sampling::BottomKSampler<EdgeState> edge_sample_;
-  obs::AccountedUnorderedMap<VertexId, obs::AccountedVector<EdgeKey>>
-      edge_watchers_;
+  WatchIndex<VertexId, EdgeKey> edge_watchers_;
   obs::AccountedVector<EdgeKey> touched_edges_;
 
   // Pair sample Q: keys -> slab indices; slab holds TriEntry state.
@@ -186,8 +179,7 @@ class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangle
   obs::AccountedVector<TriEntry> slab_;
   obs::AccountedVector<std::uint32_t> free_slots_;
   obs::AccountedUnorderedMap<EdgeKey, TriEdgeWatch> tri_edges_;
-  obs::AccountedUnorderedMap<VertexId, obs::AccountedVector<std::uint32_t>>
-      tri_verts_;
+  WatchIndex<VertexId, std::uint32_t> tri_verts_;
   obs::AccountedVector<EdgeKey> touched_tri_edges_;
 
   std::uint64_t t_prime_ = 0;  // running candidate-pair count for current S

@@ -13,50 +13,26 @@ WedgeSamplingTriangleCounter::WedgeSamplingTriangleCounter(
     : options_(options),
       rng_(Mix64(options.seed) ^ 0x9999999999999999ULL),
       reservoir_(decltype(reservoir_)::allocator_type(&space_domain_)),
-      closure_watch_(decltype(closure_watch_)::allocator_type(&space_domain_)),
+      closure_watch_(&space_domain_),
       current_list_(decltype(current_list_)::allocator_type(&space_domain_)) {
   CYCLESTREAM_CHECK_GE(options.reservoir_size, 1u);
   reservoir_.reserve(options.reservoir_size);
-}
-
-obs::AccountedVector<std::uint32_t>& WedgeSamplingTriangleCounter::WatchersFor(
-    EdgeKey key) {
-  return closure_watch_
-      .try_emplace(key, obs::AccountedAllocator<std::uint32_t>(&space_domain_))
-      .first->second;
-}
-
-void WedgeSamplingTriangleCounter::WatchSlot(std::uint32_t slot) {
-  WatchersFor(WedgeEndpointsKey(reservoir_[slot].wedge)).push_back(slot);
-}
-
-void WedgeSamplingTriangleCounter::UnwatchSlot(std::uint32_t slot) {
-  auto it = closure_watch_.find(WedgeEndpointsKey(reservoir_[slot].wedge));
-  if (it == closure_watch_.end()) return;
-  auto& vec = it->second;
-  for (std::size_t i = 0; i < vec.size(); ++i) {
-    if (vec[i] == slot) {
-      vec[i] = vec.back();
-      vec.pop_back();
-      break;
-    }
-  }
-  if (vec.empty()) closure_watch_.erase(it);
 }
 
 void WedgeSamplingTriangleCounter::OfferWedge(const Wedge& w) {
   ++wedge_count_;
   if (reservoir_.size() < options_.reservoir_size) {
     reservoir_.push_back(Slot{w, false});
-    WatchSlot(static_cast<std::uint32_t>(reservoir_.size() - 1));
+    closure_watch_.Add(WedgeEndpointsKey(w),
+                       static_cast<std::uint32_t>(reservoir_.size() - 1));
     return;
   }
   std::uint64_t j = rng_.NextBounded(wedge_count_);
   if (j < options_.reservoir_size) {
     std::uint32_t slot = static_cast<std::uint32_t>(j);
-    UnwatchSlot(slot);
+    closure_watch_.Remove(WedgeEndpointsKey(reservoir_[slot].wedge), slot);
     reservoir_[slot] = Slot{w, false};
-    WatchSlot(slot);
+    closure_watch_.Add(WedgeEndpointsKey(w), slot);
   }
 }
 
@@ -70,9 +46,8 @@ void WedgeSamplingTriangleCounter::HandlePair(VertexId u, VertexId v) {
   // with endpoint set {u, v}. (A wedge sampled in this same list has its
   // closing edge at the endpoints' own later lists, never here, since
   // endpoints differ from the center.)
-  auto it = closure_watch_.find(MakeEdgeKey(u, v));
-  if (it != closure_watch_.end()) {
-    for (std::uint32_t slot : it->second) reservoir_[slot].closed = true;
+  for (std::uint32_t slot : closure_watch_.Find(MakeEdgeKey(u, v))) {
+    reservoir_[slot].closed = true;
   }
 
   // New wedges between v and every earlier entry of the current list.
@@ -93,12 +68,7 @@ void WedgeSamplingTriangleCounter::Fields(auto& self, auto& ar) {
     ar.U32(slot.wedge.end_hi);
     ar.Bool(slot.closed);
   });
-  ar.Buckets(self.closure_watch_);
-  // Slot content order matters (swap-remove on resample), so verbatim.
-  ar.Map(
-      self.closure_watch_,
-      [&](auto key) -> auto& { return self.WatchersFor(key); },
-      [](auto& ar, auto& slots) { ar.Vec(slots); });
+  WatchIndex<EdgeKey, std::uint32_t>::Fields(self.closure_watch_, ar);
   // current_list_'s contents are never read after a list boundary (BeginList
   // clears before any use); only its capacity is space-visible state.
   // current_center_ likewise is overwritten by the next BeginList.

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <span>
 
+#include "core/watch_index.h"
 #include "graph/types.h"
 #include "graph/wedge.h"
 #include "obs/accounting.h"
@@ -53,9 +54,6 @@ class WedgeSamplingTriangleCounter final : public stream::PairDispatch<WedgeSamp
 
   void BeginList(VertexId u) override;
   std::size_t CurrentSpaceBytes() const override;
-  const obs::MemoryDomain* memory_domain() const override {
-    return &space_domain_;
-  }
 
   WedgeSamplingResult result() const;
   double Estimate() const { return result().estimate; }
@@ -81,20 +79,13 @@ class WedgeSamplingTriangleCounter final : public stream::PairDispatch<WedgeSamp
   static void Fields(auto& self, auto& ar);
 
   void OfferWedge(const Wedge& w);
-  void WatchSlot(std::uint32_t slot);
-  void UnwatchSlot(std::uint32_t slot);
-
-  // Watch list for an endpoint-pair key, creating it bound to space_domain_.
-  obs::AccountedVector<std::uint32_t>& WatchersFor(EdgeKey key);
 
   WedgeSamplingOptions options_;
   Rng rng_;
   std::uint64_t wedge_count_ = 0;
-  obs::MemoryDomain space_domain_;  // must outlive the containers below
   obs::AccountedVector<Slot> reservoir_;
   // Closure watch: endpoint-pair key -> reservoir slots waiting for it.
-  obs::AccountedUnorderedMap<EdgeKey, obs::AccountedVector<std::uint32_t>>
-      closure_watch_;
+  WatchIndex<EdgeKey, std::uint32_t> closure_watch_;
   obs::AccountedVector<VertexId> current_list_;
   VertexId current_center_ = 0;
 };

@@ -2,11 +2,14 @@
 // containers of every estimator.
 //
 // Each algorithm owns one `MemoryDomain` and binds its containers to it via
-// `AccountedAllocator<T>`. The domain then measures the *actual* heap bytes
-// requested by those containers (live, peak, call counts), independently of
-// the hand-computed `CurrentSpaceBytes()` estimates. The driver samples both
-// at every list boundary, so a bookkeeping bug in a self-report shows up as
-// divergence instead of silently falsifying Table 1 curves.
+// `AccountedAllocator<T>`; for the estimators the owner is their
+// `stream::PairDispatch` base (stream/algorithm.h), which is constructed
+// before and destroyed after every container they hold. The domain then
+// measures the *actual* heap bytes requested by those containers (live,
+// peak, call counts), independently of the hand-computed
+// `CurrentSpaceBytes()` estimates. The driver samples both at every list
+// boundary, so a bookkeeping bug in a self-report shows up as divergence
+// instead of silently falsifying Table 1 curves.
 //
 // The accounting is always on: allocators never change container behaviour,
 // iteration order, or growth policy, so estimates stay bit-identical whether

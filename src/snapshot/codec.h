@@ -30,8 +30,9 @@
 // A Loader stops at its first error and keeps it; every later call is a
 // no-op that reads no bytes. Its errors:
 //   - kDataLoss: the payload runs short (the reader's poison, snapshot.h),
-//     a count exceeds what the rest of the payload could hold, or a
-//     generator state is all zeros;
+//     a count exceeds what the rest of the payload could hold, a map or set
+//     key is not above the key before it, or a generator state is all
+//     zeros;
 //   - kFailedPrecondition: an Option differs from the restoring instance's
 //     value, or a Pass field exceeds the pass count;
 //   - whatever a Nested section's Restore returns.
@@ -304,10 +305,9 @@ class Loader {
     CYCLESTREAM_CHECK(map.empty());
     const std::uint64_t count = Count(ScalarBytes<typename M::key_type>());
     Grow(map, count);
-    for (std::uint64_t i = 0; i < count && ok(); ++i) {
-      typename M::key_type key{};
-      Scalar(key);
-      if (ok()) value(*this, slot(key));
+    typename M::key_type key{};
+    for (std::uint64_t i = 0; i < count && Key(key, i); ++i) {
+      value(*this, slot(key));
     }
   }
 
@@ -317,11 +317,8 @@ class Loader {
     CYCLESTREAM_CHECK(set.empty());
     const std::uint64_t count = Count(ScalarBytes<typename S::key_type>());
     Grow(set, count);
-    for (std::uint64_t i = 0; i < count && ok(); ++i) {
-      typename S::key_type key{};
-      Scalar(key);
-      if (ok()) set.insert(key);
-    }
+    typename S::key_type key{};
+    for (std::uint64_t i = 0; i < count && Key(key, i); ++i) set.insert(key);
   }
 
   /// All-zero words are kDataLoss: no seeded generator reaches that state,
@@ -364,6 +361,22 @@ class Loader {
       static_assert(sizeof(T) == 8);
       U64(value);
     }
+  }
+
+  // Reads the `index`-th key of a map or set section over `key`, which holds
+  // the key before it. The Saver writes keys strictly ascending, so a key
+  // not above the previous one is corruption the CRC let through (a second
+  // entry for one key would reach a filled slot): kDataLoss, before the key
+  // is used. False once the archive has failed.
+  template <typename K>
+  bool Key(K& key, std::uint64_t index) {
+    const K previous = key;
+    Scalar(key);
+    if (ok() && index > 0 && !(previous < key)) {
+      status_ = Status::DataLoss("snapshot key " + std::to_string(key) +
+                                 " is not above the key before it");
+    }
+    return ok();
   }
 
   // Before `count` inserts, sizes a table too small to hold them with

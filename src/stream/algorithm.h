@@ -11,6 +11,12 @@
 // Space accounting: `CurrentSpaceBytes()` must return the algorithm's live
 // working-state footprint. The driver samples it at every list boundary and
 // reports the peak, so the paper's space bounds are measured quantities.
+// Because it runs at every boundary, and on an edge stream a list is about
+// one edge, it must be O(1) in the algorithm's state (O(copies) for
+// `ParallelCopies`): sums of size()/capacity() terms and running counters,
+// never a walk over containers. `micro_substrate` times one sample at two
+// state sizes 8x apart per estimator, and `bench_report.py validate` fails
+// a ratio above 2.
 
 #ifndef CYCLESTREAM_STREAM_ALGORITHM_H_
 #define CYCLESTREAM_STREAM_ALGORITHM_H_
@@ -128,6 +134,11 @@ class StreamAlgorithm {
 /// of by seven hand-copied loop bodies. The overrides are `final`: an
 /// algorithm with a genuinely different batch strategy should derive from
 /// StreamAlgorithm directly.
+///
+/// The mixin also owns the estimator's memory domain: `Derived` binds every
+/// container it owns to `space_domain_`. A base subobject is constructed
+/// before the derived class's members and destroyed after them, so the
+/// domain outlives every container charging it whatever the member order.
 template <typename Derived>
 class PairDispatch : public StreamAlgorithm {
  public:
@@ -139,6 +150,13 @@ class PairDispatch : public StreamAlgorithm {
     auto* self = static_cast<Derived*>(this);
     for (VertexId v : list) self->HandlePair(u, v);
   }
+
+  const obs::MemoryDomain* memory_domain() const final {
+    return &space_domain_;
+  }
+
+ protected:
+  obs::MemoryDomain space_domain_;
 };
 
 }  // namespace stream

@@ -4,8 +4,9 @@
 Covers the pure helpers (slope fitting, audit slack policy, slot
 extraction), the schema validator (record types, required fields,
 schema_version, run_end trailer), the per-manifest cross-checks (slope and
-exponent refits, audit, timelines, throughput ordering, driver counters),
-and the validate/baseline commands end-to-end on temp-file manifests.
+exponent refits, audit, timelines, throughput ordering, space-sample ratio,
+driver counters), and the validate/baseline commands end-to-end on
+temp-file manifests.
 
 Stdlib only; registered as the `bench_report_py` CTest target.
 """
@@ -271,6 +272,20 @@ class CrossCheckTest(unittest.TestCase):
             br.check_throughput_pairs("m", self.grouped(curves(150.0))), [])
         errors = br.check_throughput_pairs("m", self.grouped(curves(50.0)))
         self.assertTrue(any("below pairwise" in e for e in errors))
+
+    def test_space_sample_ratio_is_gated(self):
+        def curves(large_y):
+            return [record("curve_point",
+                           curve="space_sample/random-order-triangle/small",
+                           x=140, y=3.0),
+                    record("curve_point",
+                           curve="space_sample/random-order-triangle/large",
+                           x=1122, y=large_y)]
+        self.assertEqual(
+            br.check_space_samples("m", self.grouped(curves(5.5))), [])
+        errors = br.check_space_samples("m", self.grouped(curves(59.0)))
+        self.assertEqual(len(errors), 1)
+        self.assertIn("random-order-triangle", errors[0])
 
     def test_driver_counters_ordering(self):
         ok = record("metrics", metrics={"counters": {

@@ -591,6 +591,106 @@ TEST(ChaosRecovery, ZeroGeneratorStateIsDataLoss) {
       << result.status().ToString();
 }
 
+TEST(ChaosRecovery, RepeatedWatcherKeyIsDataLoss) {
+  // A watcher map stores its keys ascending. A checkpoint whose second key
+  // is rewritten to the first, resealed under a valid CRC, must fail to
+  // restore with kDataLoss. Without the Loader's key-order check the
+  // repeated key's list was loaded into the first key's filled list, and
+  // the restore aborted the process.
+  const Graph g = gen::ErdosRenyiGnp(40, 0.3, 7);
+  const AdjacencyListStream stream(&g, 7);
+  core::OnePassTriangleOptions options;
+  options.sample_size = 30;
+  options.seed = 3;
+  core::OnePassTriangleCounter algo(options);
+  ASSERT_TRUE(RunPassesChecked(stream, &algo).ok());
+  snapshot::SnapshotWriter w;
+  algo.Serialize(w);
+  std::vector<std::uint8_t> bad = std::move(w).Finish();
+
+  // Walk the one-pass layout to the watcher map's first two keys: options,
+  // counters, the edge sample's members and heap, then the bucket count
+  // and entry count.
+  StatusOr<snapshot::SnapshotReader> r = snapshot::SnapshotReader::Open(bad);
+  ASSERT_TRUE(r.ok());
+  for (int i = 0; i < 4; ++i) r->ReadU64();
+  r->ReadBool();
+  const std::uint64_t members = r->ReadU64();
+  for (std::uint64_t i = 0; i < members; ++i) {
+    r->ReadU64();
+    r->ReadBool();
+    r->ReadU64();
+  }
+  const std::uint64_t heap = r->ReadU64();
+  r->ReadU64();
+  for (std::uint64_t i = 0; i < heap; ++i) r->ReadU64();
+  r->ReadU64();
+  ASSERT_GE(r->ReadU64(), 2u);
+  const auto offset = [&] { return bad.size() - 4 - r->remaining(); };
+  const std::size_t first_at = offset();
+  EXPECT_EQ(r->ReadU32(), 0u);
+  const std::uint64_t list = r->ReadU64();
+  r->ReadU64();
+  for (std::uint64_t i = 0; i < list; ++i) r->ReadU64();
+  const std::size_t second_at = offset();
+  EXPECT_EQ(r->ReadU32(), 1u);
+  ASSERT_TRUE(r->status().ok());
+
+  std::copy_n(bad.begin() + first_at, 4, bad.begin() + second_at);
+  testing_util::Reseal(bad);
+  StatusOr<snapshot::SnapshotReader> reader =
+      snapshot::SnapshotReader::Open(bad);
+  ASSERT_TRUE(reader.ok());
+  core::OnePassTriangleCounter resumed(options);
+  const Status status = resumed.Restore(*reader);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+}
+
+TEST(ChaosRecovery, RepeatedEdgeKeyIsDataLoss) {
+  // The exact counter's edge map stores its keys ascending. A mid-pass
+  // checkpoint whose third key is rewritten to the second, resealed under a
+  // valid CRC, must fail the resume with kDataLoss. Without the Loader's
+  // key-order check the repeated key overwrote the second edge's state and
+  // dropped the third edge, and the resume finished OK one triangle short.
+  const Graph g = gen::ErdosRenyiGnp(40, 0.3, 7);
+  const AdjacencyListStream stream(&g, 7);
+  core::ExactStreamTriangleCounter algo;
+  std::vector<std::uint8_t> bad;
+  std::vector<std::uint8_t> section;  // the counter alone, same boundary
+  auto keep = [&](int pass, std::size_t lists,
+                  std::vector<std::uint8_t> bytes) {
+    if (pass != 0 || lists != 20) return;
+    bad = std::move(bytes);
+    snapshot::SnapshotWriter w;
+    algo.Serialize(w);
+    section = std::move(w).Finish();
+  };
+  ASSERT_TRUE(RunPassesChecked(stream, &algo, {.on_checkpoint = keep}).ok());
+  ASSERT_FALSE(bad.empty());
+
+  // The counter's section ends the checkpoint: five words (pair count,
+  // triangles, scratch capacity, bucket count, entry count), then each
+  // entry's key and copy count.
+  const std::size_t section_bytes = section.size() - snapshot::kEnvelopeBytes;
+  const std::size_t start = bad.size() - 4 - section_bytes;
+  ASSERT_TRUE(std::equal(section.begin() + 20, section.end() - 4,
+                         bad.begin() + start));
+  ASSERT_GE(testing_util::PeekU64(bad, start + 32), 3u);
+  const std::size_t second_at = start + 40 + 9;
+  const std::size_t third_at = start + 40 + 18;
+  ASSERT_EQ(testing_util::PeekU64(bad, second_at), 0x5u);
+  ASSERT_EQ(testing_util::PeekU64(bad, third_at), 0xbu);
+  testing_util::PatchU64(bad, third_at, 0x5);
+  testing_util::Reseal(bad);
+
+  core::ExactStreamTriangleCounter resumed;
+  StatusOr<RunReport> result =
+      RunPassesChecked(stream, &resumed, {.resume_from = bad});
+  ASSERT_FALSE(result.ok()) << "resumed to " << resumed.triangles();
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+      << result.status().ToString();
+}
+
 TEST(ChaosRecovery, SnapshotPayloadTracksAuditedBytes) {
   // The snapshot is the algorithm's state made literal: its payload must be
   // on the order of the allocator-audited live bytes, not wildly above.

@@ -447,6 +447,70 @@ TEST(SnapshotArchive, SaverWritesTheVersion1SequenceAndLoaderInvertsIt) {
   }
 }
 
+TEST(SnapshotArchive, KeyNotAboveThePreviousKeyIsDataLoss) {
+  // The Saver writes map and set keys strictly ascending, so a repeated or
+  // descending key is corruption the CRC cannot see. The Loader stops at
+  // that key: it never reaches the map's slot or the set, and nothing after
+  // it is read.
+  const std::pair<std::uint32_t, std::uint32_t> orders[] = {{5, 5}, {7, 5}};
+  for (const auto& [first, second] : orders) {
+    SCOPED_TRACE(std::to_string(first) + "," + std::to_string(second));
+
+    SnapshotWriter map_writer;
+    map_writer.WriteU64(2);
+    for (const std::uint32_t key : {first, second}) {
+      map_writer.WriteU32(key);
+      map_writer.WriteU64(1);  // size
+      map_writer.WriteU64(1);  // capacity
+      map_writer.WriteU64(key * 10);
+    }
+    const std::vector<std::uint8_t> map_bytes =
+        std::move(map_writer).Finish();
+    StatusOr<SnapshotReader> map_reader = SnapshotReader::Open(map_bytes);
+    ASSERT_TRUE(map_reader.ok());
+    std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> map;
+    int slots = 0;
+    Loader map_loader(*map_reader);
+    map_loader.Map(
+        map,
+        [&](auto key) -> auto& {
+          ++slots;
+          return map[key];
+        },
+        [](auto& ar, auto& list) { ar.Vec(list); });
+    EXPECT_EQ(map_loader.status().code(), StatusCode::kDataLoss)
+        << map_loader.status().ToString();
+    EXPECT_EQ(slots, 1);
+    EXPECT_EQ(map, (std::unordered_map<std::uint32_t, std::vector<std::uint64_t>>{
+                       {first, {first * 10u}}}));
+    EXPECT_EQ(map_reader->remaining(), 3 * 8u);  // the second list, unread
+    std::uint64_t untouched = 3;
+    map_loader.U64(untouched);
+    EXPECT_EQ(untouched, 3u);
+    EXPECT_EQ(map_reader->remaining(), 3 * 8u);
+
+    SnapshotWriter set_writer;
+    set_writer.WriteU64(2);
+    set_writer.WriteU64(first);
+    set_writer.WriteU64(second);
+    set_writer.WriteU64(99);  // a field after the set
+    const std::vector<std::uint8_t> set_bytes =
+        std::move(set_writer).Finish();
+    StatusOr<SnapshotReader> set_reader = SnapshotReader::Open(set_bytes);
+    ASSERT_TRUE(set_reader.ok());
+    std::unordered_set<std::uint64_t> set;
+    Loader set_loader(*set_reader);
+    set_loader.Set(set);
+    EXPECT_EQ(set_loader.status().code(), StatusCode::kDataLoss)
+        << set_loader.status().ToString();
+    EXPECT_EQ(set, (std::unordered_set<std::uint64_t>{first}));
+    EXPECT_EQ(set_reader->remaining(), 8u);
+    set_loader.U64(untouched);
+    EXPECT_EQ(untouched, 3u);
+    EXPECT_EQ(set_reader->remaining(), 8u);
+  }
+}
+
 }  // namespace
 }  // namespace snapshot
 }  // namespace cyclestream
