@@ -1,6 +1,8 @@
 #include "core/two_pass_triangle.h"
 
 #include <algorithm>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "snapshot/codec.h"
@@ -20,6 +22,29 @@ std::uint64_t PairKey(EdgeKey edge_key, VertexId apex) {
 
 constexpr std::size_t kQSlackFactor = 2;
 
+// Version 1 stored, after free_slots_, a map from each triangle edge to the
+// (slab index, edge slot) pairs watching it: a bucket count, then per edge
+// key, ascending, a subscriber count, a capacity and the pairs. Version 2
+// marks endpoints on the candidates instead, so a version-1 restore reads
+// the map and drops it. The Loader checks the counts against the payload
+// and the keys' order; no stored capacity sizes anything.
+void DropVersion1TriEdges(snapshot::Loader& ar) {
+  using Subscribers = std::vector<std::pair<std::uint32_t, std::uint8_t>>;
+  std::unordered_map<EdgeKey, Subscribers> tri_edges;
+  std::uint64_t unused = 0;
+  ar.U64(unused);  // bucket count
+  ar.Map(
+      tri_edges, [&](EdgeKey key) -> auto& { return tri_edges[key]; },
+      [&unused](auto& ar, Subscribers& subscribers) {
+        ar.Size(subscribers, 5);
+        ar.U64(unused);  // capacity
+        for (auto& [idx, slot] : subscribers) {
+          ar.U32(idx);
+          ar.U8(slot);
+        }
+      });
+}
+
 }  // namespace
 
 TwoPassTriangleCounter::TwoPassTriangleCounter(
@@ -35,19 +60,8 @@ TwoPassTriangleCounter::TwoPassTriangleCounter(
                    &space_domain_),
       slab_(decltype(slab_)::allocator_type(&space_domain_)),
       free_slots_(decltype(free_slots_)::allocator_type(&space_domain_)),
-      tri_edges_(decltype(tri_edges_)::allocator_type(&space_domain_)),
-      tri_verts_(&space_domain_),
-      touched_tri_edges_(
-          decltype(touched_tri_edges_)::allocator_type(&space_domain_)) {
+      tri_verts_(&space_domain_) {
   CYCLESTREAM_CHECK_GE(options.sample_size, 1u);
-}
-
-TwoPassTriangleCounter::TriEdgeWatch& TwoPassTriangleCounter::TriEdgeFor(
-    EdgeKey key) {
-  return tri_edges_
-      .try_emplace(key, obs::AccountedAllocator<TriEdgeWatch::Subscriber>(
-                            &space_domain_))
-      .first->second;
 }
 
 EdgeKey TwoPassTriangleCounter::EdgeKeyOfSlot(const TriEntry& entry,
@@ -79,32 +93,11 @@ void TwoPassTriangleCounter::FreeEntry(std::uint32_t idx) {
 }
 
 void TwoPassTriangleCounter::SubscribeEntry(std::uint32_t idx) {
-  TriEntry& entry = slab_[idx];
-  for (int slot = 0; slot < 3; ++slot) {
-    EdgeKey key = EdgeKeyOfSlot(entry, slot);
-    TriEdgeWatch& watch = TriEdgeFor(key);
-    if (watch.subscribers.empty()) {
-      watch.lo = EdgeKeyLo(key);
-      watch.hi = EdgeKeyHi(key);
-    }
-    watch.subscribers.push_back({idx, static_cast<std::uint8_t>(slot)});
-    tri_verts_.Add(entry.vert[slot], idx);
-  }
+  for (VertexId vert : slab_[idx].vert) tri_verts_.Add(vert, idx);
 }
 
 void TwoPassTriangleCounter::UnsubscribeEntry(std::uint32_t idx) {
-  TriEntry& entry = slab_[idx];
-  for (int slot = 0; slot < 3; ++slot) {
-    EdgeKey key = EdgeKeyOfSlot(entry, slot);
-    auto it = tri_edges_.find(key);
-    if (it != tri_edges_.end()) {
-      auto& subs = it->second.subscribers;
-      SwapRemove(subs,
-                 TriEdgeWatch::Subscriber{idx, static_cast<std::uint8_t>(slot)});
-      if (subs.empty()) tri_edges_.erase(it);
-    }
-    tri_verts_.Remove(entry.vert[slot], idx);
-  }
+  for (VertexId vert : slab_[idx].vert) tri_verts_.Remove(vert, idx);
 }
 
 void TwoPassTriangleCounter::OnPairEvicted(std::uint64_t /*pair_key*/,
@@ -117,21 +110,23 @@ void TwoPassTriangleCounter::OnEdgeEvicted(EdgeKey key, EdgeState&& state) {
   t_prime_ -= state.tri_count;
   edge_watchers_.Remove(state.lo, key);
   edge_watchers_.Remove(state.hi, key);
-  // Remove candidate pairs whose sampled edge was this one (slot-2
-  // subscribers of this physical edge). Copy first: unsubscription mutates
-  // the subscriber list we are scanning.
-  auto it = tri_edges_.find(key);
-  if (it != tri_edges_.end()) {
-    std::vector<TriEdgeWatch::Subscriber> subs(it->second.subscribers.begin(),
-                                               it->second.subscribers.end());
-    for (const auto& [idx, slot] : subs) {
-      if (slot != 2) continue;
-      TriEntry& entry = slab_[idx];
-      std::uint64_t pair_key = PairKey(key, entry.vert[2]);
-      pair_sample_.Erase(pair_key);
-      UnsubscribeEntry(idx);
-      FreeEntry(idx);
+  // Remove the candidate pairs whose sampled edge was this one. Each is
+  // listed under both endpoints; scan the shorter list, and copy the
+  // matches first: unsubscribing edits the list.
+  std::span<const std::uint32_t> listed = tri_verts_.Find(state.lo);
+  std::span<const std::uint32_t> hi_listed = tri_verts_.Find(state.hi);
+  if (hi_listed.size() < listed.size()) listed = hi_listed;
+  std::vector<std::uint32_t> doomed;
+  for (std::uint32_t idx : listed) {
+    const TriEntry& entry = slab_[idx];
+    if (entry.vert[0] == state.lo && entry.vert[1] == state.hi) {
+      doomed.push_back(idx);
     }
+  }
+  for (std::uint32_t idx : doomed) {
+    pair_sample_.Erase(PairKey(key, slab_[idx].vert[2]));
+    UnsubscribeEntry(idx);
+    FreeEntry(idx);
   }
 }
 
@@ -211,48 +206,35 @@ void TwoPassTriangleCounter::HandlePair(VertexId u, VertexId v) {
     }
   }
 
-  // In the second pass, flag triangle edges having endpoint v (for H
-  // accumulation). Derive the edges from the entries containing v.
+  // In the second pass, mark v on the two edges of each candidate that end
+  // at v. When a mark completes an edge, this list holds both endpoints of
+  // the edge: it adds to H for that edge once the reference third vertex
+  // has been seen strictly earlier this pass.
   if (pass_ == 1) {
+    const std::uint32_t stamp = list_pos_ + 1;
     for (std::uint32_t idx : tri_verts_.Find(v)) {
-      const TriEntry& entry = slab_[idx];
+      TriEntry& entry = slab_[idx];
+      if (entry.stamp != stamp) {
+        entry.stamp = stamp;
+        entry.ends = 0;
+      }
       for (int slot = 0; slot < 3; ++slot) {
         if (entry.vert[slot] == v) continue;  // edge opposite v excluded
-        EdgeKey key = EdgeKeyOfSlot(entry, slot);
-        auto eit = tri_edges_.find(key);
-        if (eit == tri_edges_.end()) continue;
-        TriEdgeWatch& watch = eit->second;
-        if (!watch.flag_lo && !watch.flag_hi) {
-          touched_tri_edges_.push_back(key);
+        const int shift = 2 * slot + (entry.vert[(slot + 1) % 3] == v ? 0 : 1);
+        const std::uint8_t mark = 1u << shift;
+        const std::uint8_t other = (3u << (2 * slot)) ^ mark;
+        // v completes the edge when its other endpoint came first.
+        if ((entry.ends & (mark | other)) == other && entry.seen[slot]) {
+          ++entry.h[slot];
         }
-        if (watch.lo == v) {
-          watch.flag_lo = true;
-        } else {
-          watch.flag_hi = true;
-        }
+        entry.ends |= mark;
       }
     }
   }
 }
 
 void TwoPassTriangleCounter::EndList(VertexId u) {
-  if (pass_ == 1) {
-    // Step 1: H increments for completed triangle edges whose reference
-    // third vertex has already been seen strictly earlier this pass.
-    for (EdgeKey key : touched_tri_edges_) {
-      auto it = tri_edges_.find(key);
-      if (it == tri_edges_.end()) continue;
-      TriEdgeWatch& watch = it->second;
-      if (watch.flag_lo && watch.flag_hi) {
-        for (const auto& [idx, slot] : watch.subscribers) {
-          TriEntry& entry = slab_[idx];
-          if (entry.seen[slot]) ++entry.h[slot];
-        }
-      }
-    }
-  }
-
-  // Step 2: triangle detections on sampled edges.
+  // Triangle detections on sampled edges.
   for (EdgeKey key : touched_edges_) {
     EdgeState* st = edge_sample_.Find(key);
     if (st == nullptr) continue;  // evicted mid-list
@@ -264,20 +246,13 @@ void TwoPassTriangleCounter::EndList(VertexId u) {
   }
 
   if (pass_ == 1) {
-    // Step 3: mark this list's vertex as seen for subscribed entries.
+    // Mark this list's vertex as seen for subscribed entries.
     for (std::uint32_t idx : tri_verts_.Find(u)) {
       TriEntry& entry = slab_[idx];
       for (int slot = 0; slot < 3; ++slot) {
         if (entry.vert[slot] == u) entry.seen[slot] = true;
       }
     }
-    // Reset triangle-edge flags.
-    for (EdgeKey key : touched_tri_edges_) {
-      auto it = tri_edges_.find(key);
-      if (it == tri_edges_.end()) continue;
-      it->second.flag_lo = it->second.flag_hi = false;
-    }
-    touched_tri_edges_.clear();
   }
 
   // Reset sampled-edge flags.
@@ -301,15 +276,11 @@ std::size_t TwoPassTriangleCounter::CurrentSpaceBytes() const {
   bytes += free_slots_.capacity() * sizeof(std::uint32_t);
   bytes += edge_watchers_.size() * kMapEntryOverhead;
   bytes += tri_verts_.size() * kMapEntryOverhead;
-  bytes += tri_edges_.size() * (kMapEntryOverhead + sizeof(TriEdgeWatch));
-  // Nested vectors: watcher entries ~ 2 per sampled edge, subscriber entries
-  // ~ 3 per live pair, vertex subscriptions ~ 3 per live pair.
+  // Nested vectors: watcher entries ~ 2 per sampled edge, vertex
+  // subscriptions ~ 3 per live pair.
   bytes += 2 * edge_sample_.size() * sizeof(EdgeKey);
-  bytes += 3 * pair_sample_.size() *
-           (sizeof(std::pair<std::uint32_t, std::uint8_t>) +
-            sizeof(std::uint32_t));
-  bytes += (touched_edges_.capacity() + touched_tri_edges_.capacity()) *
-           sizeof(EdgeKey);
+  bytes += 3 * pair_sample_.size() * sizeof(std::uint32_t);
+  bytes += touched_edges_.capacity() * sizeof(EdgeKey);
   return bytes;
 }
 
@@ -339,8 +310,9 @@ void TwoPassTriangleCounter::Fields(auto& self, auto& ar) {
       self.pair_sample_, ar, [](auto /*pair_key*/) { return std::uint32_t{0}; },
       [](auto& ar, auto& idx) { ar.U32(idx); });
   // The slab is serialized verbatim (live and dead slots): slab indices are
-  // stored in the pair sample, subscriber lists, and vertex subscriptions,
-  // so the slot layout itself is state.
+  // stored in the pair sample and the vertex subscriptions, so the slot
+  // layout itself is state. The endpoint marks are not: they are stale at
+  // every list boundary, and a restored entry's stamp 0 matches no list.
   ar.Vec(self.slab_, [](auto& ar, auto& entry) {
     ar.Bool(entry.live);
     if (!entry.live) return;  // freed: defaults on reuse
@@ -356,24 +328,14 @@ void TwoPassTriangleCounter::Fields(auto& self, auto& ar) {
     }
   });
   ar.Vec(self.free_slots_);
-  ar.Buckets(self.tri_edges_);
-  ar.Map(
-      self.tri_edges_,
-      [&](auto key) -> auto& {
-        TriEdgeWatch& watch = self.TriEdgeFor(key);
-        watch.lo = EdgeKeyLo(key);
-        watch.hi = EdgeKeyHi(key);
-        return watch;
-      },
-      [](auto& ar, auto& watch) {
-        CYCLESTREAM_CHECK(!watch.flag_lo && !watch.flag_hi);
-        ar.Vec(watch.subscribers, [](auto& ar, auto& sub) {
-          ar.U32(sub.first);
-          ar.U8(sub.second);
-        });
-      });
+  if constexpr (ar.kLoading) {
+    if (ar.version() == 1) DropVersion1TriEdges(ar);
+  }
   WatchIndex<VertexId, std::uint32_t>::Fields(self.tri_verts_, ar);
-  ar.Scratch(self.touched_tri_edges_);
+  if constexpr (ar.kLoading) {
+    std::uint64_t unused = 0;
+    if (ar.version() == 1) ar.U64(unused);  // the map's scratch capacity
+  }
 }
 
 void TwoPassTriangleCounter::Serialize(snapshot::SnapshotWriter& w) const {

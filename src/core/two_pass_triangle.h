@@ -13,10 +13,13 @@
 //     precedes the edge's first appearance, and compute, for every τ ∈ Q and
 //     each of its three edges f, the rank statistic
 //       H_{f,τ} = |{σ ∈ L(f) : σ^{-f}'s list arrives after τ^{-f}'s list}|.
-//     H accumulation uses a per-(τ, f) "third vertex already seen this pass"
-//     flag, which implements the strict order <_f exactly (Section 3.3.1's
-//     ordering argument guarantees every qualifying σ arrives after τ joins
-//     Q, so nothing is missed).
+//     Each candidate τ marks, per list, which endpoints of its three edges
+//     the list has delivered. A list that delivers both endpoints of f is
+//     σ^{-f}'s list for some σ ∈ L(f), and it adds one to H_{f,τ} when τ^{-f}
+//     has already been seen this pass. That "already seen" flag implements
+//     the strict order <_f exactly (Section 3.3.1's ordering argument
+//     guarantees every qualifying σ arrives after τ joins Q, so nothing is
+//     missed).
 //   Output: with k = m / |S|, the lightest-edge rule ρ(τ) = argmin_f H_{f,τ}
 //     (ties broken by edge key) gives
 //       T̂ = k · (T' / |Q|) · |{(e, τ) ∈ Q : ρ(τ) = e}|.
@@ -35,7 +38,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 
 #include "core/watch_index.h"
 #include "graph/types.h"
@@ -94,9 +96,11 @@ class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangle
 
   /// Snapshot contract (stream/algorithm.h): the complete algorithm state
   /// (edge sample S with first-appearance positions and tally counters,
-  /// candidate set Q with H statistics and seen flags, the slab and all
+  /// candidate set Q with H statistics and seen flags, the slab and both
   /// watcher indices verbatim, pass bookkeeping). Valid only at
-  /// adjacency-list boundaries (per-list flags are transient). The payload
+  /// adjacency-list boundaries (per-list flags and endpoint marks are
+  /// transient and never stored). Restore also reads a version-1 payload,
+  /// whose triangle-edge map it drops (snapshot/snapshot.h). The payload
   /// is the Section 5.1 message for the paper's main algorithm: a fresh
   /// instance with identical options resumes from these bytes alone and
   /// reproduces the monolithic run exactly (tests assert bitwise-equal
@@ -120,27 +124,19 @@ class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangle
   // vert[0] = sampled-edge lo, vert[1] = sampled-edge hi, vert[2] = apex w.
   // Edge slot j is the edge *opposite* vert[j] (so slot 2 is the sampled
   // edge), h[j] = H_{edge_j, τ}, and seen[j] tracks vert[j] in pass 2.
+  // `ends` marks which endpoints of each edge pass 2's list number
+  // `stamp - 1` has delivered: bit 2j for vert[(j+1)%3], bit 2j+1 for
+  // vert[(j+2)%3]. The marks go stale when the list ends.
   struct TriEntry {
     VertexId vert[3] = {0, 0, 0};
+    std::uint32_t stamp = 0;
     std::uint64_t h[3] = {0, 0, 0};
     bool seen[3] = {false, false, false};
     bool live = false;  // slab slot in use
+    std::uint8_t ends = 0;
   };
-
-  // Shared per-edge watch used for H accumulation (several entries can
-  // subscribe to the same physical edge). No default constructor: every
-  // instance must bind its subscriber list to the owning space domain.
-  struct TriEdgeWatch {
-    using Subscriber = std::pair<std::uint32_t, std::uint8_t>;
-    explicit TriEdgeWatch(const obs::AccountedAllocator<Subscriber>& alloc)
-        : subscribers(alloc) {}
-    VertexId lo = 0;
-    VertexId hi = 0;
-    bool flag_lo = false;
-    bool flag_hi = false;
-    // (slab index, edge slot) pairs subscribed to this edge.
-    obs::AccountedVector<Subscriber> subscribers;
-  };
+  // The marks sit in padding: the meter counts the slab at this size.
+  static_assert(sizeof(TriEntry) == 48);
 
   friend class stream::PairDispatch<TwoPassTriangleCounter>;
 
@@ -160,10 +156,6 @@ class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangle
   void HandleTriangleDetection(EdgeKey edge_key, EdgeState* edge,
                                VertexId apex);
 
-  // The watch for `key`, creating it bound to space_domain_ if absent (same
-  // insertion/bucket behaviour as operator[]).
-  TriEdgeWatch& TriEdgeFor(EdgeKey key);
-
   TwoPassTriangleOptions options_;
   int pass_ = -1;
   std::uint32_t list_pos_ = 0;          // index of current list in this pass
@@ -178,9 +170,7 @@ class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangle
   sampling::BottomKSampler<std::uint32_t> pair_sample_;
   obs::AccountedVector<TriEntry> slab_;
   obs::AccountedVector<std::uint32_t> free_slots_;
-  obs::AccountedUnorderedMap<EdgeKey, TriEdgeWatch> tri_edges_;
   WatchIndex<VertexId, std::uint32_t> tri_verts_;
-  obs::AccountedVector<EdgeKey> touched_tri_edges_;
 
   std::uint64_t t_prime_ = 0;  // running candidate-pair count for current S
   // True once any candidate pair has been rejected by or evicted from Q;

@@ -18,14 +18,19 @@
 //   }
 //
 // The two archives have the same methods, one per field shape of the
-// version-1 format, and each takes the field itself: a Saver writes it, a
-// Loader overwrites it from the bytes. `self` is const on save. Callbacks
+// format, and each takes the field itself: a Saver writes it, a Loader
+// overwrites it from the bytes. `self` is const on save. Callbacks
 // take the archive as a parameter (`elem(ar, e)`, `value(ar, v)`) and are
 // generic lambdas, so a Saver, which never calls `make`/`slot`, never
 // instantiates a body that mutates `self`. Derived state stays out of the
 // bytes: `make(key)` and `slot(key)` build what a key implies (endpoints,
 // domain-bound containers), and one `if constexpr (ar.kLoading)` branch
 // recomputes the rest.
+//
+// A Saver writes the current version (kSnapshotVersion, snapshot.h). A
+// Loader reports the version it reads, and a layout that changed decodes
+// the older bytes behind `if constexpr (ar.kLoading)` on `ar.version()`:
+// it reads the fields the newer layout dropped and discards them.
 //
 // A Loader stops at its first error and keeps it; every later call is a
 // no-op that reads no bytes. Its errors:
@@ -203,6 +208,9 @@ class Loader {
 
   /// The first error, or OK.
   const Status& status() const { return status_.ok() ? r_.status() : status_; }
+
+  /// The format version of the payload being read.
+  std::uint32_t version() const { return r_.version(); }
 
   template <typename T>
   void U8(T& value) {

@@ -121,11 +121,12 @@ StatusOr<SnapshotReader> SnapshotReader::Open(
         "snapshot has bad magic (not a cyclestream snapshot)");
   }
   const std::uint32_t version = GetU32(bytes.data() + 8);
-  if (version != kSnapshotVersion) {
+  if (version < kOldestReadableVersion || version > kSnapshotVersion) {
     return Status::FailedPrecondition(
         "unsupported snapshot version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kSnapshotVersion) +
-        ")");
+        " (this build reads versions " +
+        std::to_string(kOldestReadableVersion) + " to " +
+        std::to_string(kSnapshotVersion) + ")");
   }
   const std::uint64_t payload_len = GetU64(bytes.data() + 12);
   if (payload_len != bytes.size() - kEnvelopeBytes) {
@@ -140,7 +141,7 @@ StatusOr<SnapshotReader> SnapshotReader::Open(
   if (stored_crc != computed_crc) {
     return Status::DataLoss("snapshot checksum mismatch (corrupted bytes)");
   }
-  return SnapshotReader(bytes.subspan(kHeaderBytes, payload_len));
+  return SnapshotReader(bytes.subspan(kHeaderBytes, payload_len), version);
 }
 
 const std::uint8_t* SnapshotReader::Take(std::size_t n) {

@@ -13,10 +13,16 @@
 //
 //   offset  size  field
 //   0       8     magic  "CYSNAPSH"
-//   8       4     format version (kSnapshotVersion)
+//   8       4     format version (kSnapshotVersion when written)
 //   12      8     payload length in bytes
 //   20      N     payload
 //   20+N    4     CRC-32 (IEEE) over bytes [0, 20+N)
+//
+// Writers always stamp kSnapshotVersion. Readers accept every version from
+// kOldestReadableVersion up to it and report which one they opened, so a
+// layout that changes keeps decoding the older bytes (snapshot/codec.h).
+// Version 2 dropped the two-pass triangle counter's triangle-edge map; every
+// other layout is the same in both versions.
 //
 // Corruption classes map to typed Status codes, checked in this order when a
 // reader is opened: short/overlong buffer and truncated payload →
@@ -47,9 +53,13 @@
 namespace cyclestream {
 namespace snapshot {
 
-/// Current envelope format version. Bump on any layout change; readers
-/// reject other versions with kFailedPrecondition.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// The envelope format version writers stamp. Bump on any layout change,
+/// and keep the older layout's decoder in the `Fields` that changed.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
+
+/// The oldest version readers accept; versions outside
+/// [kOldestReadableVersion, kSnapshotVersion] are kFailedPrecondition.
+inline constexpr std::uint32_t kOldestReadableVersion = 1;
 
 /// Envelope overhead in bytes (magic + version + length + CRC).
 inline constexpr std::size_t kEnvelopeBytes = 8 + 4 + 8 + 4;
@@ -106,6 +116,9 @@ class SnapshotReader {
   std::vector<std::uint8_t> ReadBytesVec();
   std::string ReadString();
 
+  /// The format version the envelope was written with.
+  std::uint32_t version() const { return version_; }
+
   /// Bytes of payload not yet consumed.
   std::size_t remaining() const { return payload_.size() - pos_; }
 
@@ -118,13 +131,14 @@ class SnapshotReader {
   Status Final() const;
 
  private:
-  explicit SnapshotReader(std::span<const std::uint8_t> payload)
-      : payload_(payload) {}
+  SnapshotReader(std::span<const std::uint8_t> payload, std::uint32_t version)
+      : payload_(payload), version_(version) {}
 
   // Takes `n` bytes, or poisons the reader and returns nullptr.
   const std::uint8_t* Take(std::size_t n);
 
   std::span<const std::uint8_t> payload_;
+  std::uint32_t version_;
   std::size_t pos_ = 0;
   Status status_;
 };

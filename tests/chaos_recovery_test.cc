@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -689,6 +690,152 @@ TEST(ChaosRecovery, RepeatedEdgeKeyIsDataLoss) {
   ASSERT_FALSE(result.ok()) << "resumed to " << resumed.triangles();
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
       << result.status().ToString();
+}
+
+// --- Both versions of the two-pass layout, on the golden run. ---
+
+// The golden two-pass run (golden_test.cc: G(16, 0.4), every seed 7) and
+// its committed version-1 mid-run envelope.
+class TwoPassVersionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const SnapshotEstimator& est : SnapshotEstimators(7)) {
+      if (est.name == "two-pass-triangle") estimator_ = est;
+    }
+    ASSERT_TRUE(estimator_.make);
+    std::unique_ptr<StreamAlgorithm> algo = estimator_.make();
+    ASSERT_TRUE(RunPassesChecked(stream_, algo.get()).ok());
+    digest_ = estimator_.digest(algo.get());
+    std::ifstream in(std::string(CYCLESTREAM_GOLDEN_DIR) +
+                         "/two-pass-triangle.snap",
+                     std::ios::binary);
+    version1_.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    ASSERT_FALSE(version1_.empty());
+  }
+
+  // Resumes a fresh counter from `bytes` and returns the status code; a
+  // resume that succeeds must reach the uninterrupted run's digest.
+  StatusCode ResumeCode(const std::vector<std::uint8_t>& bytes) {
+    std::unique_ptr<StreamAlgorithm> algo = estimator_.make();
+    StatusOr<RunReport> result =
+        RunPassesChecked(stream_, algo.get(), {.resume_from = bytes});
+    if (result.ok()) {
+      EXPECT_EQ(estimator_.digest(algo.get()), digest_);
+    }
+    return result.status().code();
+  }
+
+  // Envelope offset of the fixture's triangle-edge map (its bucket count),
+  // which version 2 dropped. Walks the counter's section from its options;
+  // the walk must end where the payload does.
+  std::size_t Version1MapOffset() const {
+    std::size_t at = OffsetAfter(version1_, [](snapshot::SnapshotWriter& w) {
+      w.WriteU64(10);  // sample_size
+      w.WriteU64(10);  // seed
+      w.WriteBool(true);
+    });
+    auto u64 = [&] {
+      const std::uint64_t value = testing_util::PeekU64(version1_, at);
+      at += 8;
+      return value;
+    };
+    // A list: its size, its capacity, then `bytes` per element.
+    auto list = [&](std::size_t bytes) {
+      const std::uint64_t size = u64();
+      u64();
+      at += size * bytes;
+    };
+    at += 8 + 4 + 8 + 8 + 1 + 1;  // pass, list, pairs, T', two flags
+    for (std::uint64_t n = u64(); n > 0; --n) at += 8 + 4 + 8;  // S
+    list(8);  // S's heap
+    u64();    // edge watchers: buckets, then each vertex and its list
+    for (std::uint64_t n = u64(); n > 0; --n) {
+      at += 4;
+      list(8);
+    }
+    u64();  // touched-edge scratch capacity
+    for (std::uint64_t n = u64(); n > 0; --n) at += 8 + 4;  // Q
+    list(8);  // Q's heap
+    const std::uint64_t slots = u64();
+    u64();
+    for (std::uint64_t i = 0; i < slots; ++i) {
+      if (version1_[at++] != 0) at += 3 * 4 + 3 * 8 + 1;  // a live entry
+    }
+    list(4);  // free slots
+    const std::size_t map = at;
+    u64();  // buckets, then each edge and its (slab index, slot) list
+    for (std::uint64_t n = u64(); n > 0; --n) {
+      at += 8;
+      list(5);
+    }
+    u64();  // vertex subscriptions: buckets, then each vertex and its list
+    for (std::uint64_t n = u64(); n > 0; --n) {
+      at += 4;
+      list(4);
+    }
+    u64();  // the map's scratch capacity
+    EXPECT_EQ(at, version1_.size() - 4);
+    return map;
+  }
+
+  const Graph graph_ = gen::ErdosRenyiGnp(16, 0.4, 7);
+  const AdjacencyListStream stream_{&graph_, 7};
+  SnapshotEstimator estimator_;
+  std::string digest_;
+  std::vector<std::uint8_t> version1_;
+};
+
+TEST_F(TwoPassVersionTest, EveryCheckpointReadAsVersion1IsDataLoss) {
+  // A version-1 decoder looks for the triangle-edge map where version 2
+  // keeps the vertex subscriptions; no checkpoint of the run, resealed as
+  // version 1, may resume.
+  std::vector<std::vector<std::uint8_t>> checkpoints;
+  std::unique_ptr<StreamAlgorithm> algo = estimator_.make();
+  auto collect = [&](int, std::size_t, std::vector<std::uint8_t> bytes) {
+    checkpoints.push_back(std::move(bytes));
+  };
+  ASSERT_TRUE(
+      RunPassesChecked(stream_, algo.get(), {.on_checkpoint = collect}).ok());
+  ASSERT_EQ(checkpoints.size(), 32u);
+  for (std::size_t k = 0; k < checkpoints.size(); ++k) {
+    testing_util::Restamp(checkpoints[k], 1);
+    EXPECT_EQ(ResumeCode(checkpoints[k]), StatusCode::kDataLoss)
+        << "checkpoint " << k;
+  }
+}
+
+TEST_F(TwoPassVersionTest, Version1FixtureReadAsVersion2IsDataLoss) {
+  std::vector<std::uint8_t> bad = version1_;
+  testing_util::Restamp(bad, 2);
+  EXPECT_EQ(ResumeCode(bad), StatusCode::kDataLoss);
+}
+
+TEST_F(TwoPassVersionTest, Version1MapCountPastThePayloadIsDataLoss) {
+  // The dropped map's entry count is checked against the payload like any
+  // other: one more entry than the rest of the payload could hold.
+  const std::size_t at = Version1MapOffset() + 8;
+  std::vector<std::uint8_t> bad = version1_;
+  const std::uint64_t past = (bad.size() - 4 - (at + 8)) / 8 + 1;
+  testing_util::PatchU64(bad, at, past);
+  testing_util::Reseal(bad);
+  EXPECT_EQ(ResumeCode(bad), StatusCode::kDataLoss);
+}
+
+TEST_F(TwoPassVersionTest, Version1SubscriberCapacityIsNeverReserved) {
+  // A CRC-valid envelope does not make a stored capacity sane. The dropped
+  // map's capacities are read and discarded, so the first one at 2^40 (a
+  // reservation of 8 TiB) still restores and reaches the digest.
+  const std::size_t map = Version1MapOffset();
+  ASSERT_GE(testing_util::PeekU64(version1_, map + 8), 1u);
+  // The bucket count, the entry count, the first key and its list's size.
+  const std::size_t capacity_at = map + 4 * 8;
+  ASSERT_GE(testing_util::PeekU64(version1_, capacity_at),
+            testing_util::PeekU64(version1_, capacity_at - 8));
+  std::vector<std::uint8_t> big = version1_;
+  testing_util::PatchU64(big, capacity_at, std::uint64_t{1} << 40);
+  testing_util::Reseal(big);
+  EXPECT_EQ(ResumeCode(big), StatusCode::kOk);
 }
 
 TEST(ChaosRecovery, SnapshotPayloadTracksAuditedBytes) {

@@ -5,14 +5,16 @@
 // itself; none of them notices a change that shifts every run the same
 // way. This suite pins one checked run per estimator on a fixed
 // (generator, seed, budget): the hexfloat digest of the result, every
-// RunReport field, and the count, total size and CRC-32 of the checkpoint
-// envelopes the run emits. One version-1 envelope from the middle of each
-// run is committed under tests/golden/, and resuming it must reach the
-// pinned digest, so checkpoints written by an older build stay readable.
+// RunReport field, and the count, total size and a content digest of the
+// checkpoint envelopes the run emits. Each snapshot version commits the
+// envelope from the middle of each run: tests/golden/<name>.snap for
+// version 1, tests/golden/v2/<name>.snap for version 2. The current
+// version's fixture must equal this build's mid-run envelope, and resuming
+// any version's fixture must reach the pinned digest, so checkpoints
+// written by an older build stay readable.
 //
-// A mismatch prints the actual values as a table row. The version-1
-// envelopes are never rewritten: a later snapshot version adds its own
-// fixtures beside them.
+// A mismatch prints the actual values as a table row. Fixtures are never
+// rewritten: a later snapshot version adds its own beside them.
 //
 // The adjacency-list contract's verdicts are pinned the same way, in
 // tests/golden/adjacency-contract-verdicts.txt: one line per (stream,
@@ -66,10 +68,8 @@ constexpr std::size_t kRandomOrderPrefix = 10;
 
 Graph GoldenGraph() { return gen::ErdosRenyiGnp(16, 0.4, kGraphSeed); }
 
-// Everything one checked run pins.
-struct Golden {
-  std::string name;
-  std::string digest;
+// The RunReport fields a row pins.
+struct PinnedReport {
   std::size_t reported_peak_bytes = 0;
   std::size_t audited_peak_bytes = 0;
   std::size_t max_divergence_bytes = 0;
@@ -77,21 +77,36 @@ struct Golden {
   int passes_requested = 0;
   // {reported_peak_bytes, audited_peak_bytes, pairs_processed} per pass.
   std::vector<std::array<std::size_t, 3>> per_pass;
+};
+
+// Everything one checked run pins.
+struct Golden {
+  std::string name;
+  std::string digest;
+  PinnedReport report;
   std::size_t envelopes = 0;
   std::size_t envelope_bytes = 0;
-  std::uint32_t envelope_crc = 0;
+  std::uint32_t envelope_digest = 0;  // EnvelopeDigest
 };
 
 // clang-format off
 const Golden kPinned[] = {
-    {"exact-stream", "24|", 1064, 1496, 441, 80, 1, {{1064, 1496, 80}}, 16, 11235, 0x72ea232c},
-    {"one-pass-triangle", "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", 1376, 1704, 328, 80, 1, {{1376, 1704, 80}}, 16, 16802, 0x5cdae1ba},
-    {"triangle-distinguisher", "1|0x1.faaaaaaaaaaabp+4|40|19|8|", 1040, 1432, 392, 160, 2, {{1024, 1408, 80}, {1040, 1432, 80}}, 32, 31688, 0x249735ee},
-    {"two-pass-triangle", "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", 8184, 8540, 688, 160, 2, {{6680, 7104, 80}, {8184, 8540, 80}}, 32, 99085, 0x114e01d0},
-    {"wedge-sampling", "0x1.4855555555556p+5|197|12|5|0x1.4p-1|", 880, 984, 104, 80, 1, {{880, 984, 80}}, 16, 15872, 0x1c189939},
-    {"one-pass-four-cycle", "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", 3856, 4536, 732, 80, 1, {{3856, 4536, 80}}, 16, 29381, 0x97609b31},
-    {"two-pass-four-cycle", "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", 1872, 2116, 316, 160, 2, {{1568, 1788, 80}, {1872, 2116, 80}}, 32, 33304, 0x69c3c87c},
-    {"random-order-triangle", "0x1.5f49f49f49f4ap+5|40|6|10|0x1.d4629b7f0d463p+2|", 952, 1160, 208, 40, 1, {{952, 1160, 40}}, 36, 26472, 0x849981df},
+    {"exact-stream", "24|", {1064, 1496, 441, 80, 1, {{1064, 1496, 80}}}, 16, 11235, 0x9c0d9c36},
+    {"one-pass-triangle", "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {1376, 1704, 328, 80, 1, {{1376, 1704, 80}}}, 16, 16802, 0x6091d786},
+    {"triangle-distinguisher", "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1040, 1432, 392, 160, 2, {{1024, 1408, 80}, {1040, 1432, 80}}}, 32, 31688, 0x864a5471},
+    {"two-pass-triangle", "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {4952, 5820, 1004, 160, 2, {{3848, 4800, 80}, {4952, 5820, 80}}}, 32, 77116, 0xbc772051},
+    {"wedge-sampling", "0x1.4855555555556p+5|197|12|5|0x1.4p-1|", {880, 984, 104, 80, 1, {{880, 984, 80}}}, 16, 15872, 0xb200c728},
+    {"one-pass-four-cycle", "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {3856, 4536, 732, 80, 1, {{3856, 4536, 80}}}, 16, 29381, 0xfb0dc9f6},
+    {"two-pass-four-cycle", "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {1872, 2116, 316, 160, 2, {{1568, 1788, 80}, {1872, 2116, 80}}}, 32, 33304, 0x6469fc77},
+    {"random-order-triangle", "0x1.5f49f49f49f4ap+5|40|6|10|0x1.d4629b7f0d463p+2|", {952, 1160, 208, 40, 1, {{952, 1160, 40}}}, 36, 26472, 0x50139eb3},
+};
+
+// Resuming a version-1 fixture restores the report that build measured up
+// to its checkpoint. Version 2 changed only the two-pass triangle layout,
+// and with it that counter's space, so only its version-1 resume differs
+// from its row: pass 0's peaks are version 1's.
+const std::pair<const char*, PinnedReport> kPinnedVersion1Resume[] = {
+    {"two-pass-triangle", {6936, 7360, 952, 160, 2, {{6680, 7104, 80}, {6936, 7360, 80}}}},
 };
 // clang-format on
 
@@ -103,38 +118,69 @@ const Golden& PinnedFor(const std::string& name) {
   return kPinned[0];
 }
 
+const PinnedReport& PinnedVersion1Resume(const Golden& pinned) {
+  for (const auto& [name, report] : kPinnedVersion1Resume) {
+    if (name == pinned.name) return report;
+  }
+  return pinned.report;
+}
+
+std::string ReportRow(const PinnedReport& r) {
+  std::ostringstream out;
+  out << "{" << r.reported_peak_bytes << ", " << r.audited_peak_bytes << ", "
+      << r.max_divergence_bytes << ", " << r.pairs_processed << ", "
+      << r.passes_requested << ", {";
+  for (std::size_t i = 0; i < r.per_pass.size(); ++i) {
+    out << (i == 0 ? "" : ", ") << "{" << r.per_pass[i][0] << ", "
+        << r.per_pass[i][1] << ", " << r.per_pass[i][2] << "}";
+  }
+  out << "}}";
+  return out.str();
+}
+
 // One line holding every pinned value, in the table's initializer syntax,
 // so a mismatch shows the actual row ready to compare.
 std::string Row(const Golden& g) {
   std::ostringstream out;
   out << "{\"" << g.name << "\", \"" << g.digest << "\", "
-      << g.reported_peak_bytes << ", " << g.audited_peak_bytes << ", "
-      << g.max_divergence_bytes << ", " << g.pairs_processed << ", "
-      << g.passes_requested << ", {";
-  for (std::size_t i = 0; i < g.per_pass.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "{" << g.per_pass[i][0] << ", "
-        << g.per_pass[i][1] << ", " << g.per_pass[i][2] << "}";
-  }
-  out << "}, " << g.envelopes << ", " << g.envelope_bytes << ", 0x"
-      << std::hex << g.envelope_crc << "},";
+      << ReportRow(g.report) << ", " << g.envelopes << ", "
+      << g.envelope_bytes << ", 0x" << std::hex << g.envelope_digest << "},";
   return out.str();
 }
 
-void FillReport(const RunReport& report, Golden* g) {
-  g->reported_peak_bytes = report.reported_peak_bytes;
-  g->audited_peak_bytes = report.audited_peak_bytes;
-  g->max_divergence_bytes = report.max_divergence_bytes;
-  g->pairs_processed = report.pairs_processed;
-  g->passes_requested = report.passes_requested;
-  g->per_pass.clear();
+PinnedReport ReportOf(const RunReport& report) {
+  PinnedReport r;
+  r.reported_peak_bytes = report.reported_peak_bytes;
+  r.audited_peak_bytes = report.audited_peak_bytes;
+  r.max_divergence_bytes = report.max_divergence_bytes;
+  r.pairs_processed = report.pairs_processed;
+  r.passes_requested = report.passes_requested;
   for (const PassReport& pass : report.per_pass) {
-    g->per_pass.push_back({pass.reported_peak_bytes, pass.audited_peak_bytes,
-                           pass.pairs_processed});
+    r.per_pass.push_back({pass.reported_peak_bytes, pass.audited_peak_bytes,
+                          pass.pairs_processed});
   }
+  return r;
 }
 
-std::string GoldenPath(const std::string& name) {
-  return std::string(CYCLESTREAM_GOLDEN_DIR) + "/" + name + ".snap";
+// A CRC-32 of the envelopes' content. Each envelope ends with the CRC-32 of
+// the bytes before it, which brings a CRC register to a fixed residue, so a
+// CRC over whole envelopes would pin their lengths alone. This one leaves
+// out each envelope's own checksum.
+std::uint32_t EnvelopeDigest(
+    const std::vector<std::vector<std::uint8_t>>& envelopes) {
+  std::vector<std::uint8_t> content;
+  for (const std::vector<std::uint8_t>& e : envelopes) {
+    content.insert(content.end(), e.begin(), e.end() - 4);
+  }
+  return snapshot::Crc32(content);
+}
+
+// `name`'s committed mid-run envelope for a snapshot version: version 1's
+// sit in tests/golden/, each later version's in its own subdirectory.
+std::string GoldenPath(const std::string& name, int version) {
+  const std::string dir =
+      version == 1 ? "" : "v" + std::to_string(version) + "/";
+  return std::string(CYCLESTREAM_GOLDEN_DIR) + "/" + dir + name + ".snap";
 }
 
 std::vector<std::uint8_t> ReadFile(const std::string& path) {
@@ -145,53 +191,79 @@ std::vector<std::uint8_t> ReadFile(const std::string& path) {
 
 using Factory = std::function<std::unique_ptr<StreamAlgorithm>()>;
 using Digester = std::function<std::string(StreamAlgorithm*)>;
+using Envelopes = std::vector<std::vector<std::uint8_t>>;
 
-// Runs `name` once with checkpoints, compares against its pinned row, then
-// resumes a fresh instance from the committed mid-run envelope.
+// Runs `algo` over `stream` with a checkpoint at every list boundary and
+// returns the envelopes.
 template <typename StreamT>
-void CheckGolden(const std::string& name, const StreamT& stream,
-                 const Factory& make, const Digester& digest) {
-  SCOPED_TRACE(name);
-  std::vector<std::vector<std::uint8_t>> envelopes;
-  std::unique_ptr<StreamAlgorithm> algo = make();
+Envelopes RunWithCheckpoints(const StreamT& stream, StreamAlgorithm* algo,
+                             RunReport* report) {
+  Envelopes envelopes;
   auto collect = [&envelopes](int, std::size_t,
                               std::vector<std::uint8_t> bytes) {
     envelopes.push_back(std::move(bytes));
   };
   StatusOr<RunReport> run =
-      RunPassesChecked(stream, algo.get(), {.on_checkpoint = collect});
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
+      RunPassesChecked(stream, algo, {.on_checkpoint = collect});
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  if (run.ok()) *report = *run;
+  return envelopes;
+}
+
+// Resumes a fresh instance from the fixture of `version` and compares its
+// digest and report with the pinned ones.
+template <typename StreamT>
+void ExpectFixtureResumes(const StreamT& stream, const Factory& make,
+                          const Digester& digest, const std::string& name,
+                          int version, const std::string& want_digest,
+                          const PinnedReport& want_report) {
+  SCOPED_TRACE("resumed from the version-" + std::to_string(version) +
+               " fixture");
+  const std::vector<std::uint8_t> fixture =
+      ReadFile(GoldenPath(name, version));
+  ASSERT_FALSE(fixture.empty()) << "missing " << GoldenPath(name, version);
+  std::unique_ptr<StreamAlgorithm> resumed = make();
+  StatusOr<RunReport> report =
+      RunPassesChecked(stream, resumed.get(), {.resume_from = fixture});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(digest(resumed.get()), want_digest);
+  EXPECT_EQ(ReportRow(ReportOf(*report)), ReportRow(want_report));
+}
+
+// Runs `name` once with checkpoints, compares against its pinned row and
+// the current version's fixture, then resumes a fresh instance from each
+// version's fixture.
+template <typename StreamT>
+void CheckGolden(const std::string& name, const StreamT& stream,
+                 const Factory& make, const Digester& digest) {
+  SCOPED_TRACE(name);
+  std::unique_ptr<StreamAlgorithm> algo = make();
+  RunReport run;
+  const Envelopes envelopes = RunWithCheckpoints(stream, algo.get(), &run);
   ASSERT_FALSE(envelopes.empty());
 
   Golden actual;
   actual.name = name;
   actual.digest = digest(algo.get());
-  FillReport(*run, &actual);
-  std::vector<std::uint8_t> all;
-  for (const std::vector<std::uint8_t>& e : envelopes) {
-    all.insert(all.end(), e.begin(), e.end());
-  }
+  actual.report = ReportOf(run);
   actual.envelopes = envelopes.size();
-  actual.envelope_bytes = all.size();
-  actual.envelope_crc = snapshot::Crc32(all);
+  for (const std::vector<std::uint8_t>& e : envelopes) {
+    actual.envelope_bytes += e.size();
+  }
+  actual.envelope_digest = EnvelopeDigest(envelopes);
 
   const Golden& pinned = PinnedFor(name);
   EXPECT_EQ(Row(actual), Row(pinned)) << "actual row:\n    " << Row(actual);
 
-  const std::vector<std::uint8_t>& mid = envelopes[envelopes.size() / 2];
-  const std::vector<std::uint8_t> committed = ReadFile(GoldenPath(name));
-  ASSERT_FALSE(committed.empty())
-      << "missing tests/golden/" << name << ".snap";
-  EXPECT_EQ(committed, mid) << "mid-run envelope drifted from the fixture";
-
-  std::unique_ptr<StreamAlgorithm> resumed = make();
-  StatusOr<RunReport> report =
-      RunPassesChecked(stream, resumed.get(), {.resume_from = committed});
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  Golden from_fixture = actual;
-  from_fixture.digest = digest(resumed.get());
-  FillReport(*report, &from_fixture);
-  EXPECT_EQ(Row(from_fixture), Row(pinned)) << "resumed from the fixture";
+  const int current = static_cast<int>(snapshot::kSnapshotVersion);
+  EXPECT_EQ(ReadFile(GoldenPath(name, current)),
+            envelopes[envelopes.size() / 2])
+      << "mid-run envelope drifted from the version-" << current
+      << " fixture";
+  ExpectFixtureResumes(stream, make, digest, name, current, pinned.digest,
+                       pinned.report);
+  ExpectFixtureResumes(stream, make, digest, name, 1, pinned.digest,
+                       PinnedVersion1Resume(pinned));
 }
 
 TEST(Golden, SnapshotEstimatorsMatchPinnedValues) {
@@ -200,6 +272,23 @@ TEST(Golden, SnapshotEstimatorsMatchPinnedValues) {
   for (const SnapshotEstimator& est : SnapshotEstimators(kEstimatorSeed)) {
     CheckGolden(est.name, stream, est.make, est.digest);
   }
+}
+
+TEST(Golden, EnvelopeDigestCoversContent) {
+  // One payload byte of a non-mid envelope changed and the envelope
+  // resealed: the digest moves. A CRC over whole envelopes would not.
+  const Graph g = GoldenGraph();
+  const AdjacencyListStream stream(&g, kStreamSeed);
+  const SnapshotEstimator est = SnapshotEstimators(kEstimatorSeed).front();
+  std::unique_ptr<StreamAlgorithm> algo = est.make();
+  RunReport run;
+  Envelopes envelopes = RunWithCheckpoints(stream, algo.get(), &run);
+  ASSERT_GT(envelopes.size(), 2u);
+  const std::uint32_t before = EnvelopeDigest(envelopes);
+  std::vector<std::uint8_t>& first = envelopes.front();
+  first[snapshot::kEnvelopeBytes - 4] ^= 1;  // the first payload byte
+  testing_util::Reseal(first);
+  EXPECT_NE(EnvelopeDigest(envelopes), before);
 }
 
 TEST(Golden, RandomOrderTriangleMatchesPinnedValues) {

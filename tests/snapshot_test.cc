@@ -16,6 +16,7 @@
 
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
+#include "test_util.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -127,20 +128,29 @@ TEST(SnapshotCorruption, BadMagicIsInvalidArgument) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(SnapshotCorruption, WrongVersionIsFailedPrecondition) {
-  std::vector<std::uint8_t> bytes = SampleEnvelope();
-  bytes[8] = static_cast<std::uint8_t>(kSnapshotVersion + 1);
-  // Version is CRC-covered, so restamp the checksum: the reader must reject
-  // on the version check itself, not merely via the CRC.
-  const std::uint32_t crc =
-      Crc32({bytes.data(), bytes.size() - 4});
-  for (int i = 0; i < 4; ++i) {
-    bytes[bytes.size() - 4 + i] =
-        static_cast<std::uint8_t>(crc >> (8 * i));
+TEST(Snapshot, OpensEveryReadableVersionAndReportsIt) {
+  ASSERT_EQ(kOldestReadableVersion, 1u);
+  ASSERT_EQ(kSnapshotVersion, 2u);
+  for (const std::uint32_t version : {1u, 2u}) {
+    std::vector<std::uint8_t> bytes = SampleEnvelope();
+    testing_util::Restamp(bytes, version);
+    StatusOr<SnapshotReader> r = SnapshotReader::Open(bytes);
+    ASSERT_TRUE(r.ok()) << "version " << version;
+    EXPECT_EQ(r->version(), version);
+    EXPECT_EQ(r->ReadU8(), 0x5a);
   }
-  StatusOr<SnapshotReader> r = SnapshotReader::Open(bytes);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(SnapshotCorruption, WrongVersionIsFailedPrecondition) {
+  // One below the oldest readable version and one above the current one,
+  // each under a valid CRC.
+  for (const std::uint32_t version : {0u, 3u}) {
+    std::vector<std::uint8_t> bytes = SampleEnvelope();
+    testing_util::Restamp(bytes, version);
+    StatusOr<SnapshotReader> r = SnapshotReader::Open(bytes);
+    ASSERT_FALSE(r.ok()) << "version " << version;
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  }
 }
 
 TEST(SnapshotCorruption, EveryPayloadBitFlipIsCaught) {

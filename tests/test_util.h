@@ -252,6 +252,16 @@ inline void Reseal(std::span<std::uint8_t> envelope) {
   }
 }
 
+/// Stamps `version` into an envelope's version word and reseals it. The
+/// version is CRC-covered, so the reader then decides on the version check
+/// itself, not merely via the CRC.
+inline void Restamp(std::span<std::uint8_t> envelope, std::uint32_t version) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    envelope[8 + i] = static_cast<std::uint8_t>(version >> (8 * i));
+  }
+  Reseal(envelope);
+}
+
 /// Envelope offset of a driver checkpoint's pass cursor: the first payload
 /// field, after the envelope header.
 inline constexpr std::size_t kCheckpointPassOffset = 20;
