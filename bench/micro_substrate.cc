@@ -351,9 +351,9 @@ void BM_TrialRunnerFanOut(benchmark::State& state) {
 }
 BENCHMARK(BM_TrialRunnerFanOut)->Arg(1)->Arg(4);
 
-// Median amplification end-to-end: sequential (lockstep) vs pool-backed
-// chunk-per-worker execution of the same copies. Identical estimates by
-// construction; the items/s gap is the parallel speedup.
+// Median amplification end-to-end: sequential (lockstep) vs one pool task
+// per copy. Identical estimates by construction; the items/s gap is the
+// parallel speedup.
 void BM_EstimateTrianglesAmplified(benchmark::State& state) {
   const Graph& g = SharedSocialGraph();
   stream::AdjacencyListStream s(&g, 5);

@@ -1,10 +1,9 @@
 #include "core/median.h"
 
 #include <algorithm>
-#include <future>
+#include <functional>
 
 #include "runtime/thread_pool.h"
-#include "snapshot/codec.h"
 #include "util/check.h"
 #include "util/hashing.h"
 
@@ -21,13 +20,6 @@ ParallelCopies::ParallelCopies(
 }
 
 int ParallelCopies::passes() const { return copies_.front()->passes(); }
-
-bool ParallelCopies::requires_same_order() const {
-  for (const auto& copy : copies_) {
-    if (copy->requires_same_order()) return true;
-  }
-  return false;
-}
 
 bool ParallelCopies::AcceptsModel(stream::StreamModel model) const {
   for (const auto& copy : copies_) {
@@ -66,20 +58,24 @@ std::size_t ParallelCopies::CurrentSpaceBytes() const {
   return total;
 }
 
-void ParallelCopies::Fields(auto& self, auto& ar) {
-  ar.Option(self.copies_.size(), "copy count");
-  for (auto& copy : self.copies_) ar.Nested(*copy);
-}
-
-void ParallelCopies::Serialize(snapshot::SnapshotWriter& w) const {
-  snapshot::Saver ar(w);
-  Fields(*this, ar);
-}
-
-Status ParallelCopies::Restore(snapshot::SnapshotReader& r) {
-  snapshot::Loader ar(r);
-  Fields(*this, ar);
-  return ar.status();
+stream::RunReport ParallelCopies::SumReports(
+    const std::vector<stream::RunReport>& reports) {
+  // Every copy read the whole stream, so copy 0's counts are the lockstep
+  // ones: each pair once per pass.
+  stream::RunReport sum = reports.front();
+  for (std::size_t c = 1; c < reports.size(); ++c) {
+    const stream::RunReport& r = reports[c];
+    sum.reported_peak_bytes += r.reported_peak_bytes;
+    sum.audited_peak_bytes += r.audited_peak_bytes;
+    // At any sample the group's divergence is at most the sum of the
+    // copies' divergences.
+    sum.max_divergence_bytes += r.max_divergence_bytes;
+    for (std::size_t p = 0; p < sum.per_pass.size(); ++p) {
+      sum.per_pass[p].reported_peak_bytes += r.per_pass[p].reported_peak_bytes;
+      sum.per_pass[p].audited_peak_bytes += r.per_pass[p].audited_peak_bytes;
+    }
+  }
+  return sum;
 }
 
 double Median(std::vector<double> values) {

@@ -76,13 +76,13 @@ struct TwoPassTriangleResult {
 };
 
 /// Streaming implementation of Theorem 3.7. Requires two passes in the same
-/// order. Construct, run via stream::RunPasses, then read result().
+/// order: pass 2 compares list positions against the first appearances pass 1
+/// recorded. Construct, run via stream::RunPasses, then read result().
 class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangleCounter> {
  public:
   explicit TwoPassTriangleCounter(const TwoPassTriangleOptions& options);
 
   int passes() const override { return 2; }
-  bool requires_same_order() const override { return true; }
 
   void BeginPass(int pass) override;
   void BeginList(VertexId u) override;

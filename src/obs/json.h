@@ -1,12 +1,13 @@
-// Minimal JSON value for the observability layer: building, serializing,
-// and parsing the JSONL run manifests that benches emit (`--metrics-out`)
-// and that tests/scripts consume.
+// Minimal JSON value for the observability layer: building and serializing
+// the JSONL run manifests that benches emit (`--metrics-out`) and that
+// tests/scripts consume. The library only writes JSON; the tests' parser
+// (tests/json_parse.h) reads it back.
 //
-// Deliberately small — no external dependency, no streaming parser — but
-// strict about the one property manifests need: **round-trip fidelity**.
-// Unsigned 64-bit integers (seeds, byte counts) are stored and printed
-// exactly, never through double; doubles print shortest-round-trip
-// (std::to_chars), so Parse(Dump(v)) == v structurally. Object keys keep
+// Deliberately small — no external dependency — but strict about the one
+// property manifests need: **round-trip fidelity**. Unsigned 64-bit
+// integers (seeds, byte counts) are stored and printed exactly, never
+// through double; doubles print shortest-round-trip (std::to_chars), so a
+// conforming parser reads Dump(v) back as v structurally. Object keys keep
 // insertion order, making Dump deterministic for fixed construction order.
 
 #ifndef CYCLESTREAM_OBS_JSON_H_
@@ -18,8 +19,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "util/status.h"
 
 namespace cyclestream {
 namespace obs {
@@ -37,7 +36,7 @@ class Json {
   Json(std::string s) : kind_(Kind::kString), string_(std::move(s)) {}  // NOLINT
 
   /// Any integral type; non-negative values normalize to kUint (matching
-  /// what Parse produces, so round-trips compare equal).
+  /// what a parser produces for them, so round-trips compare equal).
   template <typename T,
             std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>,
                              int> = 0>
@@ -92,10 +91,6 @@ class Json {
   /// Compact serialization (no whitespace). NaN/Inf doubles emit null
   /// (JSON has no representation for them).
   std::string Dump() const;
-
-  /// Parses one JSON document (surrounding whitespace allowed; trailing
-  /// garbage is an error). InvalidArgument with offset on malformed input.
-  static StatusOr<Json> Parse(std::string_view text);
 
   /// Structural equality. kUint/kInt compare by value; doubles exactly.
   bool operator==(const Json& other) const;

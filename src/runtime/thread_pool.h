@@ -1,13 +1,15 @@
 // Fixed-size thread pool: a work queue drained by long-lived workers, with
 // std::future-based completion. No external dependencies.
 //
-// This is the execution substrate for TrialRunner (trial_runner.h) and the
-// parallel median-amplification path (core/median.h). It deliberately offers
-// only fire-and-wait task submission — no work stealing, no priorities —
-// because every caller in this repository fans out a statically known batch
-// of independent jobs and then blocks for all of them. Determinism is the
-// callers' responsibility: a task must compute a result that depends only on
-// its own inputs, never on scheduling order (see the TrialRunner contract).
+// It has two callers in the library. `TrialRunner::Map` (trial_runner.h)
+// fans out every batch of independent jobs — bench trials and the copies of
+// a median-amplified run (core/median.h) — and blocks for all of them. The
+// service (service/service.h) submits its shard drains fire-and-forget. CI
+// fails on any other Submit under src/. The pool deliberately offers only
+// task submission with a future — no work stealing, no priorities.
+// Determinism is the callers' responsibility: a task must compute a result
+// that depends only on its own inputs, never on scheduling order (see the
+// TrialRunner contract).
 //
 // Nesting caveat: waiting on pool futures from inside a pool task can
 // deadlock (the waiting task occupies the worker the waited-on task needs).

@@ -52,7 +52,8 @@ struct TrialResult {
   /// Peak self-reported CurrentSpaceBytes() of the trial's run.
   std::size_t reported_peak_bytes = 0;
   /// Peak allocator-measured live bytes (0 when the trial's algorithm
-  /// exposes no memory domain, or for amplified runs — see core/median.h).
+  /// exposes no memory domain, as a lockstep amplified group does — see
+  /// core/median.h).
   std::size_t audited_peak_bytes = 0;
   /// Largest |audited - reported| over the trial's space samples.
   std::size_t max_divergence_bytes = 0;
@@ -106,8 +107,9 @@ class TrialRunner {
                                obs::Profiler* prof = nullptr) const;
 
   /// Generic deterministic map: out[i] = fn(i, TrialSeed(base_seed, i)).
-  /// `R` must be default-constructible and move-assignable. Exceptions from
-  /// `fn` propagate to the caller after all trials finish or are drained.
+  /// `R` must be default-constructible and move-assignable. On a pool, an
+  /// exception from `fn` reaches the caller only after every trial has
+  /// finished; the first one in trial order is rethrown.
   template <typename R, typename Fn>
   std::vector<R> Map(std::size_t n, std::uint64_t base_seed, Fn&& fn) const {
     std::vector<R> out(n);
@@ -122,6 +124,9 @@ class TrialRunner {
         out[i] = fn(i, TrialSeed(base_seed, i));
       }));
     }
+    // Every task writes into `out` and reads `fn`: none may outlive this
+    // frame, so wait for all of them before get() can rethrow.
+    for (auto& future : pending) future.wait();
     for (auto& future : pending) future.get();
     return out;
   }

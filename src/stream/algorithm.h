@@ -6,7 +6,8 @@
 // in arbitrary order within the list, and the lists themselves appear in
 // arbitrary order. Multi-pass algorithms may require that later passes replay
 // the same ordering (the two-pass triangle algorithm does; the 4-cycle
-// algorithm does not).
+// algorithm does not). The driver always replays one order, and a checked
+// run reports a replay that diverges, so no algorithm has to declare it.
 //
 // Space accounting: `CurrentSpaceBytes()` must return the algorithm's live
 // working-state footprint. The driver samples it at every list boundary and
@@ -55,10 +56,6 @@ class StreamAlgorithm {
 
   /// Number of passes this algorithm takes over the stream.
   virtual int passes() const = 0;
-
-  /// True if passes after the first must replay the first pass's order.
-  /// (Always legal for the driver to replay; this documents the requirement.)
-  virtual bool requires_same_order() const { return false; }
 
   /// Stream models this algorithm's analysis is valid in. The driver
   /// refuses to run an algorithm over a stream whose declared model it

@@ -87,7 +87,6 @@ TEST(Distinguisher, TwoPassesAnyOrder) {
   options.sample_size = 4;
   TriangleDistinguisher d(options);
   EXPECT_EQ(d.passes(), 2);
-  EXPECT_FALSE(d.requires_same_order());
 }
 
 }  // namespace

@@ -142,7 +142,6 @@ TEST(FourCycleAlgo, TwoPassesAnyOrder) {
   options.sample_size = 4;
   TwoPassFourCycleCounter counter(options);
   EXPECT_EQ(counter.passes(), 2);
-  EXPECT_FALSE(counter.requires_same_order());
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,9 +9,12 @@
 #include "core/median.h"
 #include "exact/four_cycle.h"
 #include "exact/triangle.h"
+#include "gen/chung_lu.h"
 #include "gen/classic.h"
 #include "gen/erdos_renyi.h"
 #include "gen/planted.h"
+#include "runtime/thread_pool.h"
+#include "stream/driver.h"
 #include "test_util.h"
 
 namespace cyclestream {
@@ -57,6 +62,77 @@ TEST(ParallelCopies, RejectsMixedPassCounts) {
   one.sample_size = 4;
   copies.push_back(std::make_unique<OnePassTriangleCounter>(one));
   EXPECT_DEATH(ParallelCopies{std::move(copies)}, "passes");
+}
+
+// Seven copies of `Counter` (seeds 100-106) at `slots`: each driven alone,
+// then as a group on pools of 2, 3, 5 and 8 threads. The pooled report must
+// be the sum of the copies' own reports, with pairs counted once per pass,
+// whatever the pool size, and every copy's estimate its solo one.
+template <typename Counter, typename Options>
+void ExpectPooledReportIsTheSum(const stream::AdjacencyListStream& s,
+                                std::size_t slots) {
+  auto make_copies = [slots] {
+    std::vector<std::unique_ptr<stream::StreamAlgorithm>> copies;
+    for (std::uint64_t seed = 100; seed <= 106; ++seed) {
+      Options options;
+      options.sample_size = slots;
+      options.seed = seed;
+      copies.push_back(std::make_unique<Counter>(options));
+    }
+    return copies;
+  };
+  std::vector<std::unique_ptr<stream::StreamAlgorithm>> alone = make_copies();
+  const int passes = alone.front()->passes();
+  stream::RunReport want;
+  want.passes_requested = passes;
+  want.pairs_processed = s.stream_length() * static_cast<std::size_t>(passes);
+  want.per_pass.resize(static_cast<std::size_t>(passes));
+  for (stream::PassReport& pass : want.per_pass) {
+    pass.pairs_processed = s.stream_length();
+  }
+  for (auto& copy : alone) {
+    const stream::RunReport r = stream::RunPasses(s, copy.get());
+    ASSERT_EQ(r.per_pass.size(), want.per_pass.size());
+    want.reported_peak_bytes += r.reported_peak_bytes;
+    want.audited_peak_bytes += r.audited_peak_bytes;
+    want.max_divergence_bytes += r.max_divergence_bytes;
+    for (std::size_t p = 0; p < want.per_pass.size(); ++p) {
+      want.per_pass[p].reported_peak_bytes += r.per_pass[p].reported_peak_bytes;
+      want.per_pass[p].audited_peak_bytes += r.per_pass[p].audited_peak_bytes;
+    }
+  }
+  // Copies audit themselves when driven directly.
+  EXPECT_GT(want.audited_peak_bytes, 0u);
+
+  for (int threads : {2, 3, 5, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    runtime::ThreadPool pool(threads);
+    ParallelCopies group(make_copies());
+    const stream::RunReport got = group.Run(s, &pool);
+    EXPECT_EQ(got.per_pass.size(), static_cast<std::size_t>(group.passes()));
+    testing_util::ExpectReportsEqual(got, want);
+    for (std::size_t c = 0; c < alone.size(); ++c) {
+      EXPECT_EQ(static_cast<Counter*>(group.copy(c))->Estimate(),
+                static_cast<Counter*>(alone[c].get())->Estimate())
+          << "copy " << c;
+    }
+  }
+}
+
+TEST(ParallelCopies, PooledReportIsTheSumOfTheCopiesReports) {
+  Graph g = gen::ChungLuPowerLaw(2000, 16, 2.3, 1);
+  stream::AdjacencyListStream s(&g, 7);
+  const std::size_t slots = g.num_edges() / 32;
+  {
+    SCOPED_TRACE("one-pass triangle");
+    ExpectPooledReportIsTheSum<OnePassTriangleCounter, OnePassTriangleOptions>(
+        s, slots);
+  }
+  {
+    SCOPED_TRACE("two-pass triangle");
+    ExpectPooledReportIsTheSum<TwoPassTriangleCounter, TwoPassTriangleOptions>(
+        s, slots);
+  }
 }
 
 TEST(MedianAmplification, ImprovesFailureProbability) {

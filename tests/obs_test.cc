@@ -29,6 +29,7 @@
 #include "stream/driver.h"
 #include "stream/fault_injection.h"
 #include "stream/validator.h"
+#include "json_parse.h"
 
 namespace cyclestream {
 namespace {
@@ -43,7 +44,7 @@ TEST(Json, Uint64RoundTripsExactly) {
   const std::uint64_t big = std::numeric_limits<std::uint64_t>::max();
   obs::Json j(big);
   EXPECT_EQ(j.Dump(), "18446744073709551615");
-  auto parsed = obs::Json::Parse(j.Dump());
+  auto parsed = testing_util::ParseJson(j.Dump());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->AsUint64(), big);
   EXPECT_EQ(*parsed, j);
@@ -52,7 +53,7 @@ TEST(Json, Uint64RoundTripsExactly) {
 TEST(Json, NegativeIntRoundTrips) {
   obs::Json j(static_cast<std::int64_t>(-42));
   EXPECT_EQ(j.Dump(), "-42");
-  auto parsed = obs::Json::Parse("-42");
+  auto parsed = testing_util::ParseJson("-42");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->AsInt64(), -42);
 }
@@ -60,7 +61,7 @@ TEST(Json, NegativeIntRoundTrips) {
 TEST(Json, DoubleRoundTripsExactly) {
   for (double v : {0.1, 1.0 / 3.0, 1e-300, 12345.6789, -2.5}) {
     obs::Json j(v);
-    auto parsed = obs::Json::Parse(j.Dump());
+    auto parsed = testing_util::ParseJson(j.Dump());
     ASSERT_TRUE(parsed.ok()) << j.Dump();
     EXPECT_EQ(parsed->AsDouble(), v) << j.Dump();
   }
@@ -80,7 +81,7 @@ TEST(Json, NestedStructureRoundTrips) {
   arr.Push(std::move(inner));
   rec.Set("points", std::move(arr));
 
-  auto parsed = obs::Json::Parse(rec.Dump());
+  auto parsed = testing_util::ParseJson(rec.Dump());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed, rec);
   // Keys keep insertion order, so Dump is deterministic.
@@ -101,14 +102,14 @@ TEST(Json, ParseRejectsMalformedInput) {
   for (const char* bad :
        {"", "{", "[1,]", "{\"a\":}", "01", "truth", "\"unterminated",
         "{\"a\":1} trailing", "nan"}) {
-    EXPECT_FALSE(obs::Json::Parse(bad).ok()) << bad;
+    EXPECT_FALSE(testing_util::ParseJson(bad).ok()) << bad;
   }
 }
 
 TEST(Json, ParseRejectsDeepNesting) {
   std::string deep(512, '[');
   deep += std::string(512, ']');
-  EXPECT_FALSE(obs::Json::Parse(deep).ok());
+  EXPECT_FALSE(testing_util::ParseJson(deep).ok());
 }
 
 // ------------------------------------------------------------- Metrics --
@@ -231,7 +232,7 @@ TEST(MetricsRegistry, SnapshotToJsonShape) {
   ASSERT_EQ(h->Find("buckets")->size(), 2u);
   EXPECT_TRUE(h->Find("buckets")->at(1).Find("le")->is_null());
   // The snapshot serialization itself round-trips.
-  auto parsed = obs::Json::Parse(j.Dump());
+  auto parsed = testing_util::ParseJson(j.Dump());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed, j);
 }
@@ -474,7 +475,7 @@ TEST(ManifestWriter, WritesParseableJsonlWithTrailer) {
   std::vector<obs::Json> records;
   std::string line;
   while (std::getline(in, line)) {
-    auto parsed = obs::Json::Parse(line);
+    auto parsed = testing_util::ParseJson(line);
     ASSERT_TRUE(parsed.ok()) << line;
     records.push_back(std::move(*parsed));
   }
@@ -501,7 +502,7 @@ TEST(SpaceTracer, ToJsonRoundTrips) {
   tracer.BeginPass(1);
   tracer.Sample(10, 64);
   obs::Json j = tracer.ToJson();
-  auto parsed = obs::Json::Parse(j.Dump());
+  auto parsed = testing_util::ParseJson(j.Dump());
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed, j);
   ASSERT_EQ(parsed->size(), 2u);
@@ -528,7 +529,7 @@ TEST(TraceSession, EmitsValidChromeTraceJson) {
   EXPECT_EQ(session.event_count(), 2u);
 
   obs::Json j = session.ToJson();
-  auto parsed = obs::Json::Parse(j.Dump());
+  auto parsed = testing_util::ParseJson(j.Dump());
   ASSERT_TRUE(parsed.ok());
   const obs::Json* events = parsed->Find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -649,7 +650,7 @@ TEST(TraceSession, WriteToProducesLoadableFile) {
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
-  auto parsed = obs::Json::Parse(buf.str());
+  auto parsed = testing_util::ParseJson(buf.str());
   ASSERT_TRUE(parsed.ok());
   EXPECT_NE(parsed->Find("traceEvents"), nullptr);
   EXPECT_EQ(parsed->Find("displayTimeUnit")->AsString(), "ms");

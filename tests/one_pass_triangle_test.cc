@@ -75,7 +75,6 @@ TEST(OnePassTriangle, SinglePassOnly) {
   options.sample_size = 4;
   OnePassTriangleCounter counter(options);
   EXPECT_EQ(counter.passes(), 1);
-  EXPECT_FALSE(counter.requires_same_order());
 }
 
 TEST(OnePassTriangle, ZeroTriangles) {

@@ -4,8 +4,11 @@
 // including through the parallel median-amplification path.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/median.h"
@@ -121,6 +124,27 @@ TEST(TrialRunnerTest, MapPreservesIndexOrder) {
   }
 }
 
+// A throwing trial reaches the caller only after every other trial has
+// finished: the others write into the vector Map would return, and a trial
+// still running after the rethrow would write into freed memory.
+TEST(TrialRunnerTest, ThrowingTrialWaitsForEveryOtherTrial) {
+  std::atomic<int> finished{0};  // declared first: outlives the runner's pool
+  runtime::TrialRunner runner(4);
+  bool caught = false;
+  try {
+    runner.Map<int>(8, 0, [&finished](std::size_t index, std::uint64_t) {
+      if (index == 0) throw std::runtime_error("trial 0 failed");
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      ++finished;
+      return static_cast<int>(index);
+    });
+  } catch (const std::runtime_error&) {
+    caught = true;
+    EXPECT_EQ(finished.load(), 7);
+  }
+  EXPECT_TRUE(caught);
+}
+
 TEST(TrialRunnerTest, BorrowedNullPoolRunsInline) {
   runtime::TrialRunner runner(static_cast<runtime::ThreadPool*>(nullptr));
   EXPECT_EQ(runner.num_threads(), 1);
@@ -145,7 +169,7 @@ TEST(TrialRunnerTest, AggregationHelpers) {
 }
 
 // Wall-clock parallel EstimateTriangles must reproduce the sequential
-// estimates bit-for-bit: copy seeds do not depend on the chunking.
+// estimates bit-for-bit: copy seeds do not depend on the pool.
 TEST(ParallelAmplificationTest, EstimateTrianglesMatchesSequential) {
   gen::PlantedBackground bg{.stars = 4, .star_degree = 20};
   Graph g = gen::PlantedDisjointTriangles(200, bg);
@@ -195,8 +219,9 @@ TEST(ParallelAmplificationTest, EstimateFourCyclesMatchesSequential) {
   EXPECT_EQ(got.copy_estimates, base.copy_estimates);
 }
 
-// Running more copies than workers exercises the chunk partitioning; one
-// copy exercises the sequential fall-through inside Run.
+// More copies than workers (16) queue tasks behind busy workers, fewer (3)
+// leave workers idle, and one copy takes the lockstep fall-through inside
+// Run.
 TEST(ParallelAmplificationTest, ChunkingEdgeCases) {
   gen::PlantedBackground bg{.stars = 2, .star_degree = 10};
   Graph g = gen::PlantedDisjointTriangles(60, bg);

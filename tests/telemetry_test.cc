@@ -17,6 +17,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "json_parse.h"
 
 namespace cyclestream {
 namespace obs {
@@ -109,7 +110,7 @@ TEST(FlightRecorder, DumpLinesCarryEveryFieldInFixedOrder) {
   std::size_t i = 0;
   while (std::getline(lines, line)) {
     ASSERT_LT(i, events.size());
-    StatusOr<Json> parsed = Json::Parse(line);
+    StatusOr<Json> parsed = testing_util::ParseJson(line);
     ASSERT_TRUE(parsed.ok()) << line;
     std::vector<std::string> keys;
     for (const auto& item : parsed->items()) keys.push_back(item.first);

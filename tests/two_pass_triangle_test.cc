@@ -292,12 +292,11 @@ TEST(TwoPassTriangle, MatrixMatchesPinnedResults) {
   EXPECT_TRUE(overflowed[1]);
 }
 
-TEST(TwoPassTriangle, RequiresSameOrderFlag) {
+TEST(TwoPassTriangle, TakesTwoPasses) {
   TwoPassTriangleOptions options;
   options.sample_size = 4;
   TwoPassTriangleCounter counter(options);
   EXPECT_EQ(counter.passes(), 2);
-  EXPECT_TRUE(counter.requires_same_order());
 }
 
 TEST(TwoPassTriangle, SampleSizeOneStillRuns) {
