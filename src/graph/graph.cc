@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 #include "util/overflow.h"
@@ -74,6 +75,15 @@ bool Graph::HasEdge(VertexId u, VertexId v) const {
   if (degree(u) > degree(v)) std::swap(u, v);
   auto nbrs = neighbors(u);
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
+}
+
+std::size_t Graph::EdgeSlot(VertexId u, VertexId v) const {
+  if (u > v) std::swap(u, v);
+  if (u == v || static_cast<std::size_t>(v) >= num_vertices()) return kNoSlot;
+  const std::span<const VertexId> nbrs = neighbors(u);
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
+  if (it == nbrs.end() || *it != v) return kNoSlot;
+  return degree_offsets_[u] + static_cast<std::size_t>(it - nbrs.begin());
 }
 
 std::size_t Graph::MaxDegree() const {

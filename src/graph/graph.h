@@ -9,6 +9,7 @@
 #ifndef CYCLESTREAM_GRAPH_GRAPH_H_
 #define CYCLESTREAM_GRAPH_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -75,6 +76,16 @@ class Graph {
 
   /// True iff {u, v} is an edge. O(log deg).
   bool HasEdge(VertexId u, VertexId v) const;
+
+  /// What EdgeSlot returns for a pair that is not an edge.
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  /// The CSR slot of edge {u, v}: the index, in the 2m-entry adjacency
+  /// array, of max(u, v) in min(u, v)'s sorted neighbor list. Each edge has
+  /// one slot, the same for (u, v) and (v, u), so a bitmap of 2m bits marks
+  /// edges without hashing. kNoSlot for a self-loop, an out-of-range id or
+  /// a non-edge. O(log deg(min(u, v))).
+  std::size_t EdgeSlot(VertexId u, VertexId v) const;
 
   /// Maximum degree over all vertices (0 for the empty graph).
   std::size_t MaxDegree() const;

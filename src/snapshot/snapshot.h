@@ -21,8 +21,10 @@
 // Writers always stamp kSnapshotVersion. Readers accept every version from
 // kOldestReadableVersion up to it and report which one they opened, so a
 // layout that changes keeps decoding the older bytes (snapshot/codec.h).
-// Version 2 dropped the two-pass triangle counter's triangle-edge map; every
-// other layout is the same in both versions.
+// Version 2 dropped the two-pass triangle counter's triangle-edge map.
+// Version 3 dropped the edge-stream contract's hash-set bucket count and its
+// pass-0 record's capacity (the contract marks edges by CSR slot). Every
+// other layout is the same in all three versions.
 //
 // Corruption classes map to typed Status codes, checked in this order when a
 // reader is opened: short/overlong buffer and truncated payload →
@@ -55,7 +57,7 @@ namespace snapshot {
 
 /// The envelope format version writers stamp. Bump on any layout change,
 /// and keep the older layout's decoder in the `Fields` that changed.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// The oldest version readers accept; versions outside
 /// [kOldestReadableVersion, kSnapshotVersion] are kFailedPrecondition.

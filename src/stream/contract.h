@@ -32,7 +32,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/graph.h"
@@ -234,7 +233,14 @@ class ModelContract {
 /// contract meaning: u-runs are how edge streams package elements for the
 /// two-level delivery path, not a model promise, so contiguity violations
 /// are never reported here (tests/model_contract_test.cc pins this).
-/// Works in O(m) space (seen-edge set + pass-0 order record).
+///
+/// Cost: one binary search per element, `Graph::EdgeSlot`, finds the
+/// edge's CSR slot, and a bitmap of 2m bits (one per slot, cleared at
+/// BeginPass) marks the edges delivered this pass. An element with no slot
+/// is foreign; one whose bit is already set is a duplicate. Nothing is
+/// hashed or allocated per element. Space is the bitmap (m/32 words) and
+/// the pass-0 record (m keys). A short pass names its first absent edge by
+/// scanning `Graph::edges()`, only on the failing path.
 class EdgeStreamContract final : public ModelContract {
  public:
   /// Checks edge elements against `graph`. `expected_order` (optional) is
@@ -259,12 +265,21 @@ class EdgeStreamContract final : public ModelContract {
   void CheckEdge(VertexId u, VertexId v);
   void Report(ViolationKind kind, VertexId list, std::string detail);
 
+  bool Seen(std::size_t slot) const {
+    return (seen_[slot / 64] >> (slot % 64)) & 1;
+  }
+  // The keys of the edges delivered this pass, ascending.
+  std::vector<EdgeKey> SeenKeys() const;
+  // Marks a restored key's edge as seen; false for a key that is not an
+  // edge's canonical key.
+  bool MarkSeen(EdgeKey key);
+
   // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
   static void Fields(auto& self, auto& ar);
 
   const std::vector<Edge>* expected_order_;  // nullable: no order promise
-  std::unordered_set<EdgeKey> seen_;         // edges delivered this pass
-  std::vector<EdgeKey> first_pass_keys_;     // pass-0 order, for replay
+  std::vector<std::uint64_t> seen_;       // one bit per CSR slot, this pass
+  std::vector<EdgeKey> first_pass_keys_;  // pass-0 order, for replay
 };
 
 }  // namespace stream

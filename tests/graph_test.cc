@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/chung_lu.h"
 #include "gen/classic.h"
+#include "gen/erdos_renyi.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "graph/wedge.h"
@@ -82,6 +84,48 @@ TEST(Graph, HasEdge) {
   EXPECT_FALSE(g.HasEdge(0, 2));
   EXPECT_FALSE(g.HasEdge(0, 0));
   EXPECT_FALSE(g.HasEdge(0, 99));  // out of range is not an error
+}
+
+TEST(Graph, EdgeSlotGivesEachEdgeOneCsrSlot) {
+  const Graph graphs[] = {gen::ErdosRenyiGnp(80, 0.1, 3),
+                          gen::ChungLuPowerLaw(200, 6.0, 2.3, 5)};
+  for (const Graph& g : graphs) {
+    const std::size_t m = g.num_edges();
+    ASSERT_GT(m, 0u);
+    // Slot s of vertex u's list is s minus the degrees of the vertices
+    // before u.
+    std::vector<std::size_t> first_slot(g.num_vertices() + 1, 0);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      first_slot[v + 1] = first_slot[v] + g.degree(v);
+    }
+    std::vector<bool> used(2 * m, false);
+    for (const Edge& e : g.edges()) {
+      const std::size_t slot = g.EdgeSlot(e.u, e.v);
+      ASSERT_LT(slot, 2 * m);
+      EXPECT_FALSE(used[slot]) << e.u << " " << e.v;
+      used[slot] = true;
+      EXPECT_EQ(g.EdgeSlot(e.v, e.u), slot);
+      ASSERT_GE(slot, first_slot[e.u]);
+      EXPECT_EQ(g.neighbors(e.u)[slot - first_slot[e.u]], e.v);
+    }
+  }
+}
+
+TEST(Graph, EdgeSlotOfNoEdgeIsNoSlot) {
+  const Graph g = gen::ErdosRenyiGnp(80, 0.1, 3);
+  const VertexId n = static_cast<VertexId>(g.num_vertices());
+  for (VertexId u = 0; u < n; ++u) {
+    EXPECT_EQ(g.EdgeSlot(u, u), Graph::kNoSlot);
+    for (VertexId v = u + 1; v < n; ++v) {
+      EXPECT_EQ(g.EdgeSlot(u, v) != Graph::kNoSlot, g.HasEdge(u, v))
+          << u << " " << v;
+    }
+  }
+  EXPECT_EQ(g.EdgeSlot(0, n), Graph::kNoSlot);
+  EXPECT_EQ(g.EdgeSlot(n, 0), Graph::kNoSlot);
+  EXPECT_EQ(g.EdgeSlot(n, n + 1), Graph::kNoSlot);
+  EXPECT_EQ(g.EdgeSlot(0, 0xffffffffu), Graph::kNoSlot);
+  EXPECT_EQ(Graph().EdgeSlot(0, 1), Graph::kNoSlot);
 }
 
 TEST(Graph, EdgesCanonicalSortedUnique) {

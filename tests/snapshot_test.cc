@@ -130,8 +130,8 @@ TEST(SnapshotCorruption, BadMagicIsInvalidArgument) {
 
 TEST(Snapshot, OpensEveryReadableVersionAndReportsIt) {
   ASSERT_EQ(kOldestReadableVersion, 1u);
-  ASSERT_EQ(kSnapshotVersion, 2u);
-  for (const std::uint32_t version : {1u, 2u}) {
+  ASSERT_EQ(kSnapshotVersion, 3u);
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     std::vector<std::uint8_t> bytes = SampleEnvelope();
     testing_util::Restamp(bytes, version);
     StatusOr<SnapshotReader> r = SnapshotReader::Open(bytes);
@@ -144,7 +144,7 @@ TEST(Snapshot, OpensEveryReadableVersionAndReportsIt) {
 TEST(SnapshotCorruption, WrongVersionIsFailedPrecondition) {
   // One below the oldest readable version and one above the current one,
   // each under a valid CRC.
-  for (const std::uint32_t version : {0u, 3u}) {
+  for (const std::uint32_t version : {0u, kSnapshotVersion + 1}) {
     std::vector<std::uint8_t> bytes = SampleEnvelope();
     testing_util::Restamp(bytes, version);
     StatusOr<SnapshotReader> r = SnapshotReader::Open(bytes);
