@@ -57,6 +57,11 @@ double Rng::NextDouble() {
   return static_cast<double>(Next64() >> 11) * 0x1.0p-53;
 }
 
+double Rng::NextOpenDouble() {
+  // A 52-bit integer plus one half is exact in a double's 53 bits.
+  return (static_cast<double>(Next64() >> 12) + 0.5) * 0x1.0p-52;
+}
+
 bool Rng::NextBernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

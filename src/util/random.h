@@ -34,6 +34,10 @@ class Rng {
   /// Uniform double in [0, 1) with 53 bits of precision.
   double NextDouble();
 
+  /// Uniform double strictly inside (0, 1), with 52 bits of precision: the
+  /// midpoint of one of 2^52 equal cells, so its log is finite and below 0.
+  double NextOpenDouble();
+
   /// Bernoulli draw with success probability `p` (clamped to [0, 1]).
   bool NextBernoulli(double p);
 
