@@ -494,6 +494,10 @@ Status RestoreRun(std::span<const std::uint8_t> bytes, AlgoT* algorithm,
     return Status::FailedPrecondition(
         "checkpoint pass bookkeeping does not match the algorithm");
   }
+  // Every pass field after the cursor (the contract's, the algorithm's)
+  // must name the cursor's pass: one still in range but off it would
+  // resume the algorithm in another pass than the stream.
+  reader->set_cursor_pass(cursor->pass);
   ar.Nested(*contract);
   if (!ar.ok()) return ar.status();
   if (contract->open_pass() != cursor->pass) {
