@@ -30,8 +30,6 @@ TwoPassFourCycleCounter::TwoPassFourCycleCounter(
                    &space_domain_),
       wedges_(decltype(wedges_)::allocator_type(&space_domain_)),
       wedge_watchers_(&space_domain_),
-      touched_wedges_(
-          decltype(touched_wedges_)::allocator_type(&space_domain_)),
       found_cycles_(decltype(found_cycles_)::allocator_type(&space_domain_)) {
   CYCLESTREAM_CHECK_GE(options.sample_size, 1u);
 }
@@ -81,34 +79,25 @@ void TwoPassFourCycleCounter::HandlePair(VertexId u, VertexId v) {
     edge_sample_.Offer(key, EdgeEntry{EdgeKeyLo(key), EdgeKeyHi(key)});
     return;
   }
-  // Pass 2: flag wedges having endpoint v.
+  // Pass 2: mark v on the wedges it ends. A wedge completed in a list z = u
+  // other than its centre's closes the 4-cycle center-end_lo-z-end_hi.
   for (std::uint32_t idx : wedge_watchers_.Find(v)) {
     WedgeState& ws = wedges_[idx];
-    if (!ws.flag_lo && !ws.flag_hi) touched_wedges_.push_back(idx);
-    if (ws.wedge.end_lo == v) {
-      ws.flag_lo = true;
-    } else {
-      ws.flag_hi = true;
-    }
-  }
-  (void)u;
-}
-
-void TwoPassFourCycleCounter::EndList(VertexId u) {
-  if (pass_ != 1) return;
-  for (std::uint32_t idx : touched_wedges_) {
-    WedgeState& ws = wedges_[idx];
-    if (ws.flag_lo && ws.flag_hi && u != ws.wedge.center) {
-      // z = u closes the 4-cycle center-end_lo-z-end_hi.
+    if (marks_.Mark(ws.ends, ws.wedge.end_lo == v ? 0 : 1) &&
+        u != ws.wedge.center) {
       ++ws.count;
       ++wedge_incidences_;
       found_cycles_.insert(
           CycleKey(MakeEdgeKey(ws.wedge.center, u),
                    WedgeEndpointsKey(ws.wedge)));
     }
-    ws.flag_lo = ws.flag_hi = false;
   }
-  touched_wedges_.clear();
+}
+
+void TwoPassFourCycleCounter::EndList(VertexId /*u*/) {
+  if (pass_ == 1 && marks_.EndList()) {
+    for (WedgeState& ws : wedges_) ws.ends = 0;
+  }
 }
 
 void TwoPassFourCycleCounter::EndPass(int pass) {
@@ -137,14 +126,13 @@ void TwoPassFourCycleCounter::Fields(auto& self, auto& ar) {
   // BuildWedges: that keeps restores bit-identical regardless of hash-map
   // iteration order, including runs where max_wedges truncated the build.
   ar.Vec(self.wedges_, [](auto& ar, auto& ws) {
-    CYCLESTREAM_CHECK(!ws.flag_lo && !ws.flag_hi);
     ar.U32(ws.wedge.center);
     ar.U32(ws.wedge.end_lo);
     ar.U32(ws.wedge.end_hi);
     ar.U64(ws.count);
   });
   WatchIndex<VertexId, std::uint32_t>::Fields(self.wedge_watchers_, ar);
-  ar.Scratch(self.touched_wedges_);
+  ar.Dropped(5);  // the touched-wedge list's capacity
   ar.Buckets(self.found_cycles_);
   ar.Set(self.found_cycles_);
 }
@@ -167,8 +155,7 @@ std::size_t TwoPassFourCycleCounter::CurrentSpaceBytes() const {
          wedges_.capacity() * sizeof(WedgeState) +
          wedge_watchers_.size() * kMapEntryOverhead +
          2 * wedges_.size() * sizeof(std::uint32_t) +
-         found_cycles_.size() * kSetEntryOverhead +
-         touched_wedges_.capacity() * sizeof(std::uint32_t);
+         found_cycles_.size() * kSetEntryOverhead;
 }
 
 FourCycleResult TwoPassFourCycleCounter::result() const {

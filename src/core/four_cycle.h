@@ -4,10 +4,10 @@
 // Algorithm (Section 4.2), sample size m':
 //   Pass 1: bottom-m' edge sample S (second pass may use any order).
 //   Between passes: Q = all wedges whose two edges both lie in S.
-//   Pass 2: per adjacency list z, flag wedge endpoints; a wedge u-c-w with
-//     both endpoints in z's list and z != c closes the 4-cycle c-u-z-w.
-//     Tally T_w per wedge and the set of distinct cycles found (canonical
-//     key = the two sorted diagonals {c,z}, {u,w}).
+//   Pass 2: per adjacency list z, mark wedge endpoints; the mark completing
+//     wedge u-c-w in z's list, z != c, closes the 4-cycle c-u-z-w. Tally
+//     T_w per wedge and the set of distinct cycles found (canonical key =
+//     the two sorted diagonals {c,z}, {u,w}).
 //   Output: with k² = m(m-1) / (|S|(|S|-1)), the paper's estimator is
 //     k² * (number of distinct cycles with at least one wedge in Q) — the
 //     f_G + f_B quantity of Lemma 4.3/4.4, an O(1)-factor approximation when
@@ -91,10 +91,10 @@ class TwoPassFourCycleCounter final : public stream::PairDispatch<TwoPassFourCyc
 
   struct WedgeState {
     Wedge wedge;
+    std::uint32_t ends = 0;   // ListMarks word, in what was padding
     std::uint64_t count = 0;  // T_w restricted to pass-2 detections
-    bool flag_lo = false;
-    bool flag_hi = false;
   };
+  static_assert(sizeof(WedgeState) == 24);  // the size the meter counts
 
   struct EdgeEntry {
     VertexId lo = 0;
@@ -110,7 +110,7 @@ class TwoPassFourCycleCounter final : public stream::PairDispatch<TwoPassFourCyc
   sampling::BottomKSampler<EdgeEntry> edge_sample_;
   obs::AccountedVector<WedgeState> wedges_;
   WatchIndex<VertexId, std::uint32_t> wedge_watchers_;
-  obs::AccountedVector<std::uint32_t> touched_wedges_;
+  ListMarks marks_;
   obs::AccountedUnorderedSet<std::uint64_t> found_cycles_;
   std::uint64_t wedge_incidences_ = 0;
   bool wedge_cap_hit_ = false;

@@ -18,9 +18,7 @@ OnePassFourCycleCounter::OnePassFourCycleCounter(
       edges_by_vertex_(&space_domain_),
       wedges_(decltype(wedges_)::allocator_type(&space_domain_)),
       free_wedges_(decltype(free_wedges_)::allocator_type(&space_domain_)),
-      wedge_watchers_(&space_domain_),
-      touched_wedges_(
-          decltype(touched_wedges_)::allocator_type(&space_domain_)) {
+      wedge_watchers_(&space_domain_) {
   CYCLESTREAM_CHECK_GE(options.sample_size, 1u);
 }
 
@@ -97,33 +95,26 @@ void OnePassFourCycleCounter::HandlePair(VertexId u, VertexId v) {
     edge_sample_.Find(key)->seen_twice = true;
   }
 
-  // Flag wedges having endpoint v.
+  // Mark v on the wedges it ends. A wedge completed outside its centre's
+  // list closes a 4-cycle once both its edges were seen twice, which can
+  // change only in the lists of its centre and ends.
   for (std::uint32_t idx : wedge_watchers_.Find(v)) {
     WedgeState& w = wedges_[idx];
-    if (!w.flag_lo && !w.flag_hi) touched_wedges_.push_back(idx);
-    if (w.wedge.end_lo == v) {
-      w.flag_lo = true;
-    } else {
-      w.flag_hi = true;
+    if (!marks_.Mark(w.ends, w.wedge.end_lo == v ? 0 : 1)) continue;
+    if (u == w.wedge.center) continue;
+    const EdgeState* a = edge_sample_.Find(w.edge_a);
+    const EdgeState* b = edge_sample_.Find(w.edge_b);
+    if (a != nullptr && b != nullptr && a->seen_twice && b->seen_twice) {
+      ++w.detections;
+      ++detections_;
     }
   }
 }
 
-void OnePassFourCycleCounter::EndList(VertexId u) {
-  for (std::uint32_t idx : touched_wedges_) {
-    WedgeState& w = wedges_[idx];
-    if (!w.live) continue;
-    if (w.flag_lo && w.flag_hi && u != w.wedge.center) {
-      const EdgeState* a = edge_sample_.Find(w.edge_a);
-      const EdgeState* b = edge_sample_.Find(w.edge_b);
-      if (a != nullptr && b != nullptr && a->seen_twice && b->seen_twice) {
-        ++w.detections;
-        ++detections_;
-      }
-    }
-    w.flag_lo = w.flag_hi = false;
+void OnePassFourCycleCounter::EndList(VertexId /*u*/) {
+  if (marks_.EndList()) {
+    for (WedgeState& w : wedges_) w.ends = 0;
   }
-  touched_wedges_.clear();
 }
 
 void OnePassFourCycleCounter::Fields(auto& self, auto& ar) {
@@ -151,7 +142,6 @@ void OnePassFourCycleCounter::Fields(auto& self, auto& ar) {
   ar.Vec(self.wedges_, [](auto& ar, auto& ws) {
     ar.Bool(ws.live);
     if (!ws.live) return;
-    CYCLESTREAM_CHECK(!ws.flag_lo && !ws.flag_hi);
     ar.U32(ws.wedge.center);
     ar.U32(ws.wedge.end_lo);
     ar.U32(ws.wedge.end_hi);
@@ -165,7 +155,7 @@ void OnePassFourCycleCounter::Fields(auto& self, auto& ar) {
   });
   ar.Vec(self.free_wedges_);
   WatchIndex<VertexId, std::uint32_t>::Fields(self.wedge_watchers_, ar);
-  ar.Scratch(self.touched_wedges_);
+  ar.Dropped(5);  // the touched-wedge list's capacity
 }
 
 void OnePassFourCycleCounter::Serialize(snapshot::SnapshotWriter& w) const {
@@ -187,8 +177,7 @@ std::size_t OnePassFourCycleCounter::CurrentSpaceBytes() const {
          edges_by_vertex_.size() * kMapEntryOverhead +
          2 * live_wedges_ * sizeof(std::uint32_t) +
          2 * edge_sample_.size() * sizeof(EdgeKey) +
-         (touched_wedges_.capacity() + free_wedges_.capacity()) *
-             sizeof(std::uint32_t);
+         free_wedges_.capacity() * sizeof(std::uint32_t);
 }
 
 OnePassFourCycleResult OnePassFourCycleCounter::result() const {

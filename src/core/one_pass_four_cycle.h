@@ -83,11 +83,10 @@ class OnePassFourCycleCounter final : public stream::PairDispatch<OnePassFourCyc
 
   struct WedgeState {
     Wedge wedge;
+    std::uint32_t ends = 0;  // ListMarks word
     EdgeKey edge_a = 0;  // center-end_lo
     EdgeKey edge_b = 0;  // center-end_hi
     bool live = false;
-    bool flag_lo = false;
-    bool flag_hi = false;
     std::uint64_t detections = 0;
   };
 
@@ -105,7 +104,7 @@ class OnePassFourCycleCounter final : public stream::PairDispatch<OnePassFourCyc
   obs::AccountedVector<std::uint32_t> free_wedges_;
   std::size_t live_wedges_ = 0;
   WatchIndex<VertexId, std::uint32_t> wedge_watchers_;
-  obs::AccountedVector<std::uint32_t> touched_wedges_;
+  ListMarks marks_;
 };
 
 }  // namespace core

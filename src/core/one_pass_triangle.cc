@@ -15,8 +15,7 @@ OnePassTriangleCounter::OnePassTriangleCounter(
       edge_sample_(std::max<std::size_t>(options.sample_size, 1),
                    Mix64(options.seed) ^ 0x3333333333333333ULL,
                    &space_domain_),
-      edge_watchers_(&space_domain_),
-      touched_edges_(decltype(touched_edges_)::allocator_type(&space_domain_)) {
+      edge_watchers_(&space_domain_) {
   CYCLESTREAM_CHECK_GE(options.sample_size, 1u);
 }
 
@@ -49,30 +48,22 @@ void OnePassTriangleCounter::HandlePair(VertexId u, VertexId v) {
     st->seen_twice = true;
   }
 
-  // Flag sampled edges having endpoint v.
+  // Mark v on the sampled edges it ends. Completing an edge seen twice
+  // detects a triangle; seen_twice changes only in its ends' lists.
   for (EdgeKey wkey : edge_watchers_.Find(v)) {
     EdgeState* st = edge_sample_.Find(wkey);
     if (st == nullptr) continue;
-    if (!st->flag_lo && !st->flag_hi) touched_edges_.push_back(wkey);
-    if (st->lo == v) {
-      st->flag_lo = true;
-    } else {
-      st->flag_hi = true;
+    if (marks_.Mark(st->ends, st->lo == v ? 0 : 1) && st->seen_twice) {
+      ++st->detections;
+      ++detections_;
     }
   }
 }
 
 void OnePassTriangleCounter::EndList(VertexId /*u*/) {
-  for (EdgeKey key : touched_edges_) {
-    EdgeState* st = edge_sample_.Find(key);
-    if (st == nullptr) continue;
-    if (st->flag_lo && st->flag_hi && st->seen_twice) {
-      ++st->detections;
-      ++detections_;
-    }
-    if (st != nullptr) st->flag_lo = st->flag_hi = false;
+  if (marks_.EndList()) {
+    edge_sample_.ForEach([](EdgeKey, EdgeState& st) { st.ends = 0; });
   }
-  touched_edges_.clear();
   finished_ = true;  // result is defined whenever the stream has ended
 }
 
@@ -86,14 +77,12 @@ void OnePassTriangleCounter::Fields(auto& self, auto& ar) {
       self.edge_sample_, ar,
       [](auto key) { return EdgeState{EdgeKeyLo(key), EdgeKeyHi(key)}; },
       [](auto& ar, auto& state) {
-        // flag_lo/flag_hi are per-list transients, always clear at
-        // boundaries; lo/hi are derived from the key on restore.
-        CYCLESTREAM_CHECK(!state.flag_lo && !state.flag_hi);
+        // lo/hi are derived from the key on restore.
         ar.Bool(state.seen_twice);
         ar.U64(state.detections);
       });
   WatchIndex<VertexId, EdgeKey>::Fields(self.edge_watchers_, ar);
-  ar.Scratch(self.touched_edges_);
+  ar.Dropped(5);  // the touched-edge list's capacity
 }
 
 void OnePassTriangleCounter::Serialize(snapshot::SnapshotWriter& w) const {
@@ -111,8 +100,7 @@ std::size_t OnePassTriangleCounter::CurrentSpaceBytes() const {
   constexpr std::size_t kMapEntryOverhead = 48;
   return edge_sample_.MemoryBytes() +
          edge_watchers_.size() * kMapEntryOverhead +
-         2 * edge_sample_.size() * sizeof(EdgeKey) +
-         touched_edges_.capacity() * sizeof(EdgeKey);
+         2 * edge_sample_.size() * sizeof(EdgeKey);
 }
 
 OnePassTriangleResult OnePassTriangleCounter::result() const {

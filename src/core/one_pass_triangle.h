@@ -6,8 +6,8 @@
 // appearance). For a triangle uvw whose vertex lists arrive in order
 // u, v, w, the edge uv has fully appeared (both copies) before w's list, and
 // it is the unique edge of the triangle with that property. So: when list w
-// closes both endpoints of a sampled edge that has already been seen twice,
-// count one detection. Each triangle is detected iff its "earliest" edge is
+// delivers the second endpoint of a sampled edge already seen twice, count
+// one detection. Each triangle is detected iff its "earliest" edge is
 // sampled — probability |S|/m — giving the unbiased estimate
 // (m / |S|) * detections. Variance is driven by heavy edges (many triangles
 // sharing the earliest edge), which is why the paper's two-pass algorithm
@@ -66,9 +66,8 @@ class OnePassTriangleCounter final : public stream::PairDispatch<OnePassTriangle
   struct EdgeState {
     VertexId lo = 0;
     VertexId hi = 0;
+    std::uint32_t ends = 0;  // ListMarks word
     bool seen_twice = false;
-    bool flag_lo = false;
-    bool flag_hi = false;
     std::uint64_t detections = 0;
   };
 
@@ -87,7 +86,7 @@ class OnePassTriangleCounter final : public stream::PairDispatch<OnePassTriangle
   std::uint64_t detections_ = 0;
   sampling::BottomKSampler<EdgeState> edge_sample_;
   WatchIndex<VertexId, EdgeKey> edge_watchers_;
-  obs::AccountedVector<EdgeKey> touched_edges_;
+  ListMarks marks_;
   bool finished_ = false;
 };
 

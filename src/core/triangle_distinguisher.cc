@@ -15,8 +15,7 @@ TriangleDistinguisher::TriangleDistinguisher(
       edge_sample_(std::max<std::size_t>(options.sample_size, 1),
                    Mix64(options.seed) ^ 0x4444444444444444ULL,
                    &space_domain_),
-      edge_watchers_(&space_domain_),
-      touched_edges_(decltype(touched_edges_)::allocator_type(&space_domain_)) {
+      edge_watchers_(&space_domain_) {
   CYCLESTREAM_CHECK_GE(options.sample_size, 1u);
 }
 
@@ -26,7 +25,7 @@ void TriangleDistinguisher::HandlePair(VertexId u, VertexId v) {
   if (pass_ == 0) {
     ++pair_events_;
     EdgeKey key = MakeEdgeKey(u, v);
-    EdgeState state{EdgeKeyLo(key), EdgeKeyHi(key), false, false};
+    EdgeState state{EdgeKeyLo(key), EdgeKeyHi(key)};
     auto result = edge_sample_.Offer(
         key, std::move(state), [this](EdgeKey k, EdgeState&& evicted) {
           edge_watchers_.Remove(evicted.lo, k);
@@ -39,35 +38,25 @@ void TriangleDistinguisher::HandlePair(VertexId u, VertexId v) {
     return;  // counting happens only in the second pass
   }
 
+  // The sample is frozen: each completed sampled edge is one incidence.
   for (EdgeKey key : edge_watchers_.Find(v)) {
     EdgeState* st = edge_sample_.Find(key);
     if (st == nullptr) continue;
-    if (!st->flag_lo && !st->flag_hi) touched_edges_.push_back(key);
-    if (st->lo == v) {
-      st->flag_lo = true;
-    } else {
-      st->flag_hi = true;
-    }
+    if (marks_.Mark(st->ends, st->lo == v ? 0 : 1)) ++incidences_;
   }
 }
 
 void TriangleDistinguisher::EndList(VertexId /*u*/) {
-  if (pass_ != 1) return;
-  for (EdgeKey key : touched_edges_) {
-    EdgeState* st = edge_sample_.Find(key);
-    if (st == nullptr) continue;
-    if (st->flag_lo && st->flag_hi) ++incidences_;
-    st->flag_lo = st->flag_hi = false;
+  if (pass_ == 1 && marks_.EndList()) {
+    edge_sample_.ForEach([](EdgeKey, EdgeState& st) { st.ends = 0; });
   }
-  touched_edges_.clear();
 }
 
 std::size_t TriangleDistinguisher::CurrentSpaceBytes() const {
   constexpr std::size_t kMapEntryOverhead = 48;
   return edge_sample_.MemoryBytes() +
          edge_watchers_.size() * kMapEntryOverhead +
-         2 * edge_sample_.size() * sizeof(EdgeKey) +
-         touched_edges_.capacity() * sizeof(EdgeKey);
+         2 * edge_sample_.size() * sizeof(EdgeKey);
 }
 
 void TriangleDistinguisher::Fields(auto& self, auto& ar) {
@@ -79,13 +68,9 @@ void TriangleDistinguisher::Fields(auto& self, auto& ar) {
   sampling::BottomKSampler<EdgeState>::Fields(
       self.edge_sample_, ar,
       [](auto key) { return EdgeState{EdgeKeyLo(key), EdgeKeyHi(key)}; },
-      [](auto& /*ar*/, auto& state) {
-        // Flags are per-list transients; boundaries only. lo/hi derive
-        // from the key.
-        CYCLESTREAM_CHECK(!state.flag_lo && !state.flag_hi);
-      });
+      [](auto& /*ar*/, auto& /*state*/) {});  // lo/hi derive from the key
   WatchIndex<VertexId, EdgeKey>::Fields(self.edge_watchers_, ar);
-  ar.Scratch(self.touched_edges_);
+  ar.Dropped(5);  // the touched-edge list's capacity
 }
 
 void TriangleDistinguisher::Serialize(snapshot::SnapshotWriter& w) const {

@@ -2,8 +2,8 @@
 // McGregor–Vorotnikova–Vu (PODS'16) algorithm that the paper's Section 2.1
 // uses as its starting point.
 //
-// Pass 1: sample m' edges (bottom-k). Pass 2: flag sampled-edge endpoints
-// per adjacency list; a list containing both endpoints of a sampled edge
+// Pass 1: sample m' edges (bottom-k). Pass 2: mark sampled-edge endpoints
+// per adjacency list; a list delivering both endpoints of a sampled edge
 // witnesses a triangle. Since a graph with T triangles has >= T^{2/3} edges
 // in triangles, m' = O(m / T^{2/3}) samples hit one with good probability.
 // Also exposes the naive unbiased estimate (m/|S|) * Σ_{e∈S} T(e) / 3, whose
@@ -53,7 +53,7 @@ class TriangleDistinguisher final : public stream::PairDispatch<TriangleDistingu
   TriangleDistinguisherResult result() const;
 
   /// Snapshot contract (stream/algorithm.h). Only valid at adjacency-list
-  /// boundaries (per-list endpoint flags are transient and must be clear).
+  /// boundaries (per-list endpoint marks are stale there and not stored).
   /// The payload is the literal protocol message of Section 5.1: a player
   /// ships the snapshot, the next player Restore()s it on a fresh instance
   /// constructed with the SAME options (the hash seed makes sampling
@@ -73,9 +73,9 @@ class TriangleDistinguisher final : public stream::PairDispatch<TriangleDistingu
   struct EdgeState {
     VertexId lo = 0;
     VertexId hi = 0;
-    bool flag_lo = false;
-    bool flag_hi = false;
+    std::uint32_t ends = 0;  // ListMarks word
   };
+  static_assert(sizeof(EdgeState) == 12);  // the size the sampler meters
 
   TriangleDistinguisherOptions options_;
   int pass_ = -1;
@@ -83,7 +83,7 @@ class TriangleDistinguisher final : public stream::PairDispatch<TriangleDistingu
   std::uint64_t incidences_ = 0;
   sampling::BottomKSampler<EdgeState> edge_sample_;
   WatchIndex<VertexId, EdgeKey> edge_watchers_;
-  obs::AccountedVector<EdgeKey> touched_edges_;
+  ListMarks marks_;
 };
 
 }  // namespace core

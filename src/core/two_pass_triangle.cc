@@ -332,10 +332,7 @@ void TwoPassTriangleCounter::Fields(auto& self, auto& ar) {
     if (ar.version() == 1) DropVersion1TriEdges(ar);
   }
   WatchIndex<VertexId, std::uint32_t>::Fields(self.tri_verts_, ar);
-  if constexpr (ar.kLoading) {
-    std::uint64_t unused = 0;
-    if (ar.version() == 1) ar.U64(unused);  // the map's scratch capacity
-  }
+  ar.Dropped(2);  // the map's scratch capacity
 }
 
 void TwoPassTriangleCounter::Serialize(snapshot::SnapshotWriter& w) const {

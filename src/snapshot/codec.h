@@ -30,9 +30,10 @@
 // A Saver writes the current version (kSnapshotVersion, snapshot.h). A
 // Loader reports the version it reads, and a layout that changed decodes
 // the older bytes behind `if constexpr (ar.kLoading)` on `ar.version()`:
-// it reads the fields the newer layout dropped and discards them. Both
-// archives report their version, so a field a version added is written
-// and read under one `if (ar.version() >= N)`.
+// it reads the fields the newer layout dropped and discards them. A single
+// dropped u64 is one call, `ar.Dropped(N)`, which only a Loader of a
+// version before N reads. Both archives report their version, so a field a
+// version added is written and read under one `if (ar.version() >= N)`.
 //
 // A Loader stops at its first error and keeps it; every later call is a
 // no-op that reads no bytes. Its errors:
@@ -146,6 +147,9 @@ class Saver {
   void Buckets(const Table& table) {
     U64(table.bucket_count());
   }
+
+  /// A u64 that versions before `until` wrote: nothing.
+  void Dropped(std::uint32_t /*until*/) {}
 
   /// A hash map: a count, then each key and `value(ar, v)` in ascending
   /// key order. On load `slot(key)` returns the entry to fill.
@@ -344,6 +348,13 @@ class Loader {
     std::uint64_t buckets = 0;
     U64(buckets);
     if (ok() && buckets != table.bucket_count()) table.rehash(buckets);
+  }
+
+  /// Reads the u64 and discards it when the payload is older than
+  /// `until`; nothing is sized from it.
+  void Dropped(std::uint32_t until) {
+    std::uint64_t unused = 0;
+    if (version() < until) U64(unused);
   }
 
   /// Into an empty map.

@@ -31,8 +31,10 @@
 // restored generator, then the next index; it resumes with the same law,
 // not the same draws. The sampler draws through std::log, std::exp, log1p
 // and expm1, so the wedge checkpoints and digests tests/golden pins assume
-// one libm: glibc's, which CI uses. Every other layout is the same in all
-// four versions.
+// one libm: glibc's, which CI uses. Version 5 dropped the touched-list
+// capacity after the last watch index of the one-pass triangle and 4-cycle
+// counters, the distinguisher and the two-pass 4-cycle counter (they count
+// completions as marks land). Every other layout is the same in all five.
 //
 // Corruption classes map to typed Status codes, checked in this order when a
 // reader is opened: short/overlong buffer and truncated payload →
@@ -66,7 +68,7 @@ namespace snapshot {
 
 /// The envelope format version writers stamp. Bump on any layout change,
 /// and keep the older layout's decoder in the `Fields` that changed.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// The oldest version readers accept; versions outside
 /// [kOldestReadableVersion, kSnapshotVersion] are kFailedPrecondition.

@@ -277,14 +277,9 @@ void EdgeStreamContract::Fields(auto& self, auto& ar) {
   ar.Option(self.expected_order_ != nullptr, "declared permutation");
   ar.Marks([&self] { return self.SeenKeys(); },
            [&self](auto key) { return self.MarkSeen(key); });
-  std::uint64_t unused = 0;
-  if constexpr (ar.kLoading) {
-    if (ar.version() < 3) ar.U64(unused);  // the set's bucket count
-  }
+  ar.Dropped(3);  // the set's bucket count
   ar.Size(self.first_pass_keys_, sizeof(EdgeKey));
-  if constexpr (ar.kLoading) {
-    if (ar.version() < 3) ar.U64(unused);  // the record's capacity
-  }
+  ar.Dropped(3);  // the record's capacity
   for (auto& key : self.first_pass_keys_) ar.U64(key);
 }
 

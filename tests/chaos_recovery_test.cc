@@ -1096,6 +1096,72 @@ TEST_F(TwoPassVersionTest, Version1SubscriberCapacityIsNeverReserved) {
   EXPECT_EQ(ResumeCode(big), StatusCode::kOk);
 }
 
+// --- Version 5's dropped touched-list capacities. ---
+
+// Envelope offset of a version-4 checkpoint's touched-list capacity. The
+// estimator's section is a checkpoint's last and the capacity its last
+// field, except in the two-pass 4-cycle counter, whose found cycles follow
+// it: a bucket count, then a count and that many keys.
+std::size_t Version4TouchedCapacityOffset(
+    const std::vector<std::uint8_t>& fixture, bool found_cycles_follow) {
+  const std::size_t end = fixture.size() - 4;
+  if (!found_cycles_follow) return end - 8;
+  for (std::size_t count = 0; 8 * (count + 3) <= end; ++count) {
+    if (testing_util::PeekU64(fixture, end - 8 * (count + 1)) == count) {
+      return end - 8 * (count + 3);
+    }
+  }
+  ADD_FAILURE() << "no found-cycle count before the payload's end";
+  return end - 8;
+}
+
+TEST(ChaosRecovery, Version4TouchedCapacityIsNeverReserved) {
+  // Through version 4, four estimators stored the capacity of the list of
+  // items a list had touched; version 5 reads it and discards it. Each
+  // one's committed version-4 fixture of the golden run, resealed with that
+  // capacity at 2^40 (an 8 TiB reservation), resumes to the uninterrupted
+  // run's digest.
+  const Graph g = gen::ErdosRenyiGnp(16, 0.4, 7);
+  const AdjacencyListStream stream(&g, 7);
+  int checked = 0;
+  for (const SnapshotEstimator& est : SnapshotEstimators(7)) {
+    if (est.name != "one-pass-triangle" &&
+        est.name != "triangle-distinguisher" &&
+        est.name != "one-pass-four-cycle" &&
+        est.name != "two-pass-four-cycle") {
+      continue;
+    }
+    SCOPED_TRACE(est.name);
+    ++checked;
+    std::unique_ptr<StreamAlgorithm> algo = est.make();
+    ASSERT_TRUE(RunPassesChecked(stream, algo.get()).ok());
+    const std::string digest = est.digest(algo.get());
+    std::ifstream in(std::string(CYCLESTREAM_GOLDEN_DIR) + "/v4/" +
+                         est.name + ".snap",
+                     std::ios::binary);
+    const std::vector<std::uint8_t> fixture(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    ASSERT_FALSE(fixture.empty());
+    ASSERT_EQ(fixture[8], 4);  // the version word
+    const std::size_t at = Version4TouchedCapacityOffset(
+        fixture, est.name == "two-pass-four-cycle");
+    // A list of a 16-vertex graph touches few items.
+    ASSERT_LE(testing_util::PeekU64(fixture, at), 64u);
+    std::vector<std::uint8_t> big = fixture;
+    testing_util::PatchU64(big, at, std::uint64_t{1} << 40);
+    testing_util::Reseal(big);
+    for (const std::vector<std::uint8_t>& bytes : {fixture, big}) {
+      std::unique_ptr<StreamAlgorithm> resumed = est.make();
+      StatusOr<RunReport> result =
+          RunPassesChecked(stream, resumed.get(), {.resume_from = bytes});
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(est.digest(resumed.get()), digest);
+    }
+  }
+  EXPECT_EQ(checked, 4);
+}
+
 TEST(ChaosRecovery, SnapshotPayloadTracksAuditedBytes) {
   // The snapshot is the algorithm's state made literal: its payload must be
   // on the order of the allocator-audited live bytes, not wildly above.

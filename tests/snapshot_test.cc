@@ -130,8 +130,8 @@ TEST(SnapshotCorruption, BadMagicIsInvalidArgument) {
 
 TEST(Snapshot, OpensEveryReadableVersionAndReportsIt) {
   ASSERT_EQ(kOldestReadableVersion, 1u);
-  ASSERT_EQ(kSnapshotVersion, 4u);
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u}) {
+  ASSERT_EQ(kSnapshotVersion, 5u);
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
     std::vector<std::uint8_t> bytes = SampleEnvelope();
     testing_util::Restamp(bytes, version);
     StatusOr<SnapshotReader> r = SnapshotReader::Open(bytes);
@@ -454,6 +454,34 @@ TEST(SnapshotArchive, SaverWritesTheVersion1SequenceAndLoaderInvertsIt) {
     EXPECT_EQ(untouched, 5u);
     EXPECT_EQ(reader->remaining(), remaining);
     EXPECT_EQ(failing.status().code(), c.code);
+  }
+}
+
+TEST(SnapshotArchive, DroppedIsReadOnlyFromOlderVersions) {
+  // A word versions before `until` wrote: a Saver writes nothing, and a
+  // Loader reads the word only from a payload older than `until`.
+  SnapshotWriter saved;
+  Saver saver(saved);
+  saver.Dropped(3);
+  EXPECT_EQ(saved.payload_size(), 0u);
+
+  SnapshotWriter w;
+  w.WriteU64(std::uint64_t{1} << 40);
+  const std::vector<std::uint8_t> one_word = std::move(w).Finish();
+  for (std::uint32_t version = kOldestReadableVersion;
+       version <= kSnapshotVersion; ++version) {
+    for (const std::uint32_t until : {2u, 3u, 5u}) {
+      SCOPED_TRACE("version " + std::to_string(version) + ", until " +
+                   std::to_string(until));
+      std::vector<std::uint8_t> bytes = one_word;
+      testing_util::Restamp(bytes, version);
+      StatusOr<SnapshotReader> r = SnapshotReader::Open(bytes);
+      ASSERT_TRUE(r.ok());
+      Loader loader(*r);
+      loader.Dropped(until);
+      EXPECT_TRUE(loader.ok());
+      EXPECT_EQ(r->remaining(), version < until ? 0u : 8u);
+    }
   }
 }
 

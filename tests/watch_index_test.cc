@@ -1,7 +1,9 @@
 // core::WatchIndex against a plain mirror: the estimators' watcher lists
 // must behave exactly as the push_back / swap-remove maps they replaced,
 // keep their capacity count current, and checkpoint to bytes a fresh index
-// restores bit for bit.
+// restores bit for bit. core::ListMarks: a list completes an item once,
+// when it delivers the item's second end, and no earlier list's mark
+// counts, across the stamp's wrap too.
 
 #include "core/watch_index.h"
 
@@ -9,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -151,6 +154,62 @@ TEST(WatchIndex, MatchesTheMirrorByEndpointPair) {
     SCOPED_TRACE(seed);
     RunAgainstMirror<EdgeKey, std::uint32_t>(seed);
   }
+}
+
+TEST(ListMarks, BothEndsInOneListCompleteOnceInEitherOrder) {
+  for (const int first : {0, 1}) {
+    SCOPED_TRACE("first end " + std::to_string(first));
+    ListMarks marks;
+    std::uint32_t word = 0;
+    EXPECT_FALSE(marks.Mark(word, first));
+    EXPECT_TRUE(marks.Mark(word, 1 - first));
+    EXPECT_FALSE(marks.Mark(word, 1 - first));
+    EXPECT_FALSE(marks.Mark(word, first));
+  }
+}
+
+TEST(ListMarks, ARepeatedEndDoesNotComplete) {
+  ListMarks marks;
+  std::uint32_t word = 0;
+  EXPECT_FALSE(marks.Mark(word, 1));
+  EXPECT_FALSE(marks.Mark(word, 1));
+  EXPECT_TRUE(marks.Mark(word, 0));
+}
+
+TEST(ListMarks, ZeroAndEarlierListWordsReadAsUnmarked) {
+  // Stamps start at 1, so a zero word (a new or restored item) holds no
+  // mark: its first end completes nothing.
+  ListMarks marks;
+  std::uint32_t zero = 0;
+  EXPECT_FALSE(marks.Mark(zero, 0));
+  std::uint32_t earlier = 0;
+  EXPECT_FALSE(marks.Mark(earlier, 0));
+  EXPECT_FALSE(marks.EndList());
+  // The next list: the first list's mark has lapsed.
+  EXPECT_FALSE(marks.Mark(earlier, 1));
+  EXPECT_TRUE(marks.Mark(earlier, 0));
+}
+
+TEST(ListMarks, StampWrapsOnItsLastListAndAZeroedWordCompletesNothing) {
+  // 30 stamp bits starting at 1: the (2^30 - 1)-th EndList runs the stamp
+  // round to 1, and only that call returns true. A word the first list
+  // marked then reads as marked again unless the caller zeroes it.
+  ListMarks marks;
+  std::uint32_t zeroed = 0;
+  std::uint32_t kept = 0;
+  EXPECT_FALSE(marks.Mark(zeroed, 0));
+  EXPECT_FALSE(marks.Mark(kept, 0));
+  constexpr std::uint64_t kLists = (std::uint64_t{1} << 30) - 1;
+  std::uint64_t wraps = 0;
+  for (std::uint64_t call = 1; call < kLists; ++call) wraps += marks.EndList();
+  EXPECT_EQ(wraps, 0u);
+  EXPECT_TRUE(marks.EndList());
+  // Back on the first list's stamp. The caller zeroes its words; one it
+  // missed reports a completion no list made.
+  zeroed = 0;
+  EXPECT_FALSE(marks.Mark(zeroed, 1));
+  EXPECT_TRUE(marks.Mark(kept, 1));
+  EXPECT_FALSE(marks.EndList());
 }
 
 }  // namespace
