@@ -64,7 +64,7 @@ std::uint32_t Crc32(std::span<const std::uint8_t> data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-SnapshotWriter::SnapshotWriter() { buffer_.resize(kHeaderBytes, 0); }
+SnapshotWriter::SnapshotWriter() : buffer_(kHeaderBytes, 0) {}
 
 void SnapshotWriter::WriteU8(std::uint8_t value) { buffer_.push_back(value); }
 

@@ -34,7 +34,11 @@
 // one libm: glibc's, which CI uses. Version 5 dropped the touched-list
 // capacity after the last watch index of the one-pass triangle and 4-cycle
 // counters, the distinguisher and the two-pass 4-cycle counter (they count
-// completions as marks land). Every other layout is the same in all five.
+// completions as marks land). Version 6 keeps version 5's layout: the
+// bottom-k sampler's member table changed, and with it the space the
+// estimators built on it report, so a driver checkpoint's run report
+// carries other peaks than a version-5 build's. Every other layout is the
+// same in all six.
 //
 // Corruption classes map to typed Status codes, checked in this order when a
 // reader is opened: short/overlong buffer and truncated payload →
@@ -68,7 +72,7 @@ namespace snapshot {
 
 /// The envelope format version writers stamp. Bump on any layout change,
 /// and keep the older layout's decoder in the `Fields` that changed.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// The oldest version readers accept; versions outside
 /// [kOldestReadableVersion, kSnapshotVersion] are kFailedPrecondition.

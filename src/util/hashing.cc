@@ -4,32 +4,9 @@
 
 namespace cyclestream {
 
-std::uint64_t Mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-std::uint64_t Mix128To64(std::uint64_t a, std::uint64_t b) {
-  // Multiplicative combination followed by a full mix; distinct pairs map to
-  // distinct pre-mix values with overwhelming probability.
-  return Mix64(a * 0x9e3779b97f4a7c15ULL + Mix64(b) + 0x165667b19e3779f9ULL);
-}
-
 SeededHash::SeededHash(std::uint64_t seed) : seed_(seed) {
   std::uint64_t sm = seed ^ 0xa5a5a5a55a5a5a5aULL;
   odd_multiplier_ = SplitMix64(&sm) | 1ULL;
-}
-
-std::uint64_t SeededHash::Hash(std::uint64_t key) const {
-  return Mix64((key + seed_) * odd_multiplier_);
-}
-
-std::uint64_t SeededHash::Hash2(std::uint64_t a, std::uint64_t b) const {
-  return Mix128To64(Hash(a), b);
 }
 
 }  // namespace cyclestream

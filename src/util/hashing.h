@@ -16,11 +16,23 @@
 
 namespace cyclestream {
 
-/// Murmur3 finalizer: a fast bijective mixer on 64-bit words.
-std::uint64_t Mix64(std::uint64_t x);
+/// Murmur3 finalizer: a fast bijective mixer on 64-bit words. Inline:
+/// hash-table probes, shard routing and pair keys call it per element.
+inline std::uint64_t Mix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
 
-/// Mixes two words into one (non-commutative).
-std::uint64_t Mix128To64(std::uint64_t a, std::uint64_t b);
+/// Mixes two words into one (non-commutative). Multiplicative combination
+/// followed by a full mix; distinct pairs map to distinct pre-mix values
+/// with overwhelming probability.
+inline std::uint64_t Mix128To64(std::uint64_t a, std::uint64_t b) {
+  return Mix64(a * 0x9e3779b97f4a7c15ULL + Mix64(b) + 0x165667b19e3779f9ULL);
+}
 
 /// A seeded family of 64-bit hash functions.
 class SeededHash {
@@ -29,10 +41,14 @@ class SeededHash {
   explicit SeededHash(std::uint64_t seed);
 
   /// Hash of a single 64-bit key.
-  std::uint64_t Hash(std::uint64_t key) const;
+  std::uint64_t Hash(std::uint64_t key) const {
+    return Mix64((key + seed_) * odd_multiplier_);
+  }
 
   /// Hash of an ordered pair of keys.
-  std::uint64_t Hash2(std::uint64_t a, std::uint64_t b) const;
+  std::uint64_t Hash2(std::uint64_t a, std::uint64_t b) const {
+    return Mix128To64(Hash(a), b);
+  }
 
   std::uint64_t seed() const { return seed_; }
 

@@ -1162,6 +1162,67 @@ TEST(ChaosRecovery, Version4TouchedCapacityIsNeverReserved) {
   EXPECT_EQ(checked, 4);
 }
 
+TEST(ChaosRecovery, SamplerWithMoreMembersThanItsCapacityIsDataLoss) {
+  // The committed version-5 fixture of the one-pass triangle counter
+  // (sample size 9, seed 8), resealed with two more sampled edges than the
+  // sample holds. Its section opens with those two options, then two
+  // counters and a flag; the sampler follows: a member count, then per
+  // member its key, a flag and a detection count (17 bytes).
+  const Graph g = gen::ErdosRenyiGnp(16, 0.4, 7);
+  const AdjacencyListStream stream(&g, 7);
+  const SnapshotEstimator est = SnapshotEstimators(7)[1];
+  ASSERT_EQ(est.name, "one-pass-triangle");
+  std::ifstream in(std::string(CYCLESTREAM_GOLDEN_DIR) +
+                       "/v5/one-pass-triangle.snap",
+                   std::ios::binary);
+  const std::vector<std::uint8_t> fixture(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  ASSERT_FALSE(fixture.empty());
+  constexpr std::uint64_t kCapacity = 9;
+  std::vector<std::uint8_t> options(16);
+  testing_util::PatchU64(options, 0, kCapacity);
+  testing_util::PatchU64(options, 8, 8);
+  const auto section =
+      std::search(fixture.begin(), fixture.end(), options.begin(),
+                  options.end());
+  ASSERT_NE(section, fixture.end());
+  ASSERT_EQ(std::search(section + 1, fixture.end(), options.begin(),
+                        options.end()),
+            fixture.end());
+  const std::size_t count_at = (section - fixture.begin()) + 4 * 8 + 1;
+  const std::uint64_t count = testing_util::PeekU64(fixture, count_at);
+  ASSERT_LE(count, kCapacity);
+  constexpr std::size_t kMemberBytes = 17;
+  const std::size_t end = count_at + 8 + count * kMemberBytes;
+  const std::uint64_t last_key =
+      testing_util::PeekU64(fixture, end - kMemberBytes);
+
+  // Members above the last key keep the keys ascending.
+  std::vector<std::uint8_t> extra;
+  for (std::uint64_t added = 1; added <= kCapacity + 2 - count; ++added) {
+    std::vector<std::uint8_t> member(kMemberBytes, 0);
+    testing_util::PatchU64(member, 0, last_key + added);
+    extra.insert(extra.end(), member.begin(), member.end());
+  }
+  std::vector<std::uint8_t> big = fixture;
+  big.insert(big.begin() + end, extra.begin(), extra.end());
+  testing_util::PatchU64(big, count_at, kCapacity + 2);
+  // The envelope's payload length, after the magic and the version.
+  testing_util::PatchU64(big, 12,
+                         testing_util::PeekU64(big, 12) + extra.size());
+  testing_util::Reseal(big);
+
+  std::unique_ptr<StreamAlgorithm> intact = est.make();
+  EXPECT_TRUE(
+      RunPassesChecked(stream, intact.get(), {.resume_from = fixture}).ok());
+  std::unique_ptr<StreamAlgorithm> resumed = est.make();
+  StatusOr<RunReport> result =
+      RunPassesChecked(stream, resumed.get(), {.resume_from = big});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+      << result.status().ToString();
+}
+
 TEST(ChaosRecovery, SnapshotPayloadTracksAuditedBytes) {
   // The snapshot is the algorithm's state made literal: its payload must be
   // on the order of the allocator-audited live bytes, not wildly above.

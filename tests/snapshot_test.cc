@@ -130,8 +130,8 @@ TEST(SnapshotCorruption, BadMagicIsInvalidArgument) {
 
 TEST(Snapshot, OpensEveryReadableVersionAndReportsIt) {
   ASSERT_EQ(kOldestReadableVersion, 1u);
-  ASSERT_EQ(kSnapshotVersion, 5u);
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
+  ASSERT_EQ(kSnapshotVersion, 6u);
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u}) {
     std::vector<std::uint8_t> bytes = SampleEnvelope();
     testing_util::Restamp(bytes, version);
     StatusOr<SnapshotReader> r = SnapshotReader::Open(bytes);
@@ -481,6 +481,62 @@ TEST(SnapshotArchive, DroppedIsReadOnlyFromOlderVersions) {
       loader.Dropped(until);
       EXPECT_TRUE(loader.ok());
       EXPECT_EQ(r->remaining(), version < until ? 0u : 8u);
+    }
+  }
+}
+
+TEST(SnapshotArchive, TableWritesMapBytesAndAFullTableIsDataLoss) {
+  // A table kept in a layout's own arrays writes what Map writes for the
+  // same entries. On load each key asks `slot` for room; a table with none
+  // left is kDataLoss, and the entry's value is never read.
+  const std::vector<std::uint64_t> keys = {3, 5, 9};
+  const std::vector<std::uint32_t> values = {30, 50, 90};
+  auto value = [](auto& ar, auto& v) { ar.U32(v); };
+
+  SnapshotWriter map_writer;
+  Saver map_saver(map_writer);
+  const std::unordered_map<std::uint64_t, std::uint32_t> map = {
+      {9, 90}, {3, 30}, {5, 50}};
+  map_saver.Map(map, [](auto) -> std::uint32_t* { return nullptr; }, value);
+  const std::vector<std::uint8_t> map_bytes = std::move(map_writer).Finish();
+
+  SnapshotWriter table_writer;
+  Saver table_saver(table_writer);
+  auto entries = [&] {
+    std::vector<std::pair<std::uint64_t, const std::uint32_t*>> out;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      out.push_back({keys[i], &values[i]});
+    }
+    return out;
+  };
+  table_saver.Table(entries, [](auto) -> std::uint32_t* { return nullptr; },
+                    value);
+  EXPECT_EQ(std::move(table_writer).Finish(), map_bytes);
+
+  for (const std::size_t room : {3u, 2u}) {
+    SCOPED_TRACE("room for " + std::to_string(room));
+    StatusOr<SnapshotReader> r = SnapshotReader::Open(map_bytes);
+    ASSERT_TRUE(r.ok());
+    Loader loader(*r);
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> table;
+    table.reserve(room);
+    loader.Table(
+        entries,
+        [&](std::uint64_t key) -> std::uint32_t* {
+          if (table.size() == room) return nullptr;
+          table.push_back({key, 0});
+          return &table.back().second;
+        },
+        value);
+    EXPECT_EQ(table.size(), room);
+    for (std::size_t i = 0; i < room; ++i) {
+      EXPECT_EQ(table[i], std::make_pair(keys[i], values[i]));
+    }
+    if (room == keys.size()) {
+      EXPECT_TRUE(loader.ok()) << loader.status().ToString();
+    } else {
+      EXPECT_EQ(loader.status().code(), StatusCode::kDataLoss);
+      EXPECT_EQ(r->remaining(), 4u);  // the refused entry's value, unread
     }
   }
 }
