@@ -18,9 +18,9 @@
 //
 // Audit slack policy: the two measurements cannot agree exactly. The audited
 // number includes hash-table bucket arrays, node headers, and geometric
-// vector growth; the self-report uses per-entry overhead constants and
-// ignores pre-reserved buckets (`BottomKSampler` reserves capacity+1 slots up
-// front, so early boundaries have audited bytes the self-report never sees).
+// vector growth; the self-reports use per-entry overhead constants and
+// ignore pre-reserved buckets. `BottomKSampler` is the exception: it reports
+// its member table's one allocation, sized by its capacity, as it is made.
 // The contract checked by tests and `bench_report.py validate` is two-sided:
 //
 //   audited  <= kAuditSlackMultiplier * reported + AuditSlackBytes(slots)
