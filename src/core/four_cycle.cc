@@ -40,8 +40,9 @@ void TwoPassFourCycleCounter::BuildWedges() {
   // Group sampled edges by endpoint and form every wedge inside S. Centers
   // are visited in sorted order so the wedge slab (and with it watcher
   // lists, wedge indices, and any max_wedges truncation) is a pure function
-  // of the sample's content — a snapshot-restored instance, whose hash-map
-  // layout differs from the original's, must build the identical slab.
+  // of the sample's content — a snapshot-restored instance, whose sampler
+  // holds its members in another order than the original's, must build the
+  // identical slab.
   std::unordered_map<VertexId, std::vector<VertexId>> incident;
   edge_sample_.ForEach([&](EdgeKey /*key*/, const EdgeEntry& e) {
     incident[e.lo].push_back(e.hi);
@@ -123,8 +124,9 @@ void TwoPassFourCycleCounter::Fields(auto& self, auto& ar) {
       [](auto key) { return EdgeEntry{EdgeKeyLo(key), EdgeKeyHi(key)}; },
       [](auto& /*ar*/, auto& /*entry*/) {});
   // Q is serialized verbatim (slot order = watcher indices), not rebuilt via
-  // BuildWedges: that keeps restores bit-identical regardless of hash-map
-  // iteration order, including runs where max_wedges truncated the build.
+  // BuildWedges: that keeps restores bit-identical regardless of the
+  // sampler's member order, including runs where max_wedges truncated the
+  // build.
   ar.Vec(self.wedges_, [](auto& ar, auto& ws) {
     ar.U32(ws.wedge.center);
     ar.U32(ws.wedge.end_lo);

@@ -70,8 +70,8 @@ class OnePassFourCycleCounter final : public stream::PairDispatch<OnePassFourCyc
   static void Fields(auto& self, auto& ar);
 
   // No default constructor: the nested wedge list must bind to the owning
-  // space domain (the sampler's map nodes carry the payload, so the vector
-  // keeps its allocator through moves and evictions).
+  // space domain (the sampler moves payloads within its array and out on
+  // eviction, so the vector keeps its allocator through those moves).
   struct EdgeState {
     explicit EdgeState(const obs::AccountedAllocator<std::uint32_t>& alloc)
         : wedges(alloc) {}
