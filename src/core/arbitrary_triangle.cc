@@ -77,10 +77,7 @@ void ArbitraryOrderTriangleCounter::HandlePair(VertexId u, VertexId v) {
 }
 
 std::size_t ArbitraryOrderTriangleCounter::CurrentSpaceBytes() const {
-  constexpr std::size_t kMapEntryOverhead = 48;
-  return edge_sample_.MemoryBytes() +
-         edges_by_vertex_.size() * kMapEntryOverhead +
-         2 * edge_sample_.size() * sizeof(EdgeKey);
+  return edge_sample_.MemoryBytes() + edges_by_vertex_.MemoryBytes();
 }
 
 ArbitraryTriangleResult ArbitraryOrderTriangleCounter::result() const {

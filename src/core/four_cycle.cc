@@ -151,12 +151,10 @@ Status TwoPassFourCycleCounter::Restore(snapshot::SnapshotReader& r) {
 }
 
 std::size_t TwoPassFourCycleCounter::CurrentSpaceBytes() const {
-  constexpr std::size_t kMapEntryOverhead = 48;
   constexpr std::size_t kSetEntryOverhead = 24;
   return edge_sample_.MemoryBytes() +
          wedges_.capacity() * sizeof(WedgeState) +
-         wedge_watchers_.size() * kMapEntryOverhead +
-         2 * wedges_.size() * sizeof(std::uint32_t) +
+         wedge_watchers_.MemoryBytes() +
          found_cycles_.size() * kSetEntryOverhead;
 }
 

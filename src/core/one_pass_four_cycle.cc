@@ -170,13 +170,9 @@ Status OnePassFourCycleCounter::Restore(snapshot::SnapshotReader& r) {
 }
 
 std::size_t OnePassFourCycleCounter::CurrentSpaceBytes() const {
-  constexpr std::size_t kMapEntryOverhead = 48;
   return edge_sample_.MemoryBytes() +
          wedges_.capacity() * sizeof(WedgeState) +
-         wedge_watchers_.size() * kMapEntryOverhead +
-         edges_by_vertex_.size() * kMapEntryOverhead +
-         2 * live_wedges_ * sizeof(std::uint32_t) +
-         2 * edge_sample_.size() * sizeof(EdgeKey) +
+         wedge_watchers_.MemoryBytes() + edges_by_vertex_.MemoryBytes() +
          free_wedges_.capacity() * sizeof(std::uint32_t);
 }
 

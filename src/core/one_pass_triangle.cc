@@ -97,10 +97,7 @@ Status OnePassTriangleCounter::Restore(snapshot::SnapshotReader& r) {
 }
 
 std::size_t OnePassTriangleCounter::CurrentSpaceBytes() const {
-  constexpr std::size_t kMapEntryOverhead = 48;
-  return edge_sample_.MemoryBytes() +
-         edge_watchers_.size() * kMapEntryOverhead +
-         2 * edge_sample_.size() * sizeof(EdgeKey);
+  return edge_sample_.MemoryBytes() + edge_watchers_.MemoryBytes();
 }
 
 OnePassTriangleResult OnePassTriangleCounter::result() const {

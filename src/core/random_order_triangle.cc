@@ -59,11 +59,10 @@ void RandomOrderTriangleCounter::HandlePair(VertexId u, VertexId v) {
 }
 
 std::size_t RandomOrderTriangleCounter::CurrentSpaceBytes() const {
-  constexpr std::size_t kMapEntryOverhead = 48;
   constexpr std::size_t kSetEntryOverhead = 16;
   return prefix_edges_.capacity() * sizeof(EdgeKey) +
          prefix_set_.size() * kSetEntryOverhead +
-         prefix_adjacency_.size() * kMapEntryOverhead +
+         prefix_adjacency_.size() * decltype(prefix_adjacency_)::kKeyBytes +
          prefix_adjacency_.capacity_bytes();
 }
 

@@ -53,10 +53,7 @@ void TriangleDistinguisher::EndList(VertexId /*u*/) {
 }
 
 std::size_t TriangleDistinguisher::CurrentSpaceBytes() const {
-  constexpr std::size_t kMapEntryOverhead = 48;
-  return edge_sample_.MemoryBytes() +
-         edge_watchers_.size() * kMapEntryOverhead +
-         2 * edge_sample_.size() * sizeof(EdgeKey);
+  return edge_sample_.MemoryBytes() + edge_watchers_.MemoryBytes();
 }
 
 void TriangleDistinguisher::Fields(auto& self, auto& ar) {

@@ -270,16 +270,10 @@ void TwoPassTriangleCounter::EndPass(int pass) {
 }
 
 std::size_t TwoPassTriangleCounter::CurrentSpaceBytes() const {
-  constexpr std::size_t kMapEntryOverhead = 48;
   std::size_t bytes = edge_sample_.MemoryBytes() + pair_sample_.MemoryBytes();
   bytes += slab_.capacity() * sizeof(TriEntry);
   bytes += free_slots_.capacity() * sizeof(std::uint32_t);
-  bytes += edge_watchers_.size() * kMapEntryOverhead;
-  bytes += tri_verts_.size() * kMapEntryOverhead;
-  // Nested vectors: watcher entries ~ 2 per sampled edge, vertex
-  // subscriptions ~ 3 per live pair.
-  bytes += 2 * edge_sample_.size() * sizeof(EdgeKey);
-  bytes += 3 * pair_sample_.size() * sizeof(std::uint32_t);
+  bytes += edge_watchers_.MemoryBytes() + tri_verts_.MemoryBytes();
   bytes += touched_edges_.capacity() * sizeof(EdgeKey);
   return bytes;
 }

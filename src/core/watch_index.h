@@ -10,9 +10,11 @@
 // in this file alone.
 //
 // Lists are bound to the estimator's memory domain, so the allocator audit
-// sees every byte, and `capacity_bytes()` keeps the lists' summed capacity
-// as a running count, so a space meter reads it in O(1) instead of walking
-// the lists (stream/algorithm.h's rule for CurrentSpaceBytes()).
+// sees every byte. The index meters itself: `MemoryBytes()` charges
+// `kKeyBytes` per key and sizeof(V) per listed item, and keeps the item
+// count (and the lists' summed capacity, `capacity_bytes()`) as running
+// counts, so a space meter reads it in O(1) instead of walking the lists
+// (stream/algorithm.h's rule for CurrentSpaceBytes()).
 //
 // Each item a lookup lists has that endpoint marked. `ListMarks` says when
 // a mark is the item's second end in the open list, so the estimator counts
@@ -31,16 +33,18 @@ namespace cyclestream {
 namespace core {
 
 /// Removes the first element of `vec` equal to `x` by moving the last
-/// element over it; element order is not kept. No-op when `x` is absent.
+/// element over it; element order is not kept. Returns whether it removed
+/// one: false, and a no-op, when `x` is absent.
 template <typename Vec, typename T>
-void SwapRemove(Vec& vec, const T& x) {
+bool SwapRemove(Vec& vec, const T& x) {
   for (std::size_t i = 0; i < vec.size(); ++i) {
     if (vec[i] == x) {
       vec[i] = vec.back();
       vec.pop_back();
-      return;
+      return true;
     }
   }
+  return false;
 }
 
 /// Which ends of an item the open list has delivered, in one word per item:
@@ -84,6 +88,10 @@ class ListMarks {
 template <typename K, typename V>
 class WatchIndex {
  public:
+  /// Bytes `MemoryBytes()` charges per key: a hash node and its list's
+  /// header.
+  static constexpr std::size_t kKeyBytes = 48;
+
   /// Every container the index allocates charges `domain`.
   explicit WatchIndex(obs::MemoryDomain* domain)
       : lists_(typename Map::allocator_type(domain)) {}
@@ -94,6 +102,7 @@ class WatchIndex {
     const std::size_t before = list.capacity();
     list.push_back(value);
     capacity_bytes_ += (list.capacity() - before) * sizeof(V);
+    ++items_;
   }
 
   /// Swap-removes the first `value` from `key`'s list, then drops the key
@@ -101,7 +110,7 @@ class WatchIndex {
   void Remove(K key, const V& value) {
     auto it = lists_.find(key);
     if (it == lists_.end()) return;
-    SwapRemove(it->second, value);
+    if (SwapRemove(it->second, value)) --items_;
     if (it->second.empty()) {
       capacity_bytes_ -= it->second.capacity() * sizeof(V);
       lists_.erase(it);
@@ -122,6 +131,12 @@ class WatchIndex {
   /// Σ list capacity × sizeof(V).
   std::size_t capacity_bytes() const { return capacity_bytes_; }
 
+  /// The index's self-reported space: keys × kKeyBytes + listed items ×
+  /// sizeof(V).
+  std::size_t MemoryBytes() const {
+    return lists_.size() * kKeyBytes + items_ * sizeof(V);
+  }
+
   /// Checkpoint layout (snapshot/codec.h): the bucket count, then every
   /// list verbatim in ascending key order. List order is state (Remove
   /// moves the last entry forward), so it is stored, not rebuilt.
@@ -132,8 +147,10 @@ class WatchIndex {
         [](auto& ar, auto& list) { ar.Vec(list); });
     if constexpr (ar.kLoading) {
       self.capacity_bytes_ = 0;
+      self.items_ = 0;
       for (const auto& entry : self.lists_) {
         self.capacity_bytes_ += entry.second.capacity() * sizeof(V);
+        self.items_ += entry.second.size();
       }
     }
   }
@@ -151,6 +168,7 @@ class WatchIndex {
 
   Map lists_;
   std::size_t capacity_bytes_ = 0;
+  std::size_t items_ = 0;  // Σ list size
 };
 
 }  // namespace core

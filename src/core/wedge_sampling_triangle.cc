@@ -176,10 +176,7 @@ Status WedgeSamplingTriangleCounter::Restore(snapshot::SnapshotReader& r) {
 }
 
 std::size_t WedgeSamplingTriangleCounter::CurrentSpaceBytes() const {
-  constexpr std::size_t kMapEntryOverhead = 48;
-  return reservoir_.capacity() * sizeof(Slot) +
-         closure_watch_.size() * kMapEntryOverhead +
-         reservoir_.size() * sizeof(std::uint32_t) +
+  return reservoir_.capacity() * sizeof(Slot) + closure_watch_.MemoryBytes() +
          current_list_.capacity() * sizeof(VertexId);
 }
 

@@ -1,7 +1,7 @@
 // core::WatchIndex against a plain mirror: the estimators' watcher lists
 // must behave exactly as the push_back / swap-remove maps they replaced,
-// keep their capacity count current, and checkpoint to bytes a fresh index
-// restores bit for bit. core::ListMarks: a list completes an item once,
+// keep their capacity and item counts current (the index's own meter), and
+// checkpoint to bytes a fresh index restores bit for bit. core::ListMarks: a list completes an item once,
 // when it delivers the item's second end, and no earlier list's mark
 // counts, across the stamp's wrap too.
 
@@ -54,6 +54,14 @@ class Mirror {
     return bytes;
   }
 
+  // The meter the estimators hand-wrote: 48 bytes per key and sizeof(V)
+  // per listed item.
+  std::size_t MemoryBytes() const {
+    std::size_t bytes = lists_.size() * 48;
+    for (const auto& [key, list] : lists_) bytes += list.size() * sizeof(V);
+    return bytes;
+  }
+
   const std::map<K, std::vector<V>>& lists() const { return lists_; }
 
  private:
@@ -65,6 +73,7 @@ void ExpectMatches(const WatchIndex<K, V>& index, const Mirror<K, V>& mirror,
                    K max_key) {
   ASSERT_EQ(index.size(), mirror.lists().size());
   ASSERT_EQ(index.capacity_bytes(), mirror.CapacityBytes());
+  ASSERT_EQ(index.MemoryBytes(), mirror.MemoryBytes());
   for (K key = 0; key <= max_key; ++key) {
     const auto it = mirror.lists().find(key);
     const std::vector<V> want =
