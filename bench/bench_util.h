@@ -12,15 +12,16 @@
 //   --csv         machine-readable output: tables become CSV (one header row
 //                 + data rows), prose becomes '#'-prefixed comments.
 //   --metrics-out FILE   write a JSONL run manifest: run header, per-batch
-//                 per-trial estimate/space/time records, space timelines,
-//                 curve points + slope verdicts, a MetricsRegistry snapshot,
-//                 and a run_end trailer (schema: src/obs/manifest.h;
-//                 consumer: scripts/bench_report.py). Timelines hold one
-//                 space sample per adjacency-list boundary and pass end.
+//                 per-trial estimate/space/time records (each trial's
+//                 reported and audited peaks), curve points + slope
+//                 verdicts, a MetricsRegistry snapshot, and a run_end
+//                 trailer (schema: src/obs/manifest.h; consumer:
+//                 scripts/bench_report.py).
 //   --chrome-trace FILE  write a Chrome trace-event JSON file (loadable in
 //                 Perfetto / chrome://tracing) with execution spans: bench
-//                 phases, trials on their worker lanes, streaming passes,
-//                 strided list windows, and validator work.
+//                 batches, trials on their worker lanes, streaming passes
+//                 (with their space peaks), strided list windows (with the
+//                 space maxima at their list ends), and validator work.
 //   --prof        open hardware counters (obs::Profiler): per-pass and
 //                 per-trial cycles/instructions/cache/branch counts land in
 //                 `prof` manifest records, Prometheus prof.* gauges, and
@@ -38,10 +39,11 @@
 // Trial batches run through the shared runtime::TrialRunner returned by
 // bench::Runner(); call bench::ParseOptions first so --threads takes effect.
 // Batches that should appear in manifests go through bench::RunBatch, which
-// traces trial 0, collects per-trial timings outside the deterministic
-// result slots, and emits the batch/timeline records. The run header, the
-// `prof` records and the run_end trailer come from RunRecord, ProfRecords
-// and RunEndRecord, which micro_substrate's own main shares.
+// hands every trial the run's spans, metrics and profiler, collects
+// per-trial timings outside the deterministic result slots, and emits the
+// batch record. The run header, the `prof` records and the run_end trailer
+// come from RunRecord, ProfRecords and RunEndRecord, which micro_substrate's
+// own main shares.
 
 #ifndef CYCLESTREAM_BENCH_BENCH_UTIL_H_
 #define CYCLESTREAM_BENCH_BENCH_UTIL_H_
@@ -69,7 +71,6 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/space_tracer.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
 #include "runtime/trial_runner.h"
@@ -361,10 +362,10 @@ inline runtime::TrialRunner& Runner() {
   return *internal::RunnerSlot();
 }
 
-/// Per-trial context handed to RunBatch's trial function. `tracer` is
-/// non-null only for the batch's traced trial (trial 0, single-writer);
-/// `Run` routes a driver call through it plus the run's metrics registry,
-/// so a trial body reads identically traced or untraced:
+/// Per-trial context handed to RunBatch's trial function. `Run` routes a
+/// driver call through the run's spans, metrics registry and profiler (each
+/// null when its flag is off), so a trial body reads identically traced or
+/// untraced:
 ///
 ///   bench::RunBatch("label", trials, seed, [&](const bench::TrialCtx& ctx) {
 ///     core::SomeCounter algo(...);
@@ -377,7 +378,6 @@ inline runtime::TrialRunner& Runner() {
 struct TrialCtx {
   std::size_t index = 0;
   std::uint64_t seed = 0;
-  obs::SpaceTracer* tracer = nullptr;
   obs::TraceSession* spans = nullptr;
 
   /// AlgoT is deduced: every bench passes a concrete (final) estimator
@@ -387,7 +387,6 @@ struct TrialCtx {
   template <typename StreamT, typename AlgoT>
   stream::RunReport Run(const StreamT& s, AlgoT* algo) const {
     stream::TraceOptions trace;
-    trace.tracer = tracer;
     trace.metrics = internal::Observability::Get().registry();
     trace.spans = spans;
     trace.prof = internal::Observability::Get().profiler();
@@ -406,26 +405,23 @@ struct TrialCtx {
 /// Runs `trials` trials through the shared Runner (same seeds/slots as
 /// Runner().Run, so printed numbers are unchanged) and, when manifests are
 /// open, records the batch: per-trial estimate/aux/space plus wall and
-/// queue-wait timings (kept out of the returned deterministic results), a
-/// space timeline for trial 0, and wall/queue-wait histograms in the
-/// metrics registry. `config` is an arbitrary JSON object identifying the
-/// batch's parameters (m, T, sample size, ...).
+/// queue-wait timings (kept out of the returned deterministic results), and
+/// wall/queue-wait histograms in the metrics registry. `config` is an
+/// arbitrary JSON object identifying the batch's parameters (m, T, sample
+/// size, ...).
 inline std::vector<runtime::TrialResult> RunBatch(
     const std::string& label, std::size_t trials, std::uint64_t base_seed,
     const std::function<runtime::TrialResult(const TrialCtx&)>& fn,
     obs::Json config = obs::Json::Object()) {
   internal::Observability& ob = internal::Observability::Get();
-  obs::SpaceTracer tracer;
-  obs::SpaceTracer* traced = ob.enabled() ? &tracer : nullptr;
   obs::TraceSession* spans = ob.trace_session();
   auto batch_span = obs::TraceSession::Begin(spans, "batch " + label, "bench");
   batch_span.SetArg("trials", obs::Json(trials));
   std::vector<runtime::TrialTiming> timings;
   std::vector<runtime::TrialResult> results = Runner().Run(
       trials, base_seed,
-      [&fn, traced, spans](std::size_t i, std::uint64_t seed) {
-        TrialCtx ctx{i, seed, i == 0 ? traced : nullptr, spans};
-        return fn(ctx);
+      [&fn, spans](std::size_t i, std::uint64_t seed) {
+        return fn(TrialCtx{i, seed, spans});
       },
       &timings, spans, ob.profiler());
   batch_span.End();
@@ -454,17 +450,6 @@ inline std::vector<runtime::TrialResult> RunBatch(
   batch.Set("results", std::move(rows));
   ob.WriteRecord(batch);
 
-  if (!tracer.timelines().empty()) {
-    obs::Json timeline = obs::MakeRecord("timeline");
-    timeline.Set("label", obs::Json(label));
-    timeline.Set("trial", obs::Json(0));
-    timeline.Set("seed", obs::Json(runtime::TrialSeed(base_seed, 0)));
-    timeline.Set("max_reported_bytes", obs::Json(tracer.MaxReportedBytes()));
-    timeline.Set("max_audited_bytes", obs::Json(tracer.MaxAuditedBytes()));
-    timeline.Set("passes", tracer.ToJson());
-    ob.WriteRecord(timeline);
-  }
-
   if (obs::MetricsRegistry* registry = ob.registry()) {
     static const std::vector<double> kSecondsBounds = {
         1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0};
@@ -478,25 +463,6 @@ inline std::vector<runtime::TrialResult> RunBatch(
     }
     registry->GetCounter("bench.trials").Increment(trials);
     registry->GetCounter("bench.batches").Increment();
-    // Per-list distributions from the traced trial's timeline: each point
-    // before the pass-end duplicate is one list-boundary sample, and the
-    // pair-count delta between consecutive samples is that list's length.
-    obs::Histogram space = registry->GetHistogram("bench.list_space_bytes",
-                                                  obs::Log2Bounds(6, 30));
-    obs::Histogram sizes = registry->GetHistogram("bench.list_size_pairs",
-                                                  obs::Log2Bounds(0, 24));
-    for (const obs::SpaceTimeline& t : tracer.timelines()) {
-      std::uint64_t prev_pairs = 0;
-      // points.back() is the extra pass-end sample (same pair count as the
-      // final list boundary) — not a list.
-      const std::size_t lists = t.points.empty() ? 0 : t.points.size() - 1;
-      for (std::size_t i = 0; i < lists; ++i) {
-        space.Observe(static_cast<double>(t.points[i].reported_bytes));
-        sizes.Observe(
-            static_cast<double>(t.points[i].pairs_processed - prev_pairs));
-        prev_pairs = t.points[i].pairs_processed;
-      }
-    }
   }
   return results;
 }
@@ -565,14 +531,9 @@ inline void RecordAccuracy(const obs::AccuracyObserver& observer) {
   internal::Observability::Get().WriteRecord(record);
 }
 
-/// The run's Chrome-trace session (null when --chrome-trace is off) and a
-/// convenience for bench-phase spans around it.
+/// The run's Chrome-trace session (null when --chrome-trace is off).
 inline obs::TraceSession* TraceSpans() {
   return internal::Observability::Get().trace_session();
-}
-
-inline obs::TraceSession::Span Phase(const std::string& name) {
-  return obs::TraceSession::Begin(TraceSpans(), name, "bench");
 }
 
 /// The run's hardware-counter profiler (null when --prof is off). Benches

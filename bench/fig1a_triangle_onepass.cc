@@ -37,7 +37,7 @@ SweepPoint Measure(const std::vector<lowerbound::Gadget>& gadgets,
   config.Set("sample", obs::Json(sample));
   config.Set("gadgets", obs::Json(gadgets.size()));
   // Protocol runs (player-segmented, no driver) carry the max message size
-  // in reported_peak_bytes; there is no stream timeline to trace.
+  // in reported_peak_bytes; they open no pass or list spans.
   std::vector<runtime::TrialResult> results = bench::RunBatch(
       "protocol/sample=" + std::to_string(sample), total, seed_base,
       [&](const bench::TrialCtx& ctx) {

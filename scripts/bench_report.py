@@ -61,7 +61,7 @@ import math
 import os
 import sys
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # Counter fields every prof record carries (obs/prof.h ProfCounters).
 PROF_COUNTER_FIELDS = ("cycles", "instructions", "cache_references",
@@ -71,8 +71,6 @@ PROF_COUNTER_FIELDS = ("cycles", "instructions", "cache_references",
 REQUIRED_FIELDS = {
     "run": ["bench", "git", "build_info"],
     "batch": ["label", "trials", "base_seed", "results"],
-    "timeline": ["label", "trial", "seed", "max_reported_bytes",
-                 "max_audited_bytes", "passes"],
     "curve_point": ["curve", "x", "y"],
     "slope": ["curve", "measured", "predicted", "consistent"],
     "fit": ["curve", "fitted_exponent", "predicted_exponent", "points"],
@@ -219,10 +217,9 @@ def fit_slope(points):
 
 def collect(records):
     """Groups a manifest's records: run header, batches, curves, slopes,
-    exponent fits, timelines, metrics snapshots."""
+    exponent fits, metrics snapshots, accuracy and prof records."""
     out = {"run": None, "batches": [], "curves": {}, "slopes": [],
-           "fits": [], "timelines": [], "metrics": [], "accuracy": [],
-           "profs": []}
+           "fits": [], "metrics": [], "accuracy": [], "profs": []}
     for rec in records:
         rtype = rec.get("record")
         if rtype == "run" and out["run"] is None:
@@ -236,8 +233,6 @@ def collect(records):
             out["slopes"].append(rec)
         elif rtype == "fit":
             out["fits"].append(rec)
-        elif rtype == "timeline":
-            out["timelines"].append(rec)
         elif rtype == "metrics":
             out["metrics"].append(rec["metrics"])
         elif rtype == "accuracy":
@@ -401,30 +396,6 @@ def check_driver_counters(path, grouped):
     return errors
 
 
-def check_timelines(path, grouped):
-    """The timeline's recorded maxima must equal the maxima over its
-    points (each point is a [pairs, reported, audited] triple)."""
-    errors = []
-    for tl in grouped["timelines"]:
-        reported_max = 0
-        audited_max = 0
-        for pass_tl in tl.get("passes", []):
-            for point in pass_tl.get("points", []):
-                reported_max = max(reported_max, point[1])
-                audited_max = max(audited_max, point[2])
-        if reported_max != tl["max_reported_bytes"]:
-            errors.append(
-                f"{path}: timeline {tl['label']!r}: max_reported_bytes="
-                f"{tl['max_reported_bytes']} but points max to "
-                f"{reported_max}")
-        if audited_max != tl["max_audited_bytes"]:
-            errors.append(
-                f"{path}: timeline {tl['label']!r}: max_audited_bytes="
-                f"{tl['max_audited_bytes']} but points max to "
-                f"{audited_max}")
-    return errors
-
-
 def check_accuracy(path, grouped):
     """Internal consistency of accuracy records (obs/accuracy.h): the
     fraction must equal within/trials, and within_band must equal the
@@ -513,7 +484,6 @@ def cmd_validate(args):
             errors += check_slopes(path, grouped)
             errors += check_fits(path, grouped)
             errors += check_audit(path, grouped)
-            errors += check_timelines(path, grouped)
             errors += check_throughput_pairs(path, grouped)
             errors += check_space_samples(path, grouped)
             errors += check_driver_counters(path, grouped)
@@ -557,12 +527,6 @@ def cmd_report(args):
             print(f"  batch {batch['label']}: {batch['trials']} trials, "
                   f"mean estimate {mean:.4g}, peak space {reported}B"
                   f"{audit_str}, wall {wall:.3f}s")
-        for tl in grouped["timelines"]:
-            npoints = sum(len(p.get("points", [])) for p in tl["passes"])
-            print(f"  timeline {tl['label']}: {len(tl['passes'])} passes, "
-                  f"{npoints} points, max reported "
-                  f"{tl['max_reported_bytes']}B, audited "
-                  f"{tl['max_audited_bytes']}B")
         for curve, points in sorted(grouped["curves"].items()):
             refit = fit_slope(points)
             slope_str = f", fitted slope {refit:.3f}" if refit is not None \

@@ -11,11 +11,10 @@
 //
 // Delivery goes through the driver's one sink (`internal::RunSink` under the
 // trusting contract `stream::RunPasses` uses), not a hand-rolled OnPair
-// loop, so protocol runs get the same metering, the same batch fast path
-// (one devirtualized OnListBatch per list when given a concrete algorithm),
-// and the same optional TraceOptions instrumentation as `RunPasses`. Space
-// is sampled at list boundaries only, with no extra sample after EndPass
-// (messages between passes are read directly).
+// loop, so protocol runs get the same metering and the same batch fast path
+// (one devirtualized OnListBatch per list when given a concrete algorithm)
+// as `RunPasses`. Space is sampled at list boundaries only, with no extra
+// sample after EndPass (messages between passes are read directly).
 
 #ifndef CYCLESTREAM_LOWERBOUND_PROTOCOL_H_
 #define CYCLESTREAM_LOWERBOUND_PROTOCOL_H_
@@ -82,12 +81,11 @@ inline void FinishProtocolRun(const stream::RunReport& report,
 /// concrete algorithm afterwards. Like `stream::RunPasses`, `AlgoT` is
 /// deduced: a concrete algorithm pointer takes the devirtualized batch path,
 /// a `stream::StreamAlgorithm*` the virtual one — bit-identical results.
-/// `trace` instruments the run exactly as in the driver (space timeline plus
-/// "driver.*" counters).
+/// The run is uninstrumented: its sink never ends a pass, so it could close
+/// no pass span.
 template <typename AlgoT>
 ProtocolRun RunProtocol(const Gadget& gadget, AlgoT* algorithm,
-                        std::uint64_t seed,
-                        const stream::TraceOptions& trace = {}) {
+                        std::uint64_t seed) {
   static_assert(std::is_base_of_v<stream::StreamAlgorithm, AlgoT>);
   CYCLESTREAM_CHECK(algorithm != nullptr);
   stream::AdjacencyListStream protocol_stream =
@@ -99,7 +97,7 @@ ProtocolRun RunProtocol(const Gadget& gadget, AlgoT* algorithm,
   report.passes_requested = algorithm->passes();
   stream::internal::TrustingContract trusting;
   stream::internal::RunSink<AlgoT, stream::internal::TrustingContract> sink(
-      algorithm, &trusting, &report, trace);
+      algorithm, &trusting, &report, {});
   for (int pass = 0; pass < report.passes_requested; ++pass) {
     sink.BeginPass(pass);
     algorithm->BeginPass(pass);
@@ -123,7 +121,6 @@ ProtocolRun RunProtocol(const Gadget& gadget, AlgoT* algorithm,
       run.message_bytes.push_back(algorithm->CurrentSpaceBytes());
     }
   }
-  stream::internal::ExportDriverMetrics(report, trace.metrics);
   internal::FinishProtocolRun(report, &run);
   return run;
 }

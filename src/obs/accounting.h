@@ -5,10 +5,9 @@
 // `AccountedAllocator<T>`; for the estimators the owner is their
 // `stream::PairDispatch` base (stream/algorithm.h), which is constructed
 // before and destroyed after every container they hold. The domain then
-// measures the *actual* heap bytes requested by those containers (live,
-// peak, call counts), independently of the hand-computed
-// `CurrentSpaceBytes()` estimates. The driver samples both at every list
-// boundary, so a bookkeeping bug in a self-report shows up as divergence
+// measures the *actual* live heap bytes requested by those containers,
+// independently of the hand-computed `CurrentSpaceBytes()` estimates. The
+// driver samples both at every list boundary, so a bookkeeping bug in a self-report shows up as divergence
 // instead of silently falsifying Table 1 curves.
 //
 // The accounting is always on: allocators never change container behaviour,
@@ -35,7 +34,6 @@
 #define CYCLESTREAM_OBS_ACCOUNTING_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -50,31 +48,13 @@ namespace obs {
 /// Counts exact requested bytes (n * sizeof(T)), not malloc-rounded sizes.
 class MemoryDomain {
  public:
-  void OnAlloc(std::size_t bytes) {
-    live_bytes_ += bytes;
-    ++alloc_calls_;
-    if (live_bytes_ > peak_bytes_) peak_bytes_ = live_bytes_;
-  }
-
-  void OnFree(std::size_t bytes) {
-    live_bytes_ -= bytes;
-    ++free_calls_;
-  }
+  void OnAlloc(std::size_t bytes) { live_bytes_ += bytes; }
+  void OnFree(std::size_t bytes) { live_bytes_ -= bytes; }
 
   std::size_t live_bytes() const { return live_bytes_; }
-  std::size_t peak_bytes() const { return peak_bytes_; }
-  std::uint64_t alloc_calls() const { return alloc_calls_; }
-  std::uint64_t free_calls() const { return free_calls_; }
-
-  /// Forgets the peak (not the live count): the driver calls this at pass
-  /// starts so per-pass peaks are not inherited from earlier passes.
-  void ResetPeak() { peak_bytes_ = live_bytes_; }
 
  private:
   std::size_t live_bytes_ = 0;
-  std::size_t peak_bytes_ = 0;
-  std::uint64_t alloc_calls_ = 0;
-  std::uint64_t free_calls_ = 0;
 };
 
 /// Stateful allocator charging a MemoryDomain. A null domain makes it a

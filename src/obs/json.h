@@ -57,12 +57,7 @@ class Json {
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_number() const {
-    return kind_ == Kind::kUint || kind_ == Kind::kInt ||
-           kind_ == Kind::kDouble;
-  }
   bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
   bool AsBool() const;

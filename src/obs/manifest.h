@@ -2,14 +2,12 @@
 // `--metrics-out` emits and `scripts/bench_report.py` consumes.
 //
 // A manifest is a sequence of newline-delimited JSON records, each with a
-// "record" type tag and "schema_version". Record types (schema v3):
+// "record" type tag and "schema_version". Record types (schema v4):
 //
 //   run         — first line: bench name, git describe, build_info stamp
 //                 (exact sha / compiler / flags), seed, threads, argv
-//   batch       — one per bench batch (label, per-trial estimate/space/time)
-//   timeline    — space timeline of a traced trial (per-pass points, one
-//                 per list boundary and pass end, each
-//                 [pairs, reported_bytes, audited_bytes])
+//   batch       — one per bench batch (label, per-trial estimate, reported
+//                 and audited peaks, divergence, wall and queue-wait time)
 //   curve_point — one (x, y) of a measured space curve
 //   slope       — measured vs predicted log-log slope for a curve
 //   fit         — least-squares exponent fit of peak space vs T for one
@@ -23,10 +21,12 @@
 //                 totals, derived ipc (0 when unavailable)
 //   run_end     — last line: totals and record count for truncation checks
 //
-// Schema v3 (this version) adds the `prof` record type and the run
-// header's required `build_info` object. v2 renamed batch space fields
-// to the reported_/audited_ scheme and widened timeline points to
-// 3-arrays.
+// Schema v4 (this version) drops the `timeline` record, which copied every
+// list-boundary space sample of each batch's trial 0; the batch rows keep
+// each trial's peaks, and the Chrome trace's pass and list spans carry
+// space over time (stream/driver.h). v3 added the `prof` record type and
+// the run header's required `build_info` object. v2 renamed batch space
+// fields to the reported_/audited_ scheme.
 //
 // Writers flush per line so a crashed run leaves a readable prefix.
 
@@ -44,7 +44,7 @@ namespace obs {
 
 /// Bump when record shapes change incompatibly; bench_report.py validates
 /// against this.
-inline constexpr int kManifestSchemaVersion = 3;
+inline constexpr int kManifestSchemaVersion = 4;
 
 /// The `git describe --always --dirty` of the built tree, captured at
 /// configure time; "unknown" when built outside a git checkout.

@@ -9,11 +9,15 @@
 // per thread, so traces stay readable regardless of OS thread ids.
 //
 // Span taxonomy (categories):
-//   pass     — one streaming pass of one algorithm (driver RunSink)
-//   list     — a strided window of adjacency lists within a pass
+//   pass     — one streaming pass of one algorithm (driver RunSink); args
+//              carry the pass's reported_peak_bytes and audited_peak_bytes
+//   list     — a strided window of adjacency lists within a pass; args
+//              carry max_reported_bytes and max_audited_bytes, the maxima
+//              of the space samples at the window's list ends
 //   validate — contract work on one list batch (checked runs only)
 //   trial    — one trial body on a ThreadPool worker (runtime)
-//   bench    — a bench phase (setup, batch label, report emission)
+//   bench    — a bench phase (a bench::RunBatch batch, micro_substrate's
+//              stages)
 //
 // All recording is skipped when callers hold a null session pointer — the
 // driver/runtime hooks cost one pointer test when tracing is off.

@@ -104,34 +104,5 @@ std::size_t TrialRunner::MaxReportedPeak(
   return peak;
 }
 
-std::size_t TrialRunner::MaxAuditedPeak(
-    const std::vector<TrialResult>& results) {
-  std::size_t peak = 0;
-  for (const TrialResult& r : results)
-    peak = std::max(peak, r.audited_peak_bytes);
-  return peak;
-}
-
-std::size_t TrialRunner::MaxDivergence(
-    const std::vector<TrialResult>& results) {
-  std::size_t max = 0;
-  for (const TrialResult& r : results)
-    max = std::max(max, r.max_divergence_bytes);
-  return max;
-}
-
-double TrialRunner::TotalWallSeconds(const std::vector<TrialTiming>& timings) {
-  double total = 0.0;
-  for (const TrialTiming& t : timings) total += t.wall_seconds;
-  return total;
-}
-
-double TrialRunner::TotalQueueWaitSeconds(
-    const std::vector<TrialTiming>& timings) {
-  double total = 0.0;
-  for (const TrialTiming& t : timings) total += t.queue_wait_seconds;
-  return total;
-}
-
 }  // namespace runtime
 }  // namespace cyclestream

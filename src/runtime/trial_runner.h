@@ -136,10 +136,6 @@ class TrialRunner {
   static std::vector<double> AuxEstimates(
       const std::vector<TrialResult>& results);
   static std::size_t MaxReportedPeak(const std::vector<TrialResult>& results);
-  static std::size_t MaxAuditedPeak(const std::vector<TrialResult>& results);
-  static std::size_t MaxDivergence(const std::vector<TrialResult>& results);
-  static double TotalWallSeconds(const std::vector<TrialTiming>& timings);
-  static double TotalQueueWaitSeconds(const std::vector<TrialTiming>& timings);
 
  private:
   std::unique_ptr<ThreadPool> owned_pool_;

@@ -61,15 +61,16 @@
 // boundary, and twice in one run). Corrupt envelopes come back as a typed
 // error Status before any state is trusted.
 //
-// Observability: both entry points take `TraceOptions`. A `SpaceTracer`
-// receives exactly the space samples the report's peaks are computed from
-// (the model measures at list boundaries), so the tracer's timeline max
-// equals `reported_peak_bytes`; a `MetricsRegistry` receives driver
-// counters (and, for checked runs, contract counters) at the end of the
-// run; a `TraceSession` receives pass/list spans (and, for checked runs,
-// validate spans); a `Profiler` times each pass under a
-// "driver.pass/pass=N" scope. Tracing never touches the algorithm's
-// inputs, so traced and untraced runs produce bit-identical estimates.
+// Observability: both entry points take `TraceOptions`. A `MetricsRegistry`
+// receives driver counters (and, for checked runs, contract counters) at
+// the end of the run; a `TraceSession` receives pass/list spans (and, for
+// checked runs, validate spans); a `Profiler` times each pass under a
+// "driver.pass/pass=N" scope. Space over time rides on the spans: a pass
+// span carries its PassReport's two peaks, and it closes after the
+// pass-end sample, so the max over a run's pass spans equals the report's
+// peaks; a list span carries the maxima of the list-end samples in its
+// window. Tracing never touches the algorithm's inputs, so traced and
+// untraced runs produce bit-identical estimates.
 
 #ifndef CYCLESTREAM_STREAM_DRIVER_H_
 #define CYCLESTREAM_STREAM_DRIVER_H_
@@ -88,7 +89,6 @@
 
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/space_tracer.h"
 #include "obs/trace.h"
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
@@ -156,16 +156,15 @@ struct RunReport {
 /// untraced: the driver's behaviour and the algorithm's inputs are
 /// identical either way.
 struct TraceOptions {
-  /// If set, receives BeginPass + a space sample at every list boundary
-  /// and at each pass end.
-  obs::SpaceTracer* tracer = nullptr;
   /// If set, receives "driver.*" counters (and, for checked runs,
   /// "validator.*") when the run finishes.
   obs::MetricsRegistry* metrics = nullptr;
-  /// If set, receives execution spans: one "pass" span per pass, one
-  /// strided "list" span per `kListSpanStride` adjacency lists, and (in
-  /// checked runs) a strided "validate" span timing the validator's work
-  /// on one list per stride window.
+  /// If set, receives execution spans: one "pass" span per pass (args:
+  /// its PassReport's reported_peak_bytes and audited_peak_bytes), one
+  /// strided "list" span per `kListSpanStride` adjacency lists (args: the
+  /// max_reported_bytes and max_audited_bytes of the list-end samples in
+  /// its window), and (in checked runs) a strided "validate" span timing
+  /// the validator's work on one list per stride window.
   obs::TraceSession* spans = nullptr;
   /// If set, every pass runs under a ProfScope named "driver.pass/pass=N",
   /// whose hardware-counter delta lands in the profiler's aggregates. One
@@ -224,14 +223,21 @@ struct TrustingContract {
   Status ToStatus() const { return Status::Ok(); }
 };
 
-// Folds one space sample — self-reported bytes and, with a memory domain,
-// allocator-audited bytes — into the pass's and the run's peaks and hands
-// it to `tracer` if set: the one meter, used by RunSink at every list and
-// pass end and by the service at the same points. Declared `inline` so GCC
-// inlines it into the per-list loop, where a call costs ~0.1 ns/pair.
+// One space sample: self-reported bytes and allocator-audited bytes (0
+// without a memory domain).
+struct SpaceSample {
+  std::size_t reported = 0;
+  std::size_t audited = 0;
+};
+
+// Takes one space sample, folds it into the pass's and the run's peaks and
+// returns it: the one meter, used by RunSink at every list and pass end and
+// by the service at the same points. Declared `inline` so GCC inlines it
+// into the per-list loop, where a call costs ~0.1 ns/pair.
 template <typename AlgoT>
-inline void SampleSpace(const AlgoT& algorithm, const obs::MemoryDomain* domain,
-                        RunReport* report, obs::SpaceTracer* tracer = nullptr) {
+inline SpaceSample SampleSpace(const AlgoT& algorithm,
+                               const obs::MemoryDomain* domain,
+                               RunReport* report) {
   const std::size_t reported = algorithm.CurrentSpaceBytes();
   PassReport& pass = report->per_pass.back();
   pass.reported_peak_bytes = std::max(pass.reported_peak_bytes, reported);
@@ -248,9 +254,7 @@ inline void SampleSpace(const AlgoT& algorithm, const obs::MemoryDomain* domain,
     report->max_divergence_bytes =
         std::max(report->max_divergence_bytes, divergence);
   }
-  if (tracer != nullptr) {
-    tracer->Sample(pass.pairs_processed, reported, audited);
-  }
+  return {reported, audited};
 }
 
 // Writes `report` as a checkpoint section.
@@ -306,7 +310,6 @@ class RunSink {
         report_(report),
         on_checkpoint_(on_checkpoint),
         domain_(algorithm->memory_domain()),
-        tracer_(trace.tracer),
         spans_(trace.spans),
         prof_(trace.prof) {}
 
@@ -322,13 +325,13 @@ class RunSink {
     pass_ = pass;
     lists_done_ = lists_done;
     skip_ = lists_done;
-    if (tracer_ != nullptr) tracer_->BeginPass(static_cast<std::size_t>(pass));
     if (spans_ != nullptr) {
       pass_span_ = obs::TraceSession::Begin(
           spans_, "pass " + std::to_string(pass), "pass");
       lists_in_window_ = 0;
       validate_window_ = 0;
       window_start_vertex_ = 0;
+      window_max_ = {};
     }
     if (prof_ != nullptr) {
       pass_prof_ = obs::Profiler::Begin(
@@ -395,9 +398,11 @@ class RunSink {
     contract_->EndList(u);
     if (!contract_->ok()) return;
     algorithm_->EndList(u);
-    SampleSpace(*algorithm_, domain_, report_, tracer_);
-    if (spans_ != nullptr && ++lists_in_window_ >= kListSpanStride) {
-      CloseListSpan(u);
+    const SpaceSample sample = SampleSpace(*algorithm_, domain_, report_);
+    if (spans_ != nullptr) {
+      window_max_.reported = std::max(window_max_.reported, sample.reported);
+      window_max_.audited = std::max(window_max_.audited, sample.audited);
+      if (++lists_in_window_ >= kListSpanStride) CloseListSpan(u);
     }
     if constexpr (kChecked) {
       ++lists_done_;
@@ -406,12 +411,15 @@ class RunSink {
   }
 
   void EndPass() {
-    SampleSpace(*algorithm_, domain_, report_, tracer_);
+    SampleSpace(*algorithm_, domain_, report_);
     if (spans_ != nullptr) {
       if (lists_in_window_ != 0) CloseListSpan(window_start_vertex_);
-      pass_span_.SetArg(
-          "pairs_processed",
-          obs::Json(report_->per_pass.back().pairs_processed));
+      const PassReport& pass = report_->per_pass.back();
+      pass_span_.SetArg("pairs_processed", obs::Json(pass.pairs_processed));
+      pass_span_.SetArg("reported_peak_bytes",
+                        obs::Json(pass.reported_peak_bytes));
+      pass_span_.SetArg("audited_peak_bytes",
+                        obs::Json(pass.audited_peak_bytes));
       pass_span_.End();
     }
     pass_prof_.End();
@@ -439,8 +447,11 @@ class RunSink {
     list_span_.SetArg("first_vertex", obs::Json(window_start_vertex_));
     list_span_.SetArg("last_vertex", obs::Json(last_vertex));
     list_span_.SetArg("lists", obs::Json(lists_in_window_));
+    list_span_.SetArg("max_reported_bytes", obs::Json(window_max_.reported));
+    list_span_.SetArg("max_audited_bytes", obs::Json(window_max_.audited));
     list_span_.End();
     lists_in_window_ = 0;
+    window_max_ = {};
   }
 
   AlgoT* algorithm_;
@@ -448,7 +459,6 @@ class RunSink {
   RunReport* report_;
   const CheckpointFn* on_checkpoint_;
   const obs::MemoryDomain* domain_;
-  obs::SpaceTracer* tracer_;
   obs::TraceSession* spans_;
   obs::Profiler* prof_;
   obs::TraceSession::Span pass_span_;
@@ -457,6 +467,7 @@ class RunSink {
   std::size_t lists_in_window_ = 0;
   std::size_t validate_window_ = 0;
   VertexId window_start_vertex_ = 0;
+  SpaceSample window_max_;  // list-end maxima of the open list span
   int pass_ = 0;
   std::size_t lists_done_ = 0;  // lists completed in the current pass
   std::size_t skip_ = 0;        // lists still to drop on replay
@@ -555,8 +566,8 @@ Status RunLoop(const StreamT& stream, AlgoT* algorithm, ContractT* contract,
     contract->EndPass(pass);
     algorithm->EndPass(pass);
     // Sample once more after EndPass: pass-end state (e.g. a second-pass
-    // accumulator) counts toward the peak, and the tracer must see every
-    // sample the peak is computed from.
+    // accumulator) counts toward the peak, and the pass span, which closes
+    // here, carries the peak it makes.
     sink.EndPass();
     if (!contract->ok()) break;
   }

@@ -45,11 +45,6 @@ class SeededHash {
     return Mix64((key + seed_) * odd_multiplier_);
   }
 
-  /// Hash of an ordered pair of keys.
-  std::uint64_t Hash2(std::uint64_t a, std::uint64_t b) const {
-    return Mix128To64(Hash(a), b);
-  }
-
   std::uint64_t seed() const { return seed_; }
 
  private:

@@ -1,6 +1,6 @@
 // Tests for the observability layer: JSON round-trips, the metrics
-// registry under concurrent writers, space-timeline/driver agreement, and
-// JSONL manifest files.
+// registry under concurrent writers, the driver's space samples and the
+// space args its pass and list spans carry, and JSONL manifest files.
 
 #include <algorithm>
 #include <cmath>
@@ -22,7 +22,6 @@
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/space_tracer.h"
 #include "obs/trace.h"
 #include "runtime/trial_runner.h"
 #include "stream/adjacency_stream.h"
@@ -30,6 +29,7 @@
 #include "stream/fault_injection.h"
 #include "stream/validator.h"
 #include "json_parse.h"
+#include "test_util.h"
 
 namespace cyclestream {
 namespace {
@@ -237,69 +237,55 @@ TEST(MetricsRegistry, SnapshotToJsonShape) {
   EXPECT_EQ(*parsed, j);
 }
 
-// ------------------------------------------------- Tracer + driver -----
+// --------------------------------------------- Space samples + driver --
 
-TEST(SpaceTracer, TimelineMaxMatchesReportedPeak) {
-  Graph g = gen::ErdosRenyiGnp(200, 0.08, 11);
-  stream::AdjacencyListStream s(&g, 3);
-  core::TwoPassTriangleOptions options;
-  options.sample_size = 64;
-  options.seed = 7;
-  core::TwoPassTriangleCounter counter(options);
-  obs::SpaceTracer tracer;
-  stream::RunReport report =
-      stream::RunPasses(s, &counter, stream::TraceOptions{&tracer, nullptr});
-  ASSERT_EQ(tracer.timelines().size(), 2u);
-  EXPECT_EQ(tracer.MaxReportedBytes(), report.reported_peak_bytes);
-  // Per-pass timelines agree with the per-pass reports too.
-  for (std::size_t p = 0; p < tracer.timelines().size(); ++p) {
-    EXPECT_EQ(tracer.timelines()[p].MaxReportedBytes(),
-              report.per_pass[p].reported_peak_bytes);
-    EXPECT_FALSE(tracer.timelines()[p].points.empty());
-  }
-}
-
-TEST(SpaceTracer, SamplesEveryListBoundaryAndThePassEnd) {
+// The driver's space samples, in order: one where each adjacency list ends,
+// then one at the pass end, and none inside a list.
+TEST(Driver, SamplesEveryListBoundaryAndThePassEnd) {
   Graph g = gen::ErdosRenyiGnp(150, 0.1, 4);
   stream::AdjacencyListStream s(&g, 9);
   core::OnePassTriangleOptions options;
   options.sample_size = 32;
   options.seed = 5;
   core::OnePassTriangleCounter counter(options);
-  obs::SpaceTracer tracer;
-  stream::RunPasses(s, &counter, stream::TraceOptions{&tracer, nullptr});
-  ASSERT_EQ(tracer.timelines().size(), 1u);
-  // One point where each adjacency list ends, then one at the pass end: no
-  // sample falls inside a list.
-  const std::vector<obs::SpacePoint>& points = tracer.timelines()[0].points;
+  testing_util::SpaceRecorder recorder(&counter);
+  stream::RunPasses(s, &recorder);
+  const auto& points = recorder.points();
   ASSERT_EQ(points.size(), s.list_order().size() + 1);
   std::uint64_t pairs = 0;
   for (std::size_t i = 0; i < s.list_order().size(); ++i) {
     pairs += s.ListOf(s.list_order()[i]).size();
-    EXPECT_EQ(points[i].pairs_processed, pairs) << "list " << i;
+    EXPECT_EQ(points[i].pairs, pairs) << "list " << i;
   }
-  EXPECT_EQ(points.back().pairs_processed, s.stream_length());
+  EXPECT_EQ(points.back().pairs, s.stream_length());
 }
 
 TEST(Driver, TracedAndUntracedRunsAreBitIdentical) {
   Graph g = gen::ErdosRenyiGnp(200, 0.08, 21);
   stream::AdjacencyListStream s(&g, 13);
-  auto estimate = [&](bool traced) {
+  auto run = [&](bool traced) {
     core::TwoPassTriangleOptions options;
     options.sample_size = 48;
     options.seed = 99;
     core::TwoPassTriangleCounter counter(options);
-    obs::SpaceTracer tracer;
+    obs::TraceSession session;
     obs::MetricsRegistry registry;
+    obs::Profiler::Options prof_options;
+    prof_options.backend = obs::ProfBackend::kRusage;
+    obs::Profiler prof(prof_options);
     stream::TraceOptions trace;
     if (traced) {
-      trace.tracer = &tracer;
+      trace.spans = &session;
       trace.metrics = &registry;
+      trace.prof = &prof;
     }
-    stream::RunPasses(s, &counter, trace);
-    return counter.Estimate();
+    const stream::RunReport report = stream::RunPasses(s, &counter, trace);
+    return std::pair(counter.Estimate(), report);
   };
-  EXPECT_EQ(estimate(false), estimate(true));
+  const auto [plain_estimate, plain_report] = run(false);
+  const auto [traced_estimate, traced_report] = run(true);
+  EXPECT_EQ(plain_estimate, traced_estimate);
+  testing_util::ExpectReportsEqual(traced_report, plain_report);
 }
 
 TEST(Driver, PerPassReportsSumToTotals) {
@@ -333,7 +319,7 @@ TEST(Driver, ExportsDriverMetrics) {
   options.sample_size = 16;
   options.seed = 1;
   core::TwoPassTriangleCounter counter(options);
-  stream::RunPasses(s, &counter, stream::TraceOptions{nullptr, &registry});
+  stream::RunPasses(s, &counter, {.metrics = &registry});
   obs::Snapshot snap = registry.Read();
   EXPECT_EQ(snap.counters.at("driver.runs"), 1u);
   EXPECT_EQ(snap.counters.at("driver.passes"), 2u);
@@ -447,8 +433,6 @@ TEST(TrialRunnerTiming, TimingsDoNotPerturbResults) {
   for (const runtime::TrialTiming& t : inline_timings) {
     EXPECT_EQ(t.queue_wait_seconds, 0.0);
   }
-  EXPECT_GE(runtime::TrialRunner::TotalWallSeconds(timings), 0.0);
-  EXPECT_GE(runtime::TrialRunner::TotalQueueWaitSeconds(timings), 0.0);
 }
 
 // ------------------------------------------------------- Manifests -----
@@ -492,27 +476,6 @@ TEST(ManifestWriter, WritesParseableJsonlWithTrailer) {
 TEST(ManifestWriter, OpenFailsOnBadPath) {
   auto writer = obs::ManifestWriter::Open("/nonexistent_dir_xyz/m.jsonl");
   EXPECT_FALSE(writer.ok());
-}
-
-TEST(SpaceTracer, ToJsonRoundTrips) {
-  obs::SpaceTracer tracer;
-  tracer.BeginPass(0);
-  tracer.Sample(10, 128);
-  tracer.Sample(20, 256, 300);
-  tracer.BeginPass(1);
-  tracer.Sample(10, 64);
-  obs::Json j = tracer.ToJson();
-  auto parsed = testing_util::ParseJson(j.Dump());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(*parsed, j);
-  ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_EQ(parsed->at(0).Find("pass")->AsUint64(), 0u);
-  EXPECT_EQ(parsed->at(0).Find("points")->size(), 2u);
-  // Points are [pairs, reported, audited] triples.
-  ASSERT_EQ(parsed->at(0).Find("points")->at(1).size(), 3u);
-  EXPECT_EQ(parsed->at(0).Find("points")->at(1).at(1).AsUint64(), 256u);
-  EXPECT_EQ(parsed->at(0).Find("points")->at(1).at(2).AsUint64(), 300u);
-  EXPECT_EQ(tracer.MaxAuditedBytes(), 300u);
 }
 
 // --------------------------------------------------- Chrome trace file --
@@ -685,6 +648,64 @@ TEST(TraceSession, DriverEmitsPassAndListSpans) {
   EXPECT_EQ(validate_spans, 0u);
 }
 
+// The args of the `cat` spans in `trace` (a TraceSession::ToJson), in the
+// order the spans closed.
+std::vector<obs::Json> SpanArgs(const obs::Json& trace, const char* cat) {
+  std::vector<obs::Json> args;
+  const obs::Json* events = trace.Find("traceEvents");
+  if (events == nullptr) return args;
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    const obs::Json* c = events->at(i).Find("cat");
+    if (c != nullptr && c->AsString() == cat) {
+      args.push_back(*events->at(i).Find("args"));
+    }
+  }
+  return args;
+}
+
+// A pass span closes after the pass-end sample and carries its PassReport's
+// peaks, so the max over a run's pass spans is the report's peak.
+TEST(TraceSession, PassSpansCarryThePassPeaks) {
+  Graph g = gen::ErdosRenyiGnp(200, 0.08, 11);
+  stream::AdjacencyListStream s(&g, 3);
+  core::TwoPassTriangleOptions options;
+  options.sample_size = 64;
+  options.seed = 7;
+  for (const bool checked : {false, true}) {
+    SCOPED_TRACE(checked ? "checked" : "trusted");
+    core::TwoPassTriangleCounter counter(options);
+    obs::TraceSession session;
+    stream::RunReport report;
+    if (checked) {
+      auto checked_report =
+          stream::RunPassesChecked(s, &counter, {.trace = {.spans = &session}});
+      ASSERT_TRUE(checked_report.ok());
+      report = *checked_report;
+    } else {
+      report = stream::RunPasses(s, &counter, {.spans = &session});
+    }
+    const std::vector<obs::Json> passes = SpanArgs(session.ToJson(), "pass");
+    ASSERT_EQ(passes.size(), report.per_pass.size());
+    std::uint64_t max_reported = 0, max_audited = 0;
+    for (std::size_t p = 0; p < passes.size(); ++p) {
+      const std::uint64_t reported =
+          passes[p].Find("reported_peak_bytes")->AsUint64();
+      const std::uint64_t audited =
+          passes[p].Find("audited_peak_bytes")->AsUint64();
+      EXPECT_EQ(reported, report.per_pass[p].reported_peak_bytes);
+      EXPECT_EQ(audited, report.per_pass[p].audited_peak_bytes);
+      max_reported = std::max(max_reported, reported);
+      max_audited = std::max(max_audited, audited);
+    }
+    EXPECT_EQ(max_reported, report.reported_peak_bytes);
+    EXPECT_EQ(max_audited, report.audited_peak_bytes);
+    EXPECT_GT(max_audited, 0u);
+  }
+}
+
+// Each list span covers kListSpanStride lists (the pass end closes the
+// last, partial window) and carries the maxima of the space samples at its
+// lists' ends, which are at most its pass's peaks.
 TEST(TraceSession, ListSpansCloseEveryListSpanStrideLists) {
   // Two full windows, then a partial one that the pass end closes.
   const std::size_t n = 2 * stream::kListSpanStride + 100;
@@ -694,24 +715,37 @@ TEST(TraceSession, ListSpansCloseEveryListSpanStrideLists) {
   options.sample_size = 16;
   options.seed = 7;
   core::OnePassTriangleCounter counter(options);
+  testing_util::SpaceRecorder recorder(&counter);
   obs::TraceSession session;
-  stream::TraceOptions trace;
-  trace.spans = &session;
-  stream::RunPasses(s, &counter, trace);
-  std::vector<std::uint64_t> window_lists;
-  const obs::Json j = session.ToJson();
-  const obs::Json* events = j.Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const obs::Json* cat = events->at(i).Find("cat");
-    if (cat == nullptr || cat->AsString() != "list") continue;
-    window_lists.push_back(
-        events->at(i).Find("args")->Find("lists")->AsUint64());
+  const stream::RunReport report =
+      stream::RunPasses(s, &recorder, {.spans = &session});
+  const std::vector<obs::Json> windows = SpanArgs(session.ToJson(), "list");
+  const std::vector<std::uint64_t> want_lists = {
+      stream::kListSpanStride, stream::kListSpanStride, 100};
+  ASSERT_EQ(windows.size(), want_lists.size());
+  // The recorder saw every list end, then the pass end.
+  const auto& points = recorder.points();
+  ASSERT_EQ(points.size(), n + 1);
+  std::size_t first = 0;
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    const std::uint64_t lists = windows[w].Find("lists")->AsUint64();
+    EXPECT_EQ(lists, want_lists[w]);
+    std::size_t want_reported = 0, want_audited = 0;
+    for (std::size_t i = first; i < first + lists; ++i) {
+      want_reported = std::max(want_reported, points[i].reported);
+      want_audited = std::max(want_audited, points[i].live);
+    }
+    first += lists;
+    const std::uint64_t reported =
+        windows[w].Find("max_reported_bytes")->AsUint64();
+    const std::uint64_t audited =
+        windows[w].Find("max_audited_bytes")->AsUint64();
+    EXPECT_EQ(reported, want_reported);
+    EXPECT_EQ(audited, want_audited);
+    EXPECT_LE(reported, report.per_pass[0].reported_peak_bytes);
+    EXPECT_LE(audited, report.per_pass[0].audited_peak_bytes);
   }
-  std::sort(window_lists.begin(), window_lists.end());
-  const std::vector<std::uint64_t> want = {100, stream::kListSpanStride,
-                                           stream::kListSpanStride};
-  EXPECT_EQ(window_lists, want);
 }
 
 }  // namespace

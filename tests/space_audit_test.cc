@@ -2,9 +2,9 @@
 // the allocator-measured live bytes (MemoryDomain, sampled by the driver at
 // each list boundary) must agree with the hand-computed CurrentSpaceBytes()
 // self-report within the documented slack (obs::WithinAuditSlack), at every
-// sampled point of the space timeline. A second invariant: auditing is
-// passive — running with a tracer attached leaves estimates bit-identical
-// to an untraced run.
+// space sample the driver takes: each list end and each pass end. A second
+// invariant: auditing is passive — a run under a recorder leaves estimates
+// bit-identical to a plain run.
 
 #include <algorithm>
 #include <cstdint>
@@ -27,7 +27,6 @@
 #include "gen/planted.h"
 #include "graph/graph.h"
 #include "obs/accounting.h"
-#include "obs/space_tracer.h"
 #include "stream/adjacency_stream.h"
 #include "stream/driver.h"
 #include "test_util.h"
@@ -41,49 +40,44 @@ using testing_util::AuditFamilyGraphs;
 
 constexpr auto& kSeeds = testing_util::kFamilySeeds;
 
-// Runs `make()`'s algorithm with a full-resolution tracer and checks the
-// audit contract at every sampled boundary, then re-runs untraced and
-// asserts the extracted result is bit-identical.
+// Runs `make()`'s algorithm under a space recorder and checks the audit
+// contract at every sample, then re-runs it plain and asserts the extracted
+// result is bit-identical.
 template <typename MakeAlgo, typename Extract>
 void ExpectAuditedRun(const stream::AdjacencyListStream& s,
                       std::size_t configured_slots, const MakeAlgo& make,
                       const Extract& extract) {
-  auto traced_algo = make();
-  obs::SpaceTracer tracer;  // list boundaries and pass ends
-  stream::RunReport report = stream::RunPasses(
-      s, traced_algo.get(), stream::TraceOptions{&tracer, nullptr});
+  auto recorded_algo = make();
+  testing_util::SpaceRecorder recorder(recorded_algo.get());
+  stream::RunReport report = stream::RunPasses(s, &recorder);
 
   // Every estimator under audit binds its containers to a domain.
-  ASSERT_NE(traced_algo->memory_domain(), nullptr);
+  ASSERT_NE(recorded_algo->memory_domain(), nullptr);
   EXPECT_GT(report.audited_peak_bytes, 0u);
 
-  // The audit contract holds at every sampled boundary of every pass.
-  std::uint64_t max_reported = 0, max_audited = 0, max_div = 0;
-  for (const obs::SpaceTimeline& t : tracer.timelines()) {
-    ASSERT_FALSE(t.points.empty());
-    for (const obs::SpacePoint& p : t.points) {
-      EXPECT_TRUE(obs::WithinAuditSlack(p.reported_bytes, p.audited_bytes,
-                                        configured_slots))
-          << "reported=" << p.reported_bytes
-          << " audited=" << p.audited_bytes << " slots=" << configured_slots
-          << " at pairs=" << p.pairs_processed;
-      max_reported = std::max(max_reported, p.reported_bytes);
-      max_audited = std::max(max_audited, p.audited_bytes);
-      const std::uint64_t div = p.reported_bytes > p.audited_bytes
-                                    ? p.reported_bytes - p.audited_bytes
-                                    : p.audited_bytes - p.reported_bytes;
-      max_div = std::max(max_div, div);
-    }
+  // The audit contract holds at every list end and pass end of every pass.
+  ASSERT_FALSE(recorder.points().empty());
+  std::size_t max_reported = 0, max_audited = 0, max_div = 0;
+  for (const testing_util::SpaceRecorder::Point& p : recorder.points()) {
+    EXPECT_TRUE(obs::WithinAuditSlack(p.reported, p.live, configured_slots))
+        << "reported=" << p.reported << " audited=" << p.live
+        << " slots=" << configured_slots << " at pass " << p.pass
+        << " pairs=" << p.pairs;
+    max_reported = std::max(max_reported, p.reported);
+    max_audited = std::max(max_audited, p.live);
+    const std::size_t div =
+        p.reported > p.live ? p.reported - p.live : p.live - p.reported;
+    max_div = std::max(max_div, div);
   }
-  // The report's peaks and divergence are exactly the timeline maxima.
+  // The report's peaks and divergence are exactly the maxima over them.
   EXPECT_EQ(report.reported_peak_bytes, max_reported);
   EXPECT_EQ(report.audited_peak_bytes, max_audited);
   EXPECT_EQ(report.max_divergence_bytes, max_div);
 
-  // Auditing is passive: an untraced run produces a bit-identical result.
+  // Auditing is passive: a plain run produces a bit-identical result.
   auto plain_algo = make();
   stream::RunReport plain = stream::RunPasses(s, plain_algo.get());
-  EXPECT_EQ(extract(*traced_algo), extract(*plain_algo));
+  EXPECT_EQ(extract(*recorded_algo), extract(*plain_algo));
   EXPECT_EQ(plain.reported_peak_bytes, report.reported_peak_bytes);
   EXPECT_EQ(plain.audited_peak_bytes, report.audited_peak_bytes);
 }

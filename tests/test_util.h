@@ -53,6 +53,62 @@ inline stream::RunReport RunOn(const Graph& g, stream::StreamAlgorithm* algo,
   return stream::RunPasses(s, algo);
 }
 
+/// Forwards every callback to `inner` and records one point each time the
+/// driver reads its CurrentSpaceBytes(), which `stream::internal::
+/// SampleSpace` does once per sample: at every list end and pass end. Its
+/// memory domain is the inner algorithm's, so a run's report is the one the
+/// inner algorithm alone would get.
+class SpaceRecorder final : public stream::StreamAlgorithm {
+ public:
+  struct Point {
+    int pass = 0;
+    std::uint64_t pairs = 0;  // pairs delivered so far in the pass
+    std::size_t reported = 0;
+    std::size_t live = 0;  // the memory domain's live bytes (0 without one)
+  };
+
+  explicit SpaceRecorder(stream::StreamAlgorithm* inner) : inner_(inner) {}
+
+  int passes() const override { return inner_->passes(); }
+  bool AcceptsModel(stream::StreamModel model) const override {
+    return inner_->AcceptsModel(model);
+  }
+  void BeginPass(int pass) override {
+    pass_ = pass;
+    pairs_ = 0;
+    inner_->BeginPass(pass);
+  }
+  void BeginList(VertexId u) override { inner_->BeginList(u); }
+  void OnPair(VertexId u, VertexId v) override {
+    ++pairs_;
+    inner_->OnPair(u, v);
+  }
+  void OnListBatch(VertexId u, std::span<const VertexId> list) override {
+    pairs_ += list.size();
+    inner_->OnListBatch(u, list);
+  }
+  void EndList(VertexId u) override { inner_->EndList(u); }
+  void EndPass(int pass) override { inner_->EndPass(pass); }
+  std::size_t CurrentSpaceBytes() const override {
+    const std::size_t reported = inner_->CurrentSpaceBytes();
+    const obs::MemoryDomain* domain = inner_->memory_domain();
+    points_.push_back(
+        {pass_, pairs_, reported, domain ? domain->live_bytes() : 0});
+    return reported;
+  }
+  const obs::MemoryDomain* memory_domain() const override {
+    return inner_->memory_domain();
+  }
+
+  const std::vector<Point>& points() const { return points_; }
+
+ private:
+  stream::StreamAlgorithm* inner_;
+  int pass_ = 0;
+  std::uint64_t pairs_ = 0;
+  mutable std::vector<Point> points_;
+};
+
 /// Small named graphs used across tests.
 inline Graph Triangle() {
   return Graph::FromEdges(3, {{0, 1}, {1, 2}, {0, 2}});
