@@ -1,15 +1,23 @@
 // Tests for the bench support library: flag parsing, Summarize (median
 // semantics matching core::Median, empty-batch safety), MinimalSample,
-// FormatBytes, the Table/Cell dual table/CSV emitter, and the manifest
-// record builders the benches and micro_substrate share.
+// FormatBytes, the Table/Cell dual table/CSV emitter, the manifest record
+// builders the benches and micro_substrate share, and the batch record
+// RunBatch writes.
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include <gtest/gtest.h>
+
+#include "core/one_pass_triangle.h"
+#include "gen/erdos_renyi.h"
+#include "graph/graph.h"
+#include "json_parse.h"
+#include "stream/adjacency_stream.h"
 
 namespace cyclestream {
 namespace {
@@ -245,6 +253,80 @@ TEST(BenchManifestTest, RunEndRecordCountsEveryLineIncludingItself) {
   while (std::getline(in, line)) ++lines;
   EXPECT_EQ(lines, 3u);
   std::remove(path.c_str());
+}
+
+// A batch row keeps its trial's reported and audited peaks and divergence as
+// the driver reported them. Space over time rides on the Chrome trace's
+// spans, so the manifest holds no per-list `timeline` record and its
+// metrics no per-list space histograms. Configures the process-wide
+// Observability directly: ParseOptions would also register atexit hooks.
+TEST(BenchManifestTest, BatchRowsCarryEachTrialsPeaksAndNoTimeline) {
+  const std::string path = ::testing::TempDir() + "/bench_util_batch.jsonl";
+  bench::BenchOptions opts;
+  opts.metrics_out = path;
+  std::vector<const char*> args = {"bench_util_test"};
+  bench::internal::RunnerSlot() = std::make_unique<runtime::TrialRunner>(2);
+  bench::internal::Observability& ob = bench::internal::Observability::Get();
+  ob.Configure(opts, 1, MakeArgv(args));
+  ASSERT_TRUE(ob.enabled());
+
+  const Graph g = gen::ErdosRenyiGnp(150, 0.1, 4);
+  constexpr std::size_t kTrials = 3;
+  constexpr std::uint64_t kBaseSeed = 17;
+  std::vector<stream::RunReport> reports(kTrials);
+  bench::RunBatch("er", kTrials, kBaseSeed, [&](const bench::TrialCtx& ctx) {
+    stream::AdjacencyListStream s(&g, ctx.seed);
+    core::OnePassTriangleOptions options;
+    options.sample_size = 32;
+    options.seed = ctx.seed;
+    core::OnePassTriangleCounter counter(options);
+    reports[ctx.index] = ctx.Run(s, &counter);
+    return ctx.Result(counter.Estimate(), 0.0, reports[ctx.index]);
+  });
+  ob.Finish();
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::vector<obs::Json> records;
+  std::vector<std::string> types;
+  std::string line;
+  while (std::getline(in, line)) {
+    auto parsed = testing_util::ParseJson(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    types.push_back(parsed->Find("record")->AsString());
+    EXPECT_EQ(parsed->Find("schema_version")->AsUint64(),
+              static_cast<std::uint64_t>(obs::kManifestSchemaVersion));
+    records.push_back(std::move(*parsed));
+  }
+  std::remove(path.c_str());
+  ASSERT_EQ(types, (std::vector<std::string>{"run", "batch", "metrics",
+                                             "run_end"}));
+
+  const obs::Json* rows = records[1].Find("results");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->size(), kTrials);
+  for (std::size_t i = 0; i < kTrials; ++i) {
+    SCOPED_TRACE(i);
+    const obs::Json& row = rows->at(i);
+    EXPECT_EQ(row.Find("trial")->AsUint64(), i);
+    EXPECT_EQ(row.Find("seed")->AsUint64(),
+              runtime::TrialSeed(kBaseSeed, i));
+    EXPECT_EQ(row.Find("reported_peak_bytes")->AsUint64(),
+              reports[i].reported_peak_bytes);
+    EXPECT_EQ(row.Find("audited_peak_bytes")->AsUint64(),
+              reports[i].audited_peak_bytes);
+    EXPECT_EQ(row.Find("max_divergence_bytes")->AsUint64(),
+              reports[i].max_divergence_bytes);
+    EXPECT_GT(reports[i].reported_peak_bytes, 0u);
+    EXPECT_GT(reports[i].audited_peak_bytes, 0u);
+  }
+
+  const obs::Json* histograms =
+      records[2].Find("metrics")->Find("histograms");
+  ASSERT_NE(histograms, nullptr);
+  EXPECT_NE(histograms->Find("bench.trial_wall_seconds"), nullptr);
+  EXPECT_EQ(histograms->Find("bench.list_space_bytes"), nullptr);
+  EXPECT_EQ(histograms->Find("bench.list_size_pairs"), nullptr);
 }
 
 }  // namespace
