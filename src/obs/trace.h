@@ -122,6 +122,9 @@ class TraceSession {
     /// Attaches/overwrites one argument shown on the event in the viewer.
     void SetArg(std::string_view key, Json value);
 
+    /// True until End(), for a span begun in a session.
+    bool open() const { return session_ != nullptr; }
+
     /// Ends the span now; further End() calls are no-ops.
     void End() {
       if (session_ == nullptr) return;

@@ -413,7 +413,9 @@ class RunSink {
   void EndPass() {
     SampleSpace(*algorithm_, domain_, report_);
     if (spans_ != nullptr) {
-      if (lists_in_window_ != 0) CloseListSpan(window_start_vertex_);
+      // Open with no list counted when a contract rejected the window's
+      // first list after BeginList.
+      if (list_span_.open()) CloseListSpan(window_start_vertex_);
       const PassReport& pass = report_->per_pass.back();
       pass_span_.SetArg("pairs_processed", obs::Json(pass.pairs_processed));
       pass_span_.SetArg("reported_peak_bytes",

@@ -748,5 +748,60 @@ TEST(TraceSession, ListSpansCloseEveryListSpanStrideLists) {
   }
 }
 
+// A checked run whose contract fails inside the first list of a window:
+// BeginList has opened the window's span, and the pass end must close it,
+// with its args, before the pass span.
+TEST(TraceSession, PassEndClosesTheSpanARejectedFirstListOpened) {
+  Graph g = gen::ErdosRenyiGnp(3000, 0.004, 61);
+  stream::AdjacencyListStream base(&g, 19);
+  ASSERT_GT(base.list_order().size(), stream::kListSpanStride);
+  std::size_t before = 0;  // pairs in the first window's lists
+  for (std::size_t i = 0; i < stream::kListSpanStride; ++i) {
+    before += base.ListOf(base.list_order()[i]).size();
+  }
+  ASSERT_GE(base.ListOf(base.list_order()[stream::kListSpanStride]).size(),
+            2u);
+  stream::FaultSpec spec;
+  spec.kind = stream::FaultKind::kTruncatePass;
+  spec.truncate_at = before + 1;  // one pair into the 1,025th list
+  const stream::FaultInjectingStream faulty(&base, spec);
+  core::OnePassTriangleOptions options;
+  options.sample_size = 16;
+  options.seed = 7;
+  core::OnePassTriangleCounter counter(options);
+  obs::TraceSession session;
+  ASSERT_FALSE(
+      stream::RunPassesChecked(faulty, &counter, {.trace = {.spans = &session}})
+          .ok());
+
+  const obs::Json trace = session.ToJson();
+  const obs::Json* events = trace.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  double pass_end = -1;
+  std::vector<double> list_ends;
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    const obs::Json& event = events->at(i);
+    const obs::Json* cat = event.Find("cat");
+    if (cat == nullptr) continue;
+    const double end =
+        event.Find("ts")->AsDouble() + event.Find("dur")->AsDouble();
+    if (cat->AsString() == "pass") pass_end = end;
+    if (cat->AsString() != "list") continue;
+    list_ends.push_back(end);
+    const obs::Json* args = event.Find("args");
+    ASSERT_NE(args, nullptr);
+    for (const char* key : {"lists", "first_vertex", "max_reported_bytes",
+                            "max_audited_bytes"}) {
+      EXPECT_NE(args->Find(key), nullptr) << key;
+    }
+  }
+  ASSERT_GE(pass_end, 0);
+  ASSERT_EQ(list_ends.size(), 2u);
+  for (const double end : list_ends) EXPECT_LE(end, pass_end + 1e-3);
+  const std::vector<obs::Json> windows = SpanArgs(trace, "list");
+  EXPECT_EQ(windows[0].Find("lists")->AsUint64(), stream::kListSpanStride);
+  EXPECT_EQ(windows[1].Find("lists")->AsUint64(), 0u);
+}
+
 }  // namespace
 }  // namespace cyclestream
