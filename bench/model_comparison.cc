@@ -221,8 +221,7 @@ int main(int argc, char** argv) {
     for (std::size_t divisor : {4, 8, 16, 32}) {
       std::size_t sample = inst.graph.num_edges() / divisor;
       Row row = Measure(inst.graph, inst.name, sample, inst.truth, kTrials);
-      char label[16];
-      std::snprintf(label, sizeof(label), "1/%zu", divisor);
+      const std::string label = "1/" + std::to_string(divisor);
       table.PrintRow({label, row.list_one_pass.median_rel_error,
                       row.list_two_pass.median_rel_error,
                       row.arbitrary.median_rel_error,
