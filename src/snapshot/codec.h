@@ -130,6 +130,10 @@ class Saver {
     U64(v.size());
   }
 
+  /// A count of entries the layout archives itself, one by one. On load
+  /// each entry must take at least `min_bytes` of the payload.
+  void Count(std::uint64_t count, std::size_t /*min_bytes*/) { U64(count); }
+
   /// A scratch vector, empty at every list boundary: its capacity alone.
   template <typename V>
   void Scratch(const V& v) {
@@ -322,7 +326,7 @@ class Loader {
   template <typename V, typename Elem>
   void Vec(V& v, Elem&& elem) {
     CYCLESTREAM_CHECK(v.empty());
-    const std::uint64_t size = Count(1);
+    const std::uint64_t size = ReadCount(1);
     std::uint64_t capacity = 0;
     U64(capacity);
     if (!ok()) return;
@@ -340,8 +344,13 @@ class Loader {
 
   template <typename V>
   void Size(V& v, std::size_t min_bytes) {
-    const std::uint64_t size = Count(min_bytes);
+    const std::uint64_t size = ReadCount(min_bytes);
     if (ok()) v.resize(size);
+  }
+
+  template <typename T>
+  void Count(T& count, std::size_t min_bytes) {
+    count = static_cast<T>(ReadCount(min_bytes));
   }
 
   template <typename V>
@@ -377,7 +386,7 @@ class Loader {
   template <typename M, typename Slot, typename Value>
   void Map(M& map, Slot&& slot, Value&& value) {
     CYCLESTREAM_CHECK(map.empty());
-    const std::uint64_t count = Count(ScalarBytes<typename M::key_type>());
+    const std::uint64_t count = ReadCount(ScalarBytes<typename M::key_type>());
     Grow(map, count);
     typename M::key_type key{};
     for (std::uint64_t i = 0; i < count && Key(key, i); ++i) {
@@ -389,7 +398,7 @@ class Loader {
   template <typename Entries, typename Slot, typename Value>
   void Table(Entries&& /*entries*/, Slot&& slot, Value&& value) {
     using K = typename std::invoke_result_t<Entries&>::value_type::first_type;
-    const std::uint64_t count = Count(ScalarBytes<K>());
+    const std::uint64_t count = ReadCount(ScalarBytes<K>());
     K key{};
     for (std::uint64_t i = 0; i < count && Key(key, i); ++i) {
       auto* entry = slot(key);
@@ -407,7 +416,7 @@ class Loader {
   template <typename S>
   void Set(S& set) {
     CYCLESTREAM_CHECK(set.empty());
-    const std::uint64_t count = Count(ScalarBytes<typename S::key_type>());
+    const std::uint64_t count = ReadCount(ScalarBytes<typename S::key_type>());
     Grow(set, count);
     typename S::key_type key{};
     for (std::uint64_t i = 0; i < count && Key(key, i); ++i) set.insert(key);
@@ -417,7 +426,7 @@ class Loader {
   template <typename Keys, typename Mark>
   void Marks(Keys&& /*keys*/, Mark&& mark) {
     using K = typename std::invoke_result_t<Keys&>::value_type;
-    const std::uint64_t count = Count(ScalarBytes<K>());
+    const std::uint64_t count = ReadCount(ScalarBytes<K>());
     K key{};
     for (std::uint64_t i = 0; i < count && Key(key, i); ++i) {
       if (!mark(key)) {
@@ -500,7 +509,7 @@ class Loader {
   // A count of entries taking at least `min_bytes` each. The CRC vouches
   // for the bytes, not for the counts inside them, so one the rest of the
   // payload cannot hold is kDataLoss before anything is sized by it.
-  std::uint64_t Count(std::size_t min_bytes) {
+  std::uint64_t ReadCount(std::size_t min_bytes) {
     std::uint64_t count = 0;
     U64(count);
     if (ok() && count > r_.remaining() / min_bytes) {

@@ -37,8 +37,11 @@
 // completions as marks land). Version 6 keeps version 5's layout: the
 // bottom-k sampler's member table changed, and with it the space the
 // estimators built on it report, so a driver checkpoint's run report
-// carries other peaks than a version-5 build's. Every other layout is the
-// same in all six.
+// carries other peaks than a version-5 build's. Version 7 replaced the
+// exact-stream counter's per-edge map, its bucket count and its current
+// list's capacity by its stored lists: each vertex, a pending bit and its
+// sorted neighbours; an older checkpoint's map is read into pending lists
+// (core/exact_stream.h). Every other layout is the same in all seven.
 //
 // Corruption classes map to typed Status codes, checked in this order when a
 // reader is opened: short/overlong buffer and truncated payload →
@@ -72,7 +75,7 @@ namespace snapshot {
 
 /// The envelope format version writers stamp. Bump on any layout change,
 /// and keep the older layout's decoder in the `Fields` that changed.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// The oldest version readers accept; versions outside
 /// [kOldestReadableVersion, kSnapshotVersion] are kFailedPrecondition.

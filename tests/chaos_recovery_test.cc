@@ -906,34 +906,50 @@ TEST(ChaosRecovery, RepeatedWatcherKeyIsDataLoss) {
 }
 
 TEST(ChaosRecovery, RepeatedEdgeKeyIsDataLoss) {
-  // The exact counter's edge map stores its keys ascending. A mid-pass
-  // checkpoint whose third key is rewritten to the second, resealed under a
-  // valid CRC, must fail the resume with kDataLoss. Without the Loader's
-  // key-order check the repeated key overwrote the second edge's state and
-  // dropped the third edge, and the resume finished OK one triangle short.
+  // Through version 6 the exact counter stored an edge map, keys ascending.
+  // A version-6 mid-pass checkpoint whose third key is rewritten to the
+  // second, resealed under a valid CRC, must fail the resume with
+  // kDataLoss. Without the Loader's key-order check the repeated key
+  // overwrote the second edge's state and dropped the third edge, and the
+  // resume finished OK one triangle short.
   const Graph g = gen::ErdosRenyiGnp(40, 0.3, 7);
   const AdjacencyListStream stream(&g, 7);
   core::ExactStreamTriangleCounter algo;
-  std::vector<std::uint8_t> bad;
+  std::vector<std::uint8_t> checkpoint;
   std::vector<std::uint8_t> section;  // the counter alone, same boundary
   auto keep = [&](int pass, std::size_t lists,
                   std::vector<std::uint8_t> bytes) {
     if (pass != 0 || lists != 20) return;
-    bad = std::move(bytes);
+    checkpoint = std::move(bytes);
     snapshot::SnapshotWriter w;
     algo.Serialize(w);
     section = std::move(w).Finish();
   };
   ASSERT_TRUE(RunPassesChecked(stream, &algo, {.on_checkpoint = keep}).ok());
-  ASSERT_FALSE(bad.empty());
+  ASSERT_FALSE(checkpoint.empty());
 
-  // The counter's section ends the checkpoint: five words (pair count,
+  // The counter's section ends the checkpoint. In its place goes the
+  // version-6 layout of the same boundary: five words (pair count,
   // triangles, scratch capacity, bucket count, entry count), then each
   // entry's key and copy count.
   const std::size_t section_bytes = section.size() - snapshot::kEnvelopeBytes;
-  const std::size_t start = bad.size() - 4 - section_bytes;
+  const std::size_t start = checkpoint.size() - 4 - section_bytes;
   ASSERT_TRUE(std::equal(section.begin() + 20, section.end() - 4,
-                         bad.begin() + start));
+                         checkpoint.begin() + start));
+  const std::vector<std::uint8_t> version6 =
+      testing_util::ExactStreamVersion6(g, stream.list_order(), 20);
+  std::vector<std::uint8_t> good(checkpoint.begin(),
+                                 checkpoint.begin() + start);
+  good.insert(good.end(), version6.begin() + 20, version6.end());
+  testing_util::PatchU64(good, 12, good.size() - snapshot::kEnvelopeBytes);
+  testing_util::Restamp(good, 6);
+  core::ExactStreamTriangleCounter converted;
+  StatusOr<RunReport> resumed_good =
+      RunPassesChecked(stream, &converted, {.resume_from = good});
+  ASSERT_TRUE(resumed_good.ok()) << resumed_good.status().ToString();
+  EXPECT_EQ(converted.triangles(), algo.triangles());
+
+  std::vector<std::uint8_t> bad = good;
   ASSERT_GE(testing_util::PeekU64(bad, start + 32), 3u);
   const std::size_t second_at = start + 40 + 9;
   const std::size_t third_at = start + 40 + 18;

@@ -130,8 +130,8 @@ TEST(SnapshotCorruption, BadMagicIsInvalidArgument) {
 
 TEST(Snapshot, OpensEveryReadableVersionAndReportsIt) {
   ASSERT_EQ(kOldestReadableVersion, 1u);
-  ASSERT_EQ(kSnapshotVersion, 6u);
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u}) {
+  ASSERT_EQ(kSnapshotVersion, 7u);
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
     std::vector<std::uint8_t> bytes = SampleEnvelope();
     testing_util::Restamp(bytes, version);
     StatusOr<SnapshotReader> r = SnapshotReader::Open(bytes);
@@ -482,6 +482,32 @@ TEST(SnapshotArchive, DroppedIsReadOnlyFromOlderVersions) {
       EXPECT_TRUE(loader.ok());
       EXPECT_EQ(r->remaining(), version < until ? 0u : 8u);
     }
+  }
+}
+
+TEST(SnapshotArchive, CountIsOneWordBoundedByThePayload) {
+  // A count of entries the layout archives itself: one u64 on save. On
+  // load it must leave `min_bytes` per entry; one entry more than the rest
+  // of the payload holds is kDataLoss, and the count reads as zero.
+  SnapshotWriter saved;
+  Saver saver(saved);
+  saver.Count(2, 4);
+  saver.U32(7);
+  saver.U32(9);
+  const std::vector<std::uint8_t> bytes = std::move(saved).Finish();
+  EXPECT_EQ(bytes.size(), kEnvelopeBytes + 8 + 2 * 4);
+  EXPECT_EQ(testing_util::PeekU64(bytes, 20), 2u);
+
+  for (const std::size_t min_bytes : {4u, 5u}) {
+    SCOPED_TRACE("min_bytes " + std::to_string(min_bytes));
+    StatusOr<SnapshotReader> r = SnapshotReader::Open(bytes);
+    ASSERT_TRUE(r.ok());
+    Loader loader(*r);
+    std::uint32_t count = 99;
+    loader.Count(count, min_bytes);
+    EXPECT_EQ(count, min_bytes == 4 ? 2u : 0u);
+    EXPECT_EQ(loader.status().code(),
+              min_bytes == 4 ? StatusCode::kOk : StatusCode::kDataLoss);
   }
 }
 

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -37,6 +38,7 @@
 #include "gen/planted.h"
 #include "gen/projective_plane.h"
 #include "graph/graph.h"
+#include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
 #include "stream/adjacency_stream.h"
 #include "stream/algorithm.h"
@@ -359,6 +361,48 @@ inline std::uint64_t PeekU64(std::span<const std::uint8_t> bytes,
     value |= std::uint64_t{bytes[offset + i]} << (8 * i);
   }
   return value;
+}
+
+/// The exact-stream counter's section as snapshot versions 1-6 laid it
+/// out, after the first `lists` lists of `order` over `g`, sealed as a
+/// version-6 envelope: the pair count, the triangles whose three lists
+/// have ended, the current list's capacity and the edge map's bucket count
+/// (both at 2^40, which a restore must never reserve), then the edge map:
+/// a count, and each seen edge's key, ascending, with the number of its
+/// copies the lists delivered.
+inline std::vector<std::uint8_t> ExactStreamVersion6(
+    const Graph& g, std::span<const VertexId> order, std::size_t lists) {
+  std::vector<bool> ended(g.num_vertices(), false);
+  std::map<EdgeKey, std::uint8_t> seen;
+  std::uint64_t pairs = 0;
+  for (std::size_t i = 0; i < lists; ++i) {
+    ended[order[i]] = true;
+    for (VertexId v : g.neighbors(order[i])) {
+      ++pairs;
+      ++seen[MakeEdgeKey(order[i], v)];
+    }
+  }
+  std::uint64_t triangles = 0;
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (VertexId v : g.neighbors(u)) {
+      for (VertexId w : g.neighbors(u)) {
+        triangles += u < v && v < w && ended[u] && ended[v] && ended[w] &&
+                     g.HasEdge(v, w);
+      }
+    }
+  }
+  snapshot::SnapshotWriter w;
+  snapshot::Saver ar(w);
+  ar.U64(pairs);
+  ar.U64(triangles);
+  ar.U64(std::uint64_t{1} << 40);
+  ar.U64(std::uint64_t{1} << 40);
+  ar.Map(
+      seen, [](EdgeKey) -> std::uint8_t* { return nullptr; },
+      [](auto& ar, std::uint8_t copies) { ar.U8(copies); });
+  std::vector<std::uint8_t> bytes = std::move(w).Finish();
+  Restamp(bytes, 6);
+  return bytes;
 }
 
 /// A named generator family producing one seeded graph.
