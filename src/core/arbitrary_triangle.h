@@ -20,7 +20,6 @@
 
 #include "core/watch_index.h"
 #include "graph/types.h"
-#include "sampling/bottom_k.h"
 #include "stream/algorithm.h"
 #include "stream/model.h"
 
@@ -66,22 +65,18 @@ class ArbitraryOrderTriangleCounter final
   struct EdgeState {
     VertexId lo = 0;
     VertexId hi = 0;
-    // Triangles detected through wedges whose *later* edge is this one are
-    // rolled back if the earlier edge leaves the sample, so detections are
-    // attributed to both wedge edges; see OnEdgeEvicted.
+    // Each detection is attributed to one of its two wedge edges and
+    // rolled back when that edge leaves the sample; see HandlePair.
     std::uint64_t detections = 0;
   };
 
   // One arriving edge {u, v}, driven by PairDispatch for both deliveries.
   void HandlePair(VertexId u, VertexId v);
 
-  void OnEdgeEvicted(EdgeKey key, EdgeState&& state);
-
   ArbitraryTriangleOptions options_;
   std::uint64_t edge_events_ = 0;
   std::uint64_t detections_ = 0;
-  sampling::BottomKSampler<EdgeState> edge_sample_;
-  WatchIndex<VertexId, EdgeKey> edges_by_vertex_;
+  SampledEdges<EdgeState> edges_;
 };
 
 }  // namespace core

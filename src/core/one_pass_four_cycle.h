@@ -22,7 +22,6 @@
 #include "graph/types.h"
 #include "graph/wedge.h"
 #include "obs/accounting.h"
-#include "sampling/bottom_k.h"
 #include "stream/algorithm.h"
 
 namespace cyclestream {
@@ -90,16 +89,14 @@ class OnePassFourCycleCounter final : public stream::PairDispatch<OnePassFourCyc
     std::uint64_t detections = 0;
   };
 
-  void AddWedgesForNewEdge(EdgeKey key, VertexId lo, VertexId hi);
+  void AddWedgesForNewEdge(EdgeKey key);
   void RemoveWedge(std::uint32_t idx);
-  void OnEdgeEvicted(EdgeKey key, EdgeState&& state);
 
   OnePassFourCycleOptions options_;
   std::uint64_t pair_events_ = 0;
   std::uint64_t detections_ = 0;
 
-  sampling::BottomKSampler<EdgeState> edge_sample_;
-  WatchIndex<VertexId, EdgeKey> edges_by_vertex_;
+  SampledEdges<EdgeState> edges_;
   obs::AccountedVector<WedgeState> wedges_;
   obs::AccountedVector<std::uint32_t> free_wedges_;
   std::size_t live_wedges_ = 0;

@@ -1,7 +1,5 @@
 #include "core/one_pass_triangle.h"
 
-#include <algorithm>
-
 #include "snapshot/codec.h"
 #include "util/check.h"
 #include "util/hashing.h"
@@ -12,18 +10,8 @@ namespace core {
 OnePassTriangleCounter::OnePassTriangleCounter(
     const OnePassTriangleOptions& options)
     : options_(options),
-      edge_sample_(std::max<std::size_t>(options.sample_size, 1),
-                   Mix64(options.seed) ^ 0x3333333333333333ULL,
-                   &space_domain_),
-      edge_watchers_(&space_domain_) {
-  CYCLESTREAM_CHECK_GE(options.sample_size, 1u);
-}
-
-void OnePassTriangleCounter::OnEdgeEvicted(EdgeKey key, EdgeState&& state) {
-  detections_ -= state.detections;
-  edge_watchers_.Remove(state.lo, key);
-  edge_watchers_.Remove(state.hi, key);
-}
+      edges_(options.sample_size, Mix64(options.seed) ^ 0x3333333333333333ULL,
+             &space_domain_) {}
 
 void OnePassTriangleCounter::BeginPass(int pass) {
   CYCLESTREAM_CHECK_EQ(pass, 0);
@@ -32,38 +20,28 @@ void OnePassTriangleCounter::BeginPass(int pass) {
 void OnePassTriangleCounter::HandlePair(VertexId u, VertexId v) {
   ++pair_events_;
   EdgeKey key = MakeEdgeKey(u, v);
-  EdgeState state;
-  state.lo = EdgeKeyLo(key);
-  state.hi = EdgeKeyHi(key);
-  auto result = edge_sample_.Offer(
-      key, std::move(state),
-      [this](EdgeKey k, EdgeState&& evicted) { OnEdgeEvicted(k, std::move(evicted)); });
-  if (result == sampling::OfferResult::kInserted) {
-    edge_watchers_.Add(EdgeKeyLo(key), key);
-    edge_watchers_.Add(EdgeKeyHi(key), key);
-  } else if (result == sampling::OfferResult::kAlreadyPresent) {
+  auto result = edges_.Offer(key, EdgeState{},
+                             [this](EdgeKey, EdgeState&& evicted) {
+                               detections_ -= evicted.detections;
+                             });
+  if (result == sampling::OfferResult::kAlreadyPresent) {
     // Second copy of a sampled edge: from the next list onward, completions
     // close a triangle whose earliest edge is this one.
-    EdgeState* st = edge_sample_.Find(key);
-    st->seen_twice = true;
+    edges_.Find(key)->seen_twice = true;
   }
 
   // Mark v on the sampled edges it ends. Completing an edge seen twice
   // detects a triangle; seen_twice changes only in its ends' lists.
-  for (EdgeKey wkey : edge_watchers_.Find(v)) {
-    EdgeState* st = edge_sample_.Find(wkey);
-    if (st == nullptr) continue;
-    if (marks_.Mark(st->ends, st->lo == v ? 0 : 1) && st->seen_twice) {
-      ++st->detections;
+  edges_.MarkEnds(v, [this](EdgeKey, EdgeState& st) {
+    if (st.seen_twice) {
+      ++st.detections;
       ++detections_;
     }
-  }
+  });
 }
 
 void OnePassTriangleCounter::EndList(VertexId /*u*/) {
-  if (marks_.EndList()) {
-    edge_sample_.ForEach([](EdgeKey, EdgeState& st) { st.ends = 0; });
-  }
+  edges_.EndList();
   finished_ = true;  // result is defined whenever the stream has ended
 }
 
@@ -73,15 +51,10 @@ void OnePassTriangleCounter::Fields(auto& self, auto& ar) {
   ar.U64(self.pair_events_);
   ar.U64(self.detections_);
   ar.Bool(self.finished_);
-  sampling::BottomKSampler<EdgeState>::Fields(
-      self.edge_sample_, ar,
-      [](auto key) { return EdgeState{EdgeKeyLo(key), EdgeKeyHi(key)}; },
-      [](auto& ar, auto& state) {
-        // lo/hi are derived from the key on restore.
-        ar.Bool(state.seen_twice);
-        ar.U64(state.detections);
-      });
-  WatchIndex<VertexId, EdgeKey>::Fields(self.edge_watchers_, ar);
+  SampledEdges<EdgeState>::Fields(self.edges_, ar, [](auto& ar, auto& state) {
+    ar.Bool(state.seen_twice);
+    ar.U64(state.detections);
+  });
   ar.Dropped(5);  // the touched-edge list's capacity
 }
 
@@ -97,14 +70,14 @@ Status OnePassTriangleCounter::Restore(snapshot::SnapshotReader& r) {
 }
 
 std::size_t OnePassTriangleCounter::CurrentSpaceBytes() const {
-  return edge_sample_.MemoryBytes() + edge_watchers_.MemoryBytes();
+  return edges_.MemoryBytes();
 }
 
 OnePassTriangleResult OnePassTriangleCounter::result() const {
   OnePassTriangleResult res;
   res.edge_count = pair_events_ / 2;
   res.detections = detections_;
-  res.edge_sample_size = edge_sample_.size();
+  res.edge_sample_size = edges_.size();
   res.k = res.edge_sample_size == 0
               ? 1.0
               : static_cast<double>(res.edge_count) /

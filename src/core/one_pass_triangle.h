@@ -21,8 +21,6 @@
 
 #include "core/watch_index.h"
 #include "graph/types.h"
-#include "obs/accounting.h"
-#include "sampling/bottom_k.h"
 #include "stream/algorithm.h"
 
 namespace cyclestream {
@@ -79,14 +77,10 @@ class OnePassTriangleCounter final : public stream::PairDispatch<OnePassTriangle
   // Checkpoint layout, run by Serialize and Restore (snapshot/codec.h).
   static void Fields(auto& self, auto& ar);
 
-  void OnEdgeEvicted(EdgeKey key, EdgeState&& state);
-
   OnePassTriangleOptions options_;
   std::uint64_t pair_events_ = 0;
   std::uint64_t detections_ = 0;
-  sampling::BottomKSampler<EdgeState> edge_sample_;
-  WatchIndex<VertexId, EdgeKey> edge_watchers_;
-  ListMarks marks_;
+  SampledEdges<EdgeState> edges_;
   bool finished_ = false;
 };
 

@@ -18,8 +18,6 @@
 
 #include "core/watch_index.h"
 #include "graph/types.h"
-#include "obs/accounting.h"
-#include "sampling/bottom_k.h"
 #include "stream/algorithm.h"
 
 namespace cyclestream {
@@ -81,9 +79,7 @@ class TriangleDistinguisher final : public stream::PairDispatch<TriangleDistingu
   int pass_ = -1;
   std::uint64_t pair_events_ = 0;
   std::uint64_t incidences_ = 0;
-  sampling::BottomKSampler<EdgeState> edge_sample_;
-  WatchIndex<VertexId, EdgeKey> edge_watchers_;
-  ListMarks marks_;
+  SampledEdges<EdgeState> edges_;
 };
 
 }  // namespace core

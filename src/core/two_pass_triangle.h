@@ -161,9 +161,8 @@ class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangle
   std::uint32_t list_pos_ = 0;          // index of current list in this pass
   std::uint64_t pair_events_ = 0;       // stream pairs seen in pass 1 (= 2m)
 
-  // Edge sample S and its per-vertex watchers.
-  sampling::BottomKSampler<EdgeState> edge_sample_;
-  WatchIndex<VertexId, EdgeKey> edge_watchers_;
+  // Edge sample S, listed at both ends of each edge.
+  SampledEdges<EdgeState> edges_;
   // Swept at EndList, not counted as marks land (ListMarks): an inline
   // first-pass detection offers its candidate to Q, which can evict another
   // before a later pair of the list evicts the detecting edge; its
