@@ -137,6 +137,13 @@ void TwoPassFourCycleCounter::Fields(auto& self, auto& ar) {
   ar.Dropped(5);  // the touched-wedge list's capacity
   ar.Buckets(self.found_cycles_);
   ar.Set(self.found_cycles_);
+  if constexpr (ar.kLoading) {
+    const auto in_q = [&](std::uint32_t idx) {
+      return idx < self.wedges_.size();
+    };
+    ar.Require(self.wedge_watchers_.AllOf(in_q),
+               "wedge watch names a slot outside Q");
+  }
 }
 
 void TwoPassFourCycleCounter::Serialize(snapshot::SnapshotWriter& w) const {

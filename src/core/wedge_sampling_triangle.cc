@@ -148,6 +148,11 @@ void WedgeSamplingTriangleCounter::Fields(auto& self, auto& ar) {
     const std::uint64_t k = self.options_.reservoir_size;
     ar.Require(self.reservoir_.size() == std::min(self.wedge_count_, k),
                "wedge reservoir size does not match its wedge count");
+    const auto in_reservoir = [&](std::uint32_t slot) {
+      return slot < self.reservoir_.size();
+    };
+    ar.Require(self.closure_watch_.AllOf(in_reservoir),
+               "closure watch names a slot outside the reservoir");
     if (ar.version() < 4) {
       if (ar.ok()) self.DrawSkipState();
     } else if (self.reservoir_.size() < k) {
