@@ -21,7 +21,8 @@ void ArbitraryOrderTriangleCounter::HandlePair(VertexId u, VertexId v) {
   // endpoint's sampled incident edges and probe for the partner.
   VertexId a = u, b = v;
   if (edges_.CountAt(b) < edges_.CountAt(a)) std::swap(a, b);
-  edges_.ForEachAt(a, [&](EdgeKey first, EdgeState& first_state) {
+  edges_.ForEachAt(a, [&](std::uint32_t, EdgeKey first,
+                          EdgeState& first_state) {
     if (first == closing) return;
     VertexId x = OtherEndpoint(first, a);
     if (x == b) return;

@@ -80,17 +80,30 @@ class OnePassFourCycleCounter final : public stream::PairDispatch<OnePassFourCyc
     obs::AccountedVector<std::uint32_t> wedges;  // wedge slots on this edge
   };
 
+  // A sampled wedge. Side 0 is its edge center-end_lo and end_lo's watch
+  // list, side 1 center-end_hi and end_hi's: per side, the edge's sampler
+  // slot, the wedge's position in that edge's wedge list and its position
+  // in that end's watch list. With them no lookup or search finds a wedge.
+  // A list completes a wedge at most once, and a stream has fewer than
+  // 2^32 lists, so its detections fit 32 bits.
   struct WedgeState {
     Wedge wedge;
     std::uint32_t ends = 0;  // ListMarks word
-    EdgeKey edge_a = 0;  // center-end_lo
-    EdgeKey edge_b = 0;  // center-end_hi
+    std::uint32_t edge_slot[2] = {0, 0};
+    std::uint32_t edge_pos[2] = {0, 0};
+    std::uint32_t watch_pos[2] = {0, 0};
+    std::uint32_t detections = 0;
     bool live = false;
-    std::uint64_t detections = 0;
   };
+  static_assert(sizeof(WedgeState) == 48);  // the size the meter counts
 
-  void AddWedgesForNewEdge(EdgeKey key);
-  void RemoveWedge(std::uint32_t idx);
+  // On restore, after the wedge slots are checked: finds each live wedge's
+  // edge slots and list positions, and refuses a wedge whose edges are not
+  // both sampled or that is not listed exactly where it belongs.
+  void LocateWedges(auto& ar);
+
+  void AddWedgesForNewEdge(std::uint32_t slot);
+  void RemoveWedge(std::uint32_t idx, EdgeKey evicted);
 
   OnePassFourCycleOptions options_;
   std::uint64_t pair_events_ = 0;

@@ -20,14 +20,17 @@ void OnePassTriangleCounter::BeginPass(int pass) {
 void OnePassTriangleCounter::HandlePair(VertexId u, VertexId v) {
   ++pair_events_;
   EdgeKey key = MakeEdgeKey(u, v);
-  auto result = edges_.Offer(key, EdgeState{},
-                             [this](EdgeKey, EdgeState&& evicted) {
-                               detections_ -= evicted.detections;
-                             });
+  std::uint32_t slot;
+  auto result = edges_.Offer(
+      key, EdgeState{},
+      [this](EdgeKey, EdgeState&& evicted) {
+        detections_ -= evicted.detections;
+      },
+      &slot);
   if (result == sampling::OfferResult::kAlreadyPresent) {
     // Second copy of a sampled edge: from the next list onward, completions
     // close a triangle whose earliest edge is this one.
-    edges_.Find(key)->seen_twice = true;
+    edges_.At(slot).seen_twice = true;
   }
 
   // Mark v on the sampled edges it ends. Completing an edge seen twice

@@ -62,8 +62,7 @@ std::size_t RandomOrderTriangleCounter::CurrentSpaceBytes() const {
   constexpr std::size_t kSetEntryOverhead = 16;
   return prefix_edges_.capacity() * sizeof(EdgeKey) +
          prefix_set_.size() * kSetEntryOverhead +
-         prefix_adjacency_.size() * decltype(prefix_adjacency_)::kKeyBytes +
-         prefix_adjacency_.capacity_bytes();
+         prefix_adjacency_.MemoryBytes();
 }
 
 void RandomOrderTriangleCounter::Fields(auto& self, auto& ar) {

@@ -182,8 +182,8 @@ void TwoPassTriangleCounter::HandlePair(VertexId u, VertexId v) {
   }
 
   // Flag sampled edges having endpoint v.
-  edges_.ForEachAt(v, [&](EdgeKey key, EdgeState& st) {
-    if (!st.flag_lo && !st.flag_hi) touched_edges_.push_back(key);
+  edges_.ForEachAt(v, [&](std::uint32_t slot, EdgeKey key, EdgeState& st) {
+    if (!st.flag_lo && !st.flag_hi) touched_edges_.push_back({slot, key});
     if (st.lo == v) {
       st.flag_lo = true;
     } else {
@@ -219,14 +219,15 @@ void TwoPassTriangleCounter::HandlePair(VertexId u, VertexId v) {
 }
 
 void TwoPassTriangleCounter::EndList(VertexId u) {
-  // Triangle detections on sampled edges.
-  for (EdgeKey key : touched_edges_) {
-    EdgeState* st = edges_.Find(key);
-    if (st == nullptr) continue;  // evicted mid-list
-    if (st->flag_lo && st->flag_hi) {
+  // Triangle detections on sampled edges. An edge evicted mid-list frees
+  // its slot, which then no longer holds its key.
+  for (const Touched& touched : touched_edges_) {
+    if (!edges_.Holds(touched.slot, touched.key)) continue;
+    EdgeState& st = edges_.At(touched.slot);
+    if (st.flag_lo && st.flag_hi) {
       bool is_new_detection =
-          pass_ == 0 ? true : list_pos_ < st->first_pos;
-      if (is_new_detection) HandleTriangleDetection(key, st, u);
+          pass_ == 0 ? true : list_pos_ < st.first_pos;
+      if (is_new_detection) HandleTriangleDetection(touched.key, &st, u);
     }
   }
 
@@ -241,9 +242,11 @@ void TwoPassTriangleCounter::EndList(VertexId u) {
   }
 
   // Reset sampled-edge flags.
-  for (EdgeKey key : touched_edges_) {
-    EdgeState* st = edges_.Find(key);
-    if (st != nullptr) st->flag_lo = st->flag_hi = false;
+  for (const Touched& touched : touched_edges_) {
+    if (edges_.Holds(touched.slot, touched.key)) {
+      EdgeState& st = edges_.At(touched.slot);
+      st.flag_lo = st.flag_hi = false;
+    }
   }
   touched_edges_.clear();
 
@@ -259,7 +262,7 @@ std::size_t TwoPassTriangleCounter::CurrentSpaceBytes() const {
   bytes += slab_.capacity() * sizeof(TriEntry);
   bytes += free_slots_.capacity() * sizeof(std::uint32_t);
   bytes += tri_verts_.MemoryBytes();
-  bytes += touched_edges_.capacity() * sizeof(EdgeKey);
+  bytes += touched_edges_.capacity() * sizeof(Touched);
   return bytes;
 }
 

@@ -161,6 +161,12 @@ class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangle
   std::uint32_t list_pos_ = 0;          // index of current list in this pass
   std::uint64_t pair_events_ = 0;       // stream pairs seen in pass 1 (= 2m)
 
+  // A sampled edge the open list flagged: its slot and key.
+  struct Touched {
+    std::uint32_t slot;
+    EdgeKey key;
+  };
+
   // Edge sample S, listed at both ends of each edge.
   SampledEdges<EdgeState> edges_;
   // Swept at EndList, not counted as marks land (ListMarks): an inline
@@ -168,7 +174,7 @@ class TwoPassTriangleCounter final : public stream::PairDispatch<TwoPassTriangle
   // before a later pair of the list evicts the detecting edge; its
   // candidates are then erased, but that eviction stays. Inline, 2 of
   // 12,000 seeded runs (Chung-Lu, Erdos-Renyi, m' <= 8) changed estimate.
-  obs::AccountedVector<EdgeKey> touched_edges_;
+  obs::AccountedVector<Touched> touched_edges_;
 
   // Pair sample Q: keys -> slab indices; slab holds TriEntry state.
   sampling::BottomKSampler<std::uint32_t> pair_sample_;

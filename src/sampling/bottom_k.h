@@ -18,20 +18,21 @@
 // edge sample). The internal heap is compacted whenever stale entries would
 // exceed a constant factor of the capacity, keeping live memory O(k).
 //
-// Member table. Keys and payloads sit in two dense arrays of at most
-// capacity + 1 entries; an erase moves the last entry into the hole. A
-// power-of-two index of 32-bit array positions, at load at most 1/2, finds
-// them: probed linearly from Mix64(key), erased by backward shift. All three
-// arrays are allocated once, at construction, for capacity + 1 members, so
-// nothing grows or rehashes afterwards. The index hashes the key, not its
-// priority: the members are the keys with the smallest priorities, whose
-// high bits would crowd one end of the index.
+// Member table. Keys and payloads sit in two arrays of at most capacity + 1
+// slots, reserved once, at construction. A member keeps its slot until it
+// leaves: an erase or eviction puts the slot on a free list, which the next
+// admission takes before it appends a slot, and writes the complement of
+// the key into it, so the slot no longer holds that key. A power-of-two
+// index of 32-bit slots, at load at most 1/2, finds the members: probed
+// linearly from Mix64(key), erased by backward shift. The index hashes the
+// key, not its priority: the members are the keys with the smallest
+// priorities, whose high bits would crowd one end of the index.
 //
-// A pointer from Find is valid until the next Offer or Erase, either of
-// which may move a payload. ForEach visits each member exactly once, in
-// array order, which follows the history of offers and erases; a restored
-// sampler holds its members in ascending key order, so no caller may depend
-// on the order.
+// Owners may name members by slot (At, Holds): a slot stays valid, and its
+// payload in place, until that member leaves; so does a pointer from Find.
+// ForEach visits each member exactly once, in index order, which
+// follows the history of offers and erases; a restored sampler holds its
+// members in other slots, so no caller may depend on the order.
 
 #ifndef CYCLESTREAM_SAMPLING_BOTTOM_K_H_
 #define CYCLESTREAM_SAMPLING_BOTTOM_K_H_
@@ -61,6 +62,10 @@ enum class OfferResult {
 template <typename Payload>
 class BottomKSampler {
  public:
+  /// A slot naming no member.
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+
   /// `capacity` is k (positive, below 2^30); `hash_seed` fixes the priority
   /// function, and therefore the sample, for a given key sequence. When
   /// `domain` is non-null the table and heap charge their heap bytes to it
@@ -72,21 +77,26 @@ class BottomKSampler {
         domain_(domain),
         keys_(obs::AccountedAllocator<std::uint64_t>(domain)),
         payloads_(obs::AccountedAllocator<Cell>(domain)),
-        index_(IndexSize(capacity), kEmpty,
+        free_(obs::AccountedAllocator<std::uint32_t>(domain)),
+        index_(IndexSize(capacity), kNoSlot,
                obs::AccountedAllocator<std::uint32_t>(domain)),
         mask_(index_.size() - 1),
         heap_(HeapAlloc(domain)) {
     keys_.reserve(capacity + 1);
     payloads_.reserve(capacity + 1);
+    free_.reserve(capacity + 1);
   }
 
   /// Priority of a key under this sampler's hash; stable across offers.
   std::uint64_t PriorityOf(std::uint64_t key) const { return hash_.Hash(key); }
 
   /// Offers `key`; on admission stores `payload`. `on_evict(key, payload&&)`
-  /// is invoked for any member displaced to keep the size at capacity.
+  /// is invoked for any member displaced to keep the size at capacity. When
+  /// `slot` is non-null and the key is a member afterwards (admitted or
+  /// already present), `*slot` is its slot.
   template <typename EvictFn>
-  OfferResult Offer(std::uint64_t key, Payload payload, EvictFn&& on_evict) {
+  OfferResult Offer(std::uint64_t key, Payload payload, EvictFn&& on_evict,
+                    std::uint32_t* slot = nullptr) {
     const std::uint64_t priority = PriorityOf(key);
     // Every member has a heap entry at or below the top, so a key above it
     // is absent, and a full sampler rejects it without a lookup. Either
@@ -96,22 +106,26 @@ class BottomKSampler {
       MaxLivePriority();
       return OfferResult::kRejected;
     }
-    const std::size_t slot = SlotOf(key);
-    if (index_[slot] != kEmpty) return OfferResult::kAlreadyPresent;
+    const std::size_t at = IndexOf(key);
+    if (index_[at] != kNoSlot) {
+      if (slot != nullptr) *slot = index_[at];
+      return OfferResult::kAlreadyPresent;
+    }
     if (size() >= capacity_ && priority >= MaxLivePriority()) {
       return OfferResult::kRejected;
     }
-    Insert(slot, key, std::move(payload));
+    const std::uint32_t added = Insert(at, key, std::move(payload));
     HeapPush({priority, key});
     while (size() > capacity_) {
       const std::uint64_t top_key = heap_.front().second;
       HeapPop();
-      const std::size_t top_slot = SlotOf(top_key);
-      if (index_[top_slot] == kEmpty) continue;  // stale entry from Erase()
-      Payload evicted = EraseAt(top_slot);
+      const std::size_t top_at = IndexOf(top_key);
+      if (index_[top_at] == kNoSlot) continue;  // stale entry from Erase()
+      Payload evicted = EraseAt(top_at);
       on_evict(top_key, std::move(evicted));
     }
     MaybeCompact();
+    if (slot != nullptr) *slot = added;
     return OfferResult::kInserted;
   }
 
@@ -123,45 +137,58 @@ class BottomKSampler {
 
   /// Removes `key` if present (no eviction callback). Returns true if erased.
   bool Erase(std::uint64_t key) {
-    const std::size_t slot = SlotOf(key);
-    if (index_[slot] == kEmpty) return false;
-    EraseAt(slot);
+    const std::size_t at = IndexOf(key);
+    if (index_[at] == kNoSlot) return false;
+    EraseAt(at);
     MaybeCompact();
     return true;
   }
 
   bool Contains(std::uint64_t key) const {
-    return index_[SlotOf(key)] != kEmpty;
+    return index_[IndexOf(key)] != kNoSlot;
   }
 
+  /// The slot of member `key`, or kNoSlot if absent.
+  std::uint32_t SlotOf(std::uint64_t key) const { return index_[IndexOf(key)]; }
+
   /// Pointer to the payload of `key`, or nullptr if absent. Valid until the
-  /// next Offer/Erase.
+  /// member leaves.
   Payload* Find(std::uint64_t key) {
-    const std::uint32_t at = index_[SlotOf(key)];
-    return at == kEmpty ? nullptr : &payloads_[at].value;
+    const std::uint32_t slot = SlotOf(key);
+    return slot == kNoSlot ? nullptr : &payloads_[slot].value;
   }
 
   const Payload* Find(std::uint64_t key) const {
-    const std::uint32_t at = index_[SlotOf(key)];
-    return at == kEmpty ? nullptr : &payloads_[at].value;
+    const std::uint32_t slot = SlotOf(key);
+    return slot == kNoSlot ? nullptr : &payloads_[slot].value;
+  }
+
+  /// The payload of the member at `slot`, which must hold one.
+  Payload& At(std::uint32_t slot) { return payloads_[slot].value; }
+  const Payload& At(std::uint32_t slot) const { return payloads_[slot].value; }
+
+  /// Whether `slot`, one this sampler gave out, still holds member `key`.
+  /// False once that member has left, even before the slot is reused.
+  bool Holds(std::uint32_t slot, std::uint64_t key) const {
+    return keys_[slot] == key;
   }
 
   /// Iterates members as fn(key, payload&), each once. Order is unspecified.
   template <typename Fn>
   void ForEach(Fn&& fn) {
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      fn(std::as_const(keys_[i]), payloads_[i].value);
+    for (std::uint32_t slot : index_) {
+      if (slot != kNoSlot) fn(std::as_const(keys_[slot]), payloads_[slot].value);
     }
   }
 
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      fn(keys_[i], payloads_[i].value);
+    for (std::uint32_t slot : index_) {
+      if (slot != kNoSlot) fn(keys_[slot], payloads_[slot].value);
     }
   }
 
-  std::size_t size() const { return keys_.size(); }
+  std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
 
   /// Footprint in bytes: the member table's allocation, made once for
@@ -169,6 +196,7 @@ class BottomKSampler {
   std::size_t MemoryBytes() const {
     return keys_.capacity() * sizeof(std::uint64_t) +
            payloads_.capacity() * sizeof(Cell) +
+           free_.capacity() * sizeof(std::uint32_t) +
            index_.size() * sizeof(std::uint32_t) +
            heap_.size() * sizeof(HeapEntry);
   }
@@ -179,17 +207,18 @@ class BottomKSampler {
   /// On load `make(key)` builds each payload before `value` fills it in;
   /// members are installed directly (no Offer), so no eviction can fire
   /// mid-restore, and a checkpoint naming more members than the capacity
-  /// is kDataLoss. Replaying the heap exactly (stale entries from Erase()
-  /// included) is what makes a restored sampler's admissions, evictions,
-  /// compactions, and MemoryBytes() trajectory bit-identical to the
-  /// original's; priorities are recomputed from the hash seed, never
-  /// stored. The restoring sampler must be fresh, with the same capacity
-  /// and hash seed.
+  /// is kDataLoss. Slots are not stored: a restored sampler holds its
+  /// members in slots 0 to size - 1, in key order. Replaying the heap
+  /// exactly (stale entries from Erase() included) is what makes a restored
+  /// sampler's admissions, evictions, compactions, and MemoryBytes()
+  /// trajectory bit-identical to the original's; priorities are recomputed
+  /// from the hash seed, never stored. The restoring sampler must be fresh,
+  /// with the same capacity and hash seed.
   static void Fields(auto& self, auto& ar, auto&& make, auto&& value) {
     ar.Table([&] { return self.SortedMembers(); },
              [&](auto key) -> Payload* {
                if (self.size() == self.capacity_) return nullptr;
-               return &self.Insert(self.SlotOf(key), key, make(key));
+               return &self.At(self.Insert(self.IndexOf(key), key, make(key)));
              },
              value);
     // Serialized in array order from a valid heap, so it is one already;
@@ -205,10 +234,11 @@ class BottomKSampler {
       listed.reserve(self.heap_.size());
       for (const HeapEntry& entry : self.heap_) listed.push_back(entry.second);
       std::sort(listed.begin(), listed.end());
-      const bool lists_members = std::all_of(
-          self.keys_.begin(), self.keys_.end(), [&](std::uint64_t key) {
-            return std::binary_search(listed.begin(), listed.end(), key);
-          });
+      bool lists_members = true;
+      self.ForEach([&](std::uint64_t key, const Payload&) {
+        lists_members = lists_members &&
+                        std::binary_search(listed.begin(), listed.end(), key);
+      });
       ar.Require(lists_members &&
                      std::is_heap(self.heap_.begin(), self.heap_.end()),
                  "sampler heap is not a heap holding every member");
@@ -226,10 +256,6 @@ class BottomKSampler {
     Payload value;
   };
 
-  // An index entry naming no member.
-  static constexpr std::uint32_t kEmpty =
-      std::numeric_limits<std::uint32_t>::max();
-
   // The smallest power of two at least twice the member arrays' length.
   static std::size_t IndexSize(std::size_t capacity) {
     CYCLESTREAM_CHECK_GT(capacity, 0u);
@@ -237,33 +263,43 @@ class BottomKSampler {
     return std::bit_ceil(2 * (capacity + 1));
   }
 
-  // The index slot holding `key`'s position, or the empty slot that ends
-  // its probe.
-  std::size_t SlotOf(std::uint64_t key) const {
-    std::size_t slot = Mix64(key) & mask_;
-    while (index_[slot] != kEmpty && keys_[index_[slot]] != key) {
-      slot = (slot + 1) & mask_;
+  // The index position holding `key`'s slot, or the empty position that
+  // ends its probe.
+  std::size_t IndexOf(std::uint64_t key) const {
+    std::size_t at = Mix64(key) & mask_;
+    while (index_[at] != kNoSlot && keys_[index_[at]] != key) {
+      at = (at + 1) & mask_;
     }
+    return at;
+  }
+
+  // Installs a member absent from the table in a free slot, or a new one,
+  // and returns the slot; `at` is IndexOf(key).
+  std::uint32_t Insert(std::size_t at, std::uint64_t key, Payload payload) {
+    std::uint32_t slot;
+    if (free_.empty()) {
+      slot = static_cast<std::uint32_t>(keys_.size());
+      keys_.push_back(key);
+      payloads_.push_back(Cell{std::move(payload)});
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+      keys_[slot] = key;
+      payloads_[slot].value = std::move(payload);
+    }
+    index_[at] = slot;
+    ++size_;
     return slot;
   }
 
-  // Appends a member absent from the table; `slot` is SlotOf(key).
-  Payload& Insert(std::size_t slot, std::uint64_t key, Payload payload) {
-    index_[slot] = static_cast<std::uint32_t>(keys_.size());
-    keys_.push_back(key);
-    payloads_.push_back(Cell{std::move(payload)});
-    return payloads_.back().value;
-  }
-
-  // Removes the member whose position index slot `slot` holds and returns
-  // its payload. The index closes the hole by backward shift: each later
-  // entry of the probe cluster whose home slot is not cyclically after the
-  // hole moves into it. The arrays' last entry then takes the member's
-  // position.
-  Payload EraseAt(std::size_t slot) {
-    const std::uint32_t at = index_[slot];
-    std::size_t hole = slot;
-    for (std::size_t next = (hole + 1) & mask_; index_[next] != kEmpty;
+  // Removes the member whose slot index position `at` holds, frees the slot
+  // and returns its payload. The index closes the hole by backward shift:
+  // each later entry of the probe cluster whose home position is not
+  // cyclically after the hole moves into it.
+  Payload EraseAt(std::size_t at) {
+    const std::uint32_t slot = index_[at];
+    std::size_t hole = at;
+    for (std::size_t next = (hole + 1) & mask_; index_[next] != kNoSlot;
          next = (next + 1) & mask_) {
       const std::size_t home = Mix64(keys_[index_[next]]) & mask_;
       if (((next - home) & mask_) >= ((next - hole) & mask_)) {
@@ -271,26 +307,20 @@ class BottomKSampler {
         hole = next;
       }
     }
-    index_[hole] = kEmpty;
-    Payload payload = std::move(payloads_[at].value);
-    const std::size_t last = keys_.size() - 1;
-    if (at != last) {
-      index_[SlotOf(keys_[last])] = at;
-      keys_[at] = keys_[last];
-      payloads_[at] = std::move(payloads_[last]);
-    }
-    keys_.pop_back();
-    payloads_.pop_back();
-    return payload;
+    index_[hole] = kNoSlot;
+    keys_[slot] = ~keys_[slot];
+    free_.push_back(slot);
+    --size_;
+    return std::move(payloads_[slot].value);
   }
 
   // The members as (key, payload) pairs in ascending key order.
   std::vector<std::pair<std::uint64_t, const Payload*>> SortedMembers() const {
     std::vector<std::pair<std::uint64_t, const Payload*>> sorted;
     sorted.reserve(size());
-    for (std::size_t i = 0; i < size(); ++i) {
-      sorted.push_back({keys_[i], &payloads_[i].value});
-    }
+    ForEach([&](std::uint64_t key, const Payload& payload) {
+      sorted.push_back({key, &payload});
+    });
     std::sort(sorted.begin(), sorted.end());
     return sorted;
   }
@@ -309,8 +339,13 @@ class BottomKSampler {
     heap_.pop_back();
   }
 
+  // The heap lists every member, so one with no more entries than members
+  // holds no stale entry, and its top is live without a lookup. Only
+  // Erase() leaves stale entries.
   std::uint64_t MaxLivePriority() {
-    while (!heap_.empty() && !Contains(heap_.front().second)) HeapPop();
+    if (heap_.size() != size()) {
+      while (!heap_.empty() && !Contains(heap_.front().second)) HeapPop();
+    }
     CYCLESTREAM_CHECK(!heap_.empty());
     return heap_.front().first;
   }
@@ -321,10 +356,12 @@ class BottomKSampler {
     }
     HeapVec live{HeapAlloc(domain_)};
     live.reserve(size());
-    for (std::uint64_t key : keys_) live.push_back({PriorityOf(key), key});
+    ForEach([&](std::uint64_t key, const Payload&) {
+      live.push_back({PriorityOf(key), key});
+    });
     // Canonical order before heapify: the compacted layout must be a pure
-    // function of the member set, not of the member arrays' order, so that
-    // a snapshot-restored sampler (whose arrays are ordered differently)
+    // function of the member set, not of the slots the members sit in, so
+    // that a snapshot-restored sampler (whose members sit in other slots)
     // compacts to the exact same array — and therefore the same snapshot
     // bytes.
     std::sort(live.begin(), live.end());
@@ -337,8 +374,10 @@ class BottomKSampler {
   obs::MemoryDomain* domain_;
   obs::AccountedVector<std::uint64_t> keys_;
   obs::AccountedVector<Cell> payloads_;
+  obs::AccountedVector<std::uint32_t> free_;  // slots of departed members
   obs::AccountedVector<std::uint32_t> index_;
   std::size_t mask_;
+  std::size_t size_ = 0;  // members
   HeapVec heap_;
 };
 

@@ -174,8 +174,9 @@ class Saver {
   /// A map a layout keeps in its own arrays rather than a std container:
   /// Map's bytes. `entries()` returns its (key, value pointer) pairs in
   /// ascending key order. On load `slot(key)` returns a pointer to the
-  /// entry to fill, or null when the table is full, which is kDataLoss; the
-  /// count sizes nothing.
+  /// entry to fill, or null when the table has no room for the key (it is
+  /// full, or the key is one it cannot hold), which is kDataLoss; the count
+  /// sizes nothing.
   template <typename Entries, typename Slot, typename Value>
   void Table(Entries&& entries, Slot&& /*slot*/, Value&& value) {
     const auto sorted = entries();
@@ -404,8 +405,8 @@ class Loader {
       auto* entry = slot(key);
       if (entry == nullptr) {
         status_ = Status::DataLoss("snapshot names " + std::to_string(count) +
-                                   " entries for a table full at " +
-                                   std::to_string(i));
+                                   " entries for a table with no room for"
+                                   " entry " + std::to_string(i));
         return;
       }
       value(*this, *entry);

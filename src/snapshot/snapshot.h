@@ -41,7 +41,11 @@
 // exact-stream counter's per-edge map, its bucket count and its current
 // list's capacity by its stored lists: each vertex, a pending bit and its
 // sorted neighbours; an older checkpoint's map is read into pending lists
-// (core/exact_stream.h). Every other layout is the same in all seven.
+// (core/exact_stream.h). Version 8 replaced every watch index's node map
+// by a flat table (core/watch_index.h) and keeps its shape: the word
+// before the lists is the table size, not a bucket count, and each list's
+// capacity is the table's own, both checked on load (an older checkpoint's
+// are read and dropped). Every other layout is the same in all eight.
 //
 // Corruption classes map to typed Status codes, checked in this order when a
 // reader is opened: short/overlong buffer and truncated payload →
@@ -75,7 +79,7 @@ namespace snapshot {
 
 /// The envelope format version writers stamp. Bump on any layout change,
 /// and keep the older layout's decoder in the `Fields` that changed.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 /// The oldest version readers accept; versions outside
 /// [kOldestReadableVersion, kSnapshotVersion] are kFailedPrecondition.

@@ -855,7 +855,7 @@ TEST_F(WedgeSkipStateTest, SkipStateWhileTheReservoirFillsIsDataLoss) {
 // The final state of a one-pass triangle counter (sample size 30, seed 3)
 // run over ER(40, 0.3, 7), and the offset of its watcher map's first key:
 // past the options, the counters, the edge sample's members and heap, and
-// the map's bucket and entry counts.
+// the map's table size and key count.
 struct OnePassWatchers {
   core::OnePassTriangleOptions options;
   std::vector<std::uint8_t> bytes;
@@ -1054,7 +1054,7 @@ TEST(ChaosRecovery, OnePassFourCycleSlotOfTheWrongLivenessIsDataLoss) {
   const std::size_t free_at = offset();
   const std::uint32_t dead = r->ReadU32();
   for (std::uint64_t i = 1; i < free; ++i) r->ReadU32();
-  skip_u64s(2);  // the watch index's bucket and key counts
+  skip_u64s(2);  // the watch index's table size and key count
   r->ReadU32();
   r->ReadU64();
   r->ReadU64();
@@ -1080,6 +1080,137 @@ TEST(ChaosRecovery, OnePassFourCycleSlotOfTheWrongLivenessIsDataLoss) {
   const Status watched_dead = restore_with(watched_at, dead);
   EXPECT_EQ(watched_dead.code(), StatusCode::kDataLoss)
       << watched_dead.ToString();
+}
+
+// --- Version 8's watch tables: hostile geometry and entries. ---
+
+TEST(ChaosRecovery, WatchTableSizeOutsideItsBoundsIsDataLoss) {
+  // The one-pass triangle's edge lists open with their table size, which
+  // the index keeps a power of two in [4, 8] times its keys (at least 8).
+  // Resealed above that (2^40 positions, a 20 TiB table), below it, or as
+  // no power of two, the restore is kDataLoss before the table is resized
+  // to it.
+  OnePassWatchers watchers = OnePassWatcherMap();
+  const std::vector<std::uint8_t>& bytes = watchers.bytes;
+  const std::size_t table_at = watchers.first_key_at - 16;
+  const std::uint64_t table = testing_util::PeekU64(bytes, table_at);
+  const std::uint64_t keys = testing_util::PeekU64(bytes, table_at + 8);
+  ASSERT_TRUE(std::has_single_bit(table));
+  ASSERT_GE(table, 4 * keys);
+  ASSERT_LE(table, std::max<std::uint64_t>(8, 8 * keys));
+  ASSERT_TRUE(RestoreOnePass(watchers.options, bytes).ok());
+  for (const std::uint64_t bad :
+       {std::uint64_t{1} << 40, std::bit_floor(4 * keys - 1), table + 8}) {
+    SCOPED_TRACE("table size " + std::to_string(bad));
+    std::vector<std::uint8_t> resealed = bytes;
+    testing_util::PatchU64(resealed, table_at, bad);
+    const Status status = RestoreOnePass(watchers.options, resealed);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  }
+}
+
+TEST(ChaosRecovery, WatchListCapacityOutsideItsBoundsIsDataLoss) {
+  // Each list stores its capacity after its size; the index keeps it a
+  // power of two in [size, 4·size]. Vertex 0's, resealed above that (2^40
+  // entries, an 8 TiB buffer) or below its size, is kDataLoss before the
+  // list is allocated.
+  OnePassWatchers watchers = OnePassWatcherMap();
+  const std::vector<std::uint8_t>& bytes = watchers.bytes;
+  // Vertex 0's key, then its list's size and capacity.
+  const std::size_t size_at = watchers.first_key_at + 4;
+  const std::uint64_t size = testing_util::PeekU64(bytes, size_at);
+  const std::uint64_t capacity = testing_util::PeekU64(bytes, size_at + 8);
+  ASSERT_GE(size, 1u);
+  ASSERT_TRUE(std::has_single_bit(capacity));
+  ASSERT_GE(capacity, size);
+  ASSERT_LE(capacity, 4 * size);
+  for (const std::uint64_t bad :
+       {std::uint64_t{1} << 40, std::bit_ceil(4 * size + 1), size - 1}) {
+    SCOPED_TRACE("capacity " + std::to_string(bad));
+    std::vector<std::uint8_t> resealed = bytes;
+    testing_util::PatchU64(resealed, size_at + 8, bad);
+    const Status status = RestoreOnePass(watchers.options, resealed);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  }
+}
+
+TEST(ChaosRecovery, EdgeListedThatIsNotSampledIsDataLoss) {
+  // An edge list stores each edge's key, which a restore turns into the
+  // edge's sampler slot. Vertex 0's first listed edge {0, 5} rewritten to
+  // {0, 1000}, which no 40-vertex graph holds, is kDataLoss: the key has no
+  // slot to name.
+  OnePassWatchers watchers = OnePassWatcherMap();
+  std::vector<std::uint8_t>& bad = watchers.bytes;
+  const std::size_t first_edge_at = watchers.first_key_at + 4 + 2 * 8;
+  ASSERT_EQ(testing_util::PeekU64(bad, first_edge_at), MakeEdgeKey(0, 5));
+  testing_util::PatchU64(bad, first_edge_at, MakeEdgeKey(0, 1000));
+  const Status status = RestoreOnePass(watchers.options, bad);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.ToString().find("unsampled"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(ChaosRecovery, OnePassFourCycleWedgeWhoseEdgeIsNotSampledIsDataLoss) {
+  // A live wedge names its edges' sampler slots, found by key on restore.
+  // The first live wedge's end_hi rewritten to vertex 1000 names the edge
+  // {center, 1000}, which is not sampled: kDataLoss, where a resumed run
+  // would read the payload of a slot no edge holds. Walk the layout:
+  // options and counters, the edge sample's members (each with its wedge
+  // slots) and heap, the edge lists, then the wedge slab.
+  const Graph g = gen::ErdosRenyiGnp(40, 0.3, 7);
+  const AdjacencyListStream stream(&g, 7);
+  core::OnePassFourCycleOptions options;
+  options.sample_size = 30;
+  options.seed = 3;
+  core::OnePassFourCycleCounter algo(options);
+  ASSERT_TRUE(RunPassesChecked(stream, &algo).ok());
+  snapshot::SnapshotWriter w;
+  algo.Serialize(w);
+  std::vector<std::uint8_t> bytes = std::move(w).Finish();
+  StatusOr<snapshot::SnapshotReader> r = snapshot::SnapshotReader::Open(bytes);
+  ASSERT_TRUE(r.ok());
+  const auto skip_u64s = [&](std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) r->ReadU64();
+  };
+  skip_u64s(5);
+  const std::uint64_t members = r->ReadU64();
+  for (std::uint64_t i = 0; i < members; ++i) {
+    r->ReadU64();
+    r->ReadBool();
+    const std::uint64_t wedges = r->ReadU64();
+    r->ReadU64();
+    for (std::uint64_t j = 0; j < wedges; ++j) r->ReadU32();
+  }
+  skip_u64s(r->ReadU64() + 1);  // the heap: size, capacity, keys
+  r->ReadU64();
+  const std::uint64_t vertices = r->ReadU64();
+  for (std::uint64_t i = 0; i < vertices; ++i) {
+    r->ReadU32();
+    const std::uint64_t edges = r->ReadU64();
+    r->ReadU64();
+    skip_u64s(edges);
+  }
+  r->ReadU64();
+  r->ReadU64();
+  while (!r->ReadBool()) {
+  }
+  r->ReadU32();  // center
+  r->ReadU32();  // end_lo
+  const std::size_t end_hi_at = bytes.size() - 4 - r->remaining();
+  ASSERT_TRUE(r->status().ok());
+  ASSERT_LT(testing_util::PeekU64(bytes, end_hi_at) & 0xffffffffu, 40u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[end_hi_at + i] = static_cast<std::uint8_t>(1000u >> (8 * i));
+  }
+  testing_util::Reseal(bytes);
+  StatusOr<snapshot::SnapshotReader> reader =
+      snapshot::SnapshotReader::Open(bytes);
+  ASSERT_TRUE(reader.ok());
+  core::OnePassFourCycleCounter resumed(options);
+  const Status status = resumed.Restore(*reader);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.ToString().find("not both sampled"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(ChaosRecovery, TwoPassTriangleWatchSlotPastTheSlabIsDataLoss) {

@@ -100,14 +100,14 @@ struct Golden {
 
 // clang-format off
 const Golden kPinned[] = {
-    {"exact-stream", "24|", {960, 960, 0, 80, 1, {{960, 960, 80}}}, 16, 11396, 0xbf200763},
-    {"one-pass-triangle", "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {1264, 1576, 312, 80, 1, {{1264, 1576, 80}}}, 16, 16674, 0x26bd80c},
-    {"triangle-distinguisher", "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1044, 1372, 336, 160, 2, {{1044, 1372, 80}, {996, 1332, 80}}}, 32, 31432, 0xc22adc6f},
-    {"two-pass-triangle", "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {4908, 5664, 860, 160, 2, {{3972, 4788, 80}, {4908, 5664, 80}}}, 32, 77116, 0x893162e1},
-    {"wedge-sampling", "0x0p+0|197|12|0|0x0p+0|", {848, 952, 108, 80, 1, {{848, 952, 80}}}, 16, 15624, 0xc3ba4da},
-    {"one-pass-four-cycle", "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {3768, 4432, 716, 80, 1, {{3768, 4432, 80}}}, 16, 29253, 0xcb23fb72},
-    {"two-pass-four-cycle", "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {1664, 1900, 308, 160, 2, {{1424, 1636, 80}, {1664, 1900, 80}}}, 32, 33048, 0x483e1625},
-    {"random-order-triangle", "0x1.5f49f49f49f4ap+5|40|6|10|0x1.d4629b7f0d463p+2|", {952, 1160, 208, 40, 1, {{952, 1160, 40}}}, 36, 25896, 0x70e4608a},
+    {"exact-stream", "24|", {960, 960, 0, 80, 1, {{960, 960, 80}}}, 16, 11396, 0x40b31862},
+    {"one-pass-triangle", "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {2108, 2220, 112, 80, 1, {{2108, 2220, 80}}}, 16, 16674, 0x5d084fca},
+    {"triangle-distinguisher", "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1936, 2064, 128, 160, 2, {{1936, 2064, 80}, {1924, 2052, 80}}}, 32, 31432, 0xe339e92f},
+    {"two-pass-triangle", "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {6624, 6832, 336, 160, 2, {{5652, 5956, 80}, {6624, 6832, 80}}}, 32, 77116, 0x16ce0f0},
+    {"wedge-sampling", "0x0p+0|197|12|0|0x0p+0|", {1844, 1844, 0, 80, 1, {{1844, 1844, 80}}}, 16, 15624, 0x6c9283e0},
+    {"one-pass-four-cycle", "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {5424, 5728, 368, 80, 1, {{5424, 5728, 80}}}, 16, 29253, 0x48aa959d},
+    {"two-pass-four-cycle", "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {2520, 2640, 192, 160, 2, {{2280, 2376, 80}, {2520, 2640, 80}}}, 32, 33048, 0xbe5ce79e},
+    {"random-order-triangle", "0x1.5f49f49f49f4ap+5|40|6|10|0x1.d4629b7f0d463p+2|", {1656, 1760, 104, 40, 1, {{1656, 1760, 40}}}, 36, 25896, 0xc066301b},
 };
 
 // Where resuming an older version's fixture does not reach the row. A
@@ -128,7 +128,11 @@ const Golden kPinned[] = {
 // the exact-stream counter's per-edge map by its stored lists; its older
 // fixtures restore the map as pending lists and keep the digest, but the
 // audited peak and divergence the older build measured up to the
-// checkpoint. A row through an earlier version is listed first.
+// checkpoint. Version 8 gave every watch index a flat table, which meters
+// what it allocates, so every estimator with one reports other peaks, and
+// its older fixtures resume with the peaks and divergence their builds
+// measured up to the checkpoint; each keeps its digest. A row through an
+// earlier version is listed first.
 struct OlderResume {
   const char* name;
   int through_version;  // fixtures of versions 1 to this one
@@ -136,18 +140,22 @@ struct OlderResume {
   PinnedReport report;
 };
 const OlderResume kPinnedOlderResume[] = {
-    {"two-pass-triangle", 1, "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {6936, 7360, 816, 160, 2, {{6680, 7104, 80}, {6936, 7360, 80}}}},
-    {"two-pass-triangle", 5, "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {4908, 5664, 1004, 160, 2, {{3848, 4800, 80}, {4908, 5664, 80}}}},
-    {"wedge-sampling", 3, "0x1.8ap+4|197|12|3|0x1.8p-2|", {848, 952, 104, 80, 1, {{848, 952, 80}}}},
-    {"one-pass-triangle", 4, "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {1376, 1704, 328, 80, 1, {{1376, 1704, 80}}}},
-    {"one-pass-triangle", 5, "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {1248, 1576, 328, 80, 1, {{1248, 1576, 80}}}},
-    {"triangle-distinguisher", 4, "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1040, 1432, 392, 160, 2, {{1024, 1408, 80}, {1040, 1432, 80}}}},
-    {"triangle-distinguisher", 5, "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1024, 1408, 392, 160, 2, {{1024, 1408, 80}, {996, 1368, 80}}}},
-    {"one-pass-four-cycle", 4, "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {3832, 4536, 732, 80, 1, {{3832, 4536, 80}}}},
-    {"one-pass-four-cycle", 5, "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {3768, 4412, 732, 80, 1, {{3768, 4412, 80}}}},
-    {"two-pass-four-cycle", 4, "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {1664, 1972, 316, 160, 2, {{1568, 1788, 80}, {1664, 1972, 80}}}},
-    {"two-pass-four-cycle", 5, "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {1664, 1900, 316, 160, 2, {{1440, 1660, 80}, {1664, 1900, 80}}}},
+    {"two-pass-triangle", 1, "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {6936, 7360, 688, 160, 2, {{6680, 7104, 80}, {6936, 7360, 80}}}},
+    {"two-pass-triangle", 5, "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {6596, 6804, 1004, 160, 2, {{3848, 4800, 80}, {6596, 6804, 80}}}},
+    {"two-pass-triangle", 7, "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {6596, 6804, 860, 160, 2, {{3972, 4788, 80}, {6596, 6804, 80}}}},
+    {"wedge-sampling", 3, "0x1.8ap+4|197|12|3|0x1.8p-2|", {1840, 1840, 104, 80, 1, {{1840, 1840, 80}}}},
+    {"wedge-sampling", 7, "0x0p+0|197|12|0|0x0p+0|", {1840, 1840, 108, 80, 1, {{1840, 1840, 80}}}},
+    {"one-pass-triangle", 5, "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {2080, 2192, 328, 80, 1, {{2080, 2192, 80}}}},
+    {"one-pass-triangle", 7, "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {2080, 2192, 312, 80, 1, {{2080, 2192, 80}}}},
+    {"triangle-distinguisher", 5, "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1896, 2024, 392, 160, 2, {{1024, 1408, 80}, {1896, 2024, 80}}}},
+    {"triangle-distinguisher", 7, "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1896, 2024, 336, 160, 2, {{1044, 1372, 80}, {1896, 2024, 80}}}},
+    {"one-pass-four-cycle", 5, "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {5336, 5572, 732, 80, 1, {{5336, 5572, 80}}}},
+    {"one-pass-four-cycle", 7, "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {5336, 5572, 716, 80, 1, {{5336, 5572, 80}}}},
+    {"two-pass-four-cycle", 4, "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {2520, 2640, 316, 160, 2, {{1568, 1788, 80}, {2520, 2640, 80}}}},
+    {"two-pass-four-cycle", 5, "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {2520, 2640, 316, 160, 2, {{1440, 1660, 80}, {2520, 2640, 80}}}},
+    {"two-pass-four-cycle", 7, "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {2520, 2640, 308, 160, 2, {{1424, 1636, 80}, {2520, 2640, 80}}}},
     {"exact-stream", 6, "24|", {960, 1248, 441, 80, 1, {{960, 1248, 80}}}},
+    {"random-order-triangle", 7, "0x1.5f49f49f49f4ap+5|40|6|10|0x1.d4629b7f0d463p+2|", {1656, 1760, 208, 40, 1, {{1656, 1760, 40}}}},
 };
 // clang-format on
 
@@ -392,15 +400,15 @@ struct SweepPin {
 
 // clang-format off
 const SweepPin kSweepPinned[] = {
-    {"exact-stream", 0x9e2182a784fe8ca5, 0x4b82de6ba780d7f5},
-    {"one-pass-triangle", 0x509f76649c4b5a26, 0x445d1455429c8b00},
-    {"triangle-distinguisher", 0x2e457802c41845e, 0xbc35fceb065a1f36},
-    {"two-pass-triangle", 0x3800bf8af7cdbbef, 0x8a1995c5631fd762},
-    {"wedge-sampling", 0xcf9582ae0b74e350, 0x94f22f5d4f90a948},
-    {"one-pass-four-cycle", 0xac0f5d59391019e6, 0xf373f45711b25250},
-    {"two-pass-four-cycle", 0x5679d7baa92a25d9, 0xa89b9a3e62bd793e},
-    {"random-order-triangle", 0xdd7bf9f11efc8741, 0x49ed2e78b21c0c29},
-    {"arbitrary-order-triangle", 0xe94410f911d75723, 0x938f802aefd85dfb},
+    {"exact-stream", 0x9e2182a784fe8ca5, 0x6a427aafb09df585},
+    {"one-pass-triangle", 0x509f76649c4b5a26, 0x58b2080249537bab},
+    {"triangle-distinguisher", 0x2e457802c41845e, 0xc1c9dad1d24aedc3},
+    {"two-pass-triangle", 0x3800bf8af7cdbbef, 0xe44076c246376102},
+    {"wedge-sampling", 0xcf9582ae0b74e350, 0x93bb5e34e590d52d},
+    {"one-pass-four-cycle", 0xac0f5d59391019e6, 0x300b62f9ec0e1af5},
+    {"two-pass-four-cycle", 0x5679d7baa92a25d9, 0xb954ebbf0a7a2b48},
+    {"random-order-triangle", 0xdd7bf9f11efc8741, 0xcea17a52592e8d1d},
+    {"arbitrary-order-triangle", 0xe94410f911d75723, 0x16987f52a29fda17},
 };
 // clang-format on
 

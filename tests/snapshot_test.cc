@@ -130,8 +130,8 @@ TEST(SnapshotCorruption, BadMagicIsInvalidArgument) {
 
 TEST(Snapshot, OpensEveryReadableVersionAndReportsIt) {
   ASSERT_EQ(kOldestReadableVersion, 1u);
-  ASSERT_EQ(kSnapshotVersion, 7u);
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
+  ASSERT_EQ(kSnapshotVersion, 8u);
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
     std::vector<std::uint8_t> bytes = SampleEnvelope();
     testing_util::Restamp(bytes, version);
     StatusOr<SnapshotReader> r = SnapshotReader::Open(bytes);

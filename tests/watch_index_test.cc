@@ -1,12 +1,15 @@
 // core::WatchIndex against a plain mirror: the estimators' watcher lists
 // must behave exactly as the push_back / swap-remove maps they replaced,
-// keep their capacity and item counts current (the index's own meter), and
-// checkpoint to bytes a fresh index restores bit for bit. core::ListMarks: a list completes an item once,
-// when it delivers the item's second end, and no earlier list's mark
-// counts, across the stamp's wrap too.
+// keep the table and list capacities the index promises (its own meter),
+// and checkpoint to bytes a fresh index restores bit for bit.
+// core::SampledEdges: each member's recorded list positions point back at
+// it, and a slot is reused only after its member leaves. core::ListMarks: a
+// list completes an item once, when it delivers the item's second end, and
+// no earlier list's mark counts, across the stamp's wrap too.
 
 #include "core/watch_index.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -28,58 +31,82 @@ namespace core {
 namespace {
 
 // The map the estimators hand-wrote: push_back to add, move the last entry
-// over the first equal one to remove, erase a key whose list empties.
+// over the first equal one (or the one at a position) to remove, erase a
+// key whose list empties. It also models the index's geometry: a table of
+// at least 8 positions that doubles past load 1/4 and halves below 1/8,
+// and list capacities that double when full and halve at a quarter.
 template <typename K, typename V>
 class Mirror {
  public:
-  void Add(K key, V value) { lists_[key].push_back(value); }
+  void Add(K key, V value) {
+    if (!lists_.contains(key) && 4 * (lists_.size() + 1) > table_) {
+      table_ *= 2;
+    }
+    List& list = lists_[key];
+    if (list.values.size() == list.capacity) {
+      list.capacity = list.capacity == 0 ? 1 : 2 * list.capacity;
+    }
+    list.values.push_back(value);
+  }
 
   void Remove(K key, V value) {
     auto it = lists_.find(key);
     if (it == lists_.end()) return;
-    std::vector<V>& list = it->second;
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      if (list[i] == value) {
-        list[i] = list.back();
-        list.pop_back();
-        break;
+    const std::vector<V>& values = it->second.values;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (values[i] == value) {
+        RemoveAt(key, i);
+        return;
       }
     }
-    if (list.empty()) lists_.erase(it);
   }
 
-  std::size_t CapacityBytes() const {
-    std::size_t bytes = 0;
-    for (const auto& [key, list] : lists_) bytes += list.capacity() * sizeof(V);
-    return bytes;
+  void RemoveAt(K key, std::size_t pos) {
+    auto it = lists_.find(key);
+    List& list = it->second;
+    list.values[pos] = list.values.back();
+    list.values.pop_back();
+    if (4 * list.values.size() <= list.capacity) list.capacity /= 2;
+    if (list.values.empty()) {
+      lists_.erase(it);
+      if (table_ > 8 && 8 * lists_.size() < table_) table_ /= 2;
+    }
   }
 
-  // The meter the estimators hand-wrote: 48 bytes per key and sizeof(V)
-  // per listed item.
+  // Both table arrays (a key and a 16-byte list header per position) and
+  // every list's buffer.
   std::size_t MemoryBytes() const {
-    std::size_t bytes = lists_.size() * 48;
-    for (const auto& [key, list] : lists_) bytes += list.size() * sizeof(V);
+    std::size_t bytes = table_ * (sizeof(K) + 16);
+    for (const auto& [key, list] : lists_) bytes += list.capacity * sizeof(V);
     return bytes;
   }
 
-  const std::map<K, std::vector<V>>& lists() const { return lists_; }
+  std::vector<V> ListOf(K key) const {
+    const auto it = lists_.find(key);
+    return it == lists_.end() ? std::vector<V>{} : it->second.values;
+  }
+
+  std::size_t size() const { return lists_.size(); }
 
  private:
-  std::map<K, std::vector<V>> lists_;
+  struct List {
+    std::vector<V> values;
+    std::size_t capacity = 0;
+  };
+
+  std::map<K, List> lists_;
+  std::size_t table_ = 8;
 };
 
 template <typename K, typename V>
 void ExpectMatches(const WatchIndex<K, V>& index, const Mirror<K, V>& mirror,
                    K max_key) {
-  ASSERT_EQ(index.size(), mirror.lists().size());
-  ASSERT_EQ(index.capacity_bytes(), mirror.CapacityBytes());
+  ASSERT_EQ(index.size(), mirror.size());
   ASSERT_EQ(index.MemoryBytes(), mirror.MemoryBytes());
   for (K key = 0; key <= max_key; ++key) {
-    const auto it = mirror.lists().find(key);
-    const std::vector<V> want =
-        it == mirror.lists().end() ? std::vector<V>{} : it->second;
     const auto got = index.Find(key);
-    ASSERT_EQ(std::vector<V>(got.begin(), got.end()), want) << "key " << key;
+    ASSERT_EQ(std::vector<V>(got.begin(), got.end()), mirror.ListOf(key))
+        << "key " << key;
   }
 }
 
@@ -91,13 +118,14 @@ std::vector<std::uint8_t> Save(const WatchIndex<K, V>& index) {
   return std::move(w).Finish();
 }
 
-// A seeded mix of adds and removes over few keys and values, so lists hold
-// repeated values, removes hit absent keys and absent values, and lists
-// empty out and refill. The index and the mirror must agree after every
-// operation, and the end state must survive a checkpoint round trip.
+// A seeded mix of adds, removes by value and removes by position over many
+// keys and few values, so lists hold repeated values, removes hit absent
+// keys and absent values, lists empty out and refill, and the table grows
+// and shrinks. The index and the mirror must agree after every operation,
+// and the end state must survive a checkpoint round trip.
 template <typename K, typename V>
 void RunAgainstMirror(std::uint64_t seed) {
-  constexpr K kMaxKey = 11;
+  constexpr K kMaxKey = 47;
   constexpr std::uint64_t kValues = 7;
   obs::MemoryDomain domain;
   WatchIndex<K, V> index(&domain);
@@ -105,34 +133,53 @@ void RunAgainstMirror(std::uint64_t seed) {
   Rng rng(seed);
   int dropped = 0;
   int refilled = 0;
+  int moved = 0;
   std::set<K> ever_dropped;
+  std::size_t most_keys = 0;
   // Alternating phases of mostly-add and mostly-remove, ending on an add
   // phase: lists grow past several capacity doublings, then drain.
-  for (int op = 0; op < 3300; ++op) {
+  for (int op = 0; op < 6300; ++op) {
     const K key = static_cast<K>(rng.NextBounded(kMaxKey + 1));
     const V value = static_cast<V>(rng.NextBounded(kValues));
-    const bool adding_phase = op % 1000 < 300;
-    const bool add = rng.NextBounded(10) < (adding_phase ? 7u : 1u);
-    const std::size_t keys_before = mirror.lists().size();
+    const bool adding_phase = op % 2000 < 300;
+    const std::uint64_t kind = rng.NextBounded(10);
+    const bool add = kind < (adding_phase ? 7u : 1u);
+    const std::size_t keys_before = mirror.size();
     if (add) {
       if (index.Find(key).empty() && ever_dropped.contains(key)) ++refilled;
-      index.Add(key, value);
+      const std::size_t pos = index.Find(key).size();
+      EXPECT_EQ(index.Add(key, value), pos);
       mirror.Add(key, value);
-    } else {
+    } else if (kind % 2 == 0 || index.Find(key).empty()) {
       index.Remove(key, value);
       mirror.Remove(key, value);
-      if (mirror.lists().size() < keys_before) {
-        ++dropped;
-        ever_dropped.insert(key);
-      }
+    } else {
+      const std::vector<V> before = mirror.ListOf(key);
+      const std::size_t pos = rng.NextBounded(before.size());
+      int calls = 0;
+      index.RemoveAt(key, static_cast<std::uint32_t>(pos), [&](const V& v) {
+        ++calls;
+        EXPECT_EQ(v, before.back());
+      });
+      EXPECT_EQ(calls, pos + 1 == before.size() ? 0 : 1);
+      moved += calls;
+      mirror.RemoveAt(key, pos);
     }
+    if (mirror.size() < keys_before) {
+      ++dropped;
+      ever_dropped.insert(key);
+    }
+    most_keys = std::max(most_keys, mirror.size());
     ExpectMatches(index, mirror, kMaxKey);
     if (::testing::Test::HasFatalFailure()) {
       FAIL() << "diverged at op " << op << (add ? " (add)" : " (remove)");
     }
+    ASSERT_EQ(domain.live_bytes(), index.MemoryBytes()) << "op " << op;
   }
   EXPECT_GT(dropped, 0);
   EXPECT_GT(refilled, 0);
+  EXPECT_GT(moved, 0);
+  EXPECT_GT(most_keys, 4u);  // the table doubled at least once
   ASSERT_GT(index.size(), 0u);
 
   const std::vector<std::uint8_t> bytes = Save(index);
@@ -146,7 +193,7 @@ void RunAgainstMirror(std::uint64_t seed) {
   ASSERT_TRUE(loader.status().ok()) << loader.status().ToString();
   EXPECT_TRUE(reader->Final().ok());
   EXPECT_EQ(Save(restored), bytes);
-  EXPECT_EQ(restored.capacity_bytes(), index.capacity_bytes());
+  EXPECT_EQ(restored.MemoryBytes(), index.MemoryBytes());
   EXPECT_EQ(restored_domain.live_bytes(), domain.live_bytes());
   ExpectMatches(restored, mirror, kMaxKey);
 }
@@ -162,6 +209,84 @@ TEST(WatchIndex, MatchesTheMirrorByEndpointPair) {
   for (std::uint64_t seed : {4u, 5u, 6u}) {
     SCOPED_TRACE(seed);
     RunAgainstMirror<EdgeKey, std::uint32_t>(seed);
+  }
+}
+
+struct EdgeState {
+  VertexId lo = 0;
+  VertexId hi = 0;
+  std::uint32_t ends = 0;
+};
+
+// A seeded offer sequence over a small vertex set, so the sample fills,
+// evicts, and takes evicted edges back. After every offer each member keeps
+// the slot it was admitted to, sits at its recorded position in both
+// endpoint lists, and no list holds anything else; an admission takes a
+// slot no member holds.
+TEST(SampledEdges, PositionsPointBackAndSlotsAreReusedOnlyAfterTheMemberLeaves) {
+  for (const std::size_t capacity : {1u, 3u, 16u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + ", seed " +
+                   std::to_string(seed));
+      obs::MemoryDomain domain;
+      SampledEdges<EdgeState> edges(capacity, seed, &domain);
+      std::map<EdgeKey, std::uint32_t> slot_of;  // member -> its slot
+      Rng rng(seed);
+      constexpr VertexId kVertices = 12;
+      int evictions = 0;
+      int reused = 0;
+      std::set<std::uint32_t> ever_freed;
+      for (int op = 0; op < 2000; ++op) {
+        const VertexId u = static_cast<VertexId>(rng.NextBounded(kVertices));
+        const VertexId v = static_cast<VertexId>(rng.NextBounded(kVertices));
+        if (u == v) continue;
+        const EdgeKey key = MakeEdgeKey(u, v);
+        std::uint32_t slot = SampledEdges<EdgeState>::kNoSlot;
+        const sampling::OfferResult result = edges.Offer(
+            key, EdgeState{},
+            [&](EdgeKey evicted, EdgeState&& state) {
+              ++evictions;
+              EXPECT_EQ(MakeEdgeKey(state.lo, state.hi), evicted);
+              ASSERT_TRUE(slot_of.contains(evicted));
+              ever_freed.insert(slot_of[evicted]);
+              slot_of.erase(evicted);
+            },
+            &slot);
+        if (result == sampling::OfferResult::kInserted) {
+          for (const auto& [member, held] : slot_of) {
+            ASSERT_NE(held, slot) << "slot " << slot << " still holds "
+                                  << member;
+          }
+          reused += ever_freed.contains(slot);
+          slot_of[key] = slot;
+        } else if (result == sampling::OfferResult::kAlreadyPresent) {
+          ASSERT_EQ(slot, slot_of.at(key));
+        }
+        ASSERT_EQ(edges.size(), slot_of.size());
+        std::size_t listed = 0;
+        for (VertexId x = 0; x < kVertices; ++x) {
+          std::uint32_t pos = 0;
+          edges.ForEachAt(x, [&](std::uint32_t at, EdgeKey member,
+                                 EdgeState& state) {
+            ASSERT_TRUE(slot_of.contains(member)) << "lists a non-member";
+            EXPECT_EQ(slot_of.at(member), at);
+            EXPECT_TRUE(edges.Holds(at, member));
+            EXPECT_EQ(&edges.At(at), &state);
+            EXPECT_EQ(edges.ListPosition(at, state.lo == x ? 0 : 1), pos);
+            ++pos;
+          });
+          listed += pos;
+        }
+        ASSERT_EQ(listed, 2 * slot_of.size());
+        for (const auto& [member, held] : slot_of) {
+          ASSERT_EQ(edges.SlotOf(member), held);
+        }
+      }
+      EXPECT_GT(evictions, 0);
+      if (capacity > 1) {
+        EXPECT_GT(reused, 0);
+      }
+    }
   }
 }
 
