@@ -12,11 +12,14 @@
 // Layout: one open-addressing table, probed linearly from a multiply-shift
 // home position and erased by backward shift. The keys sit in a dense array
 // of their own, with an empty-key sentinel, so a probe reads only keys; a
-// parallel array holds each list's header (buffer, size, capacity), read
-// only when the probe finds its key. The table keeps its load between 1/8 and 1/4
-// (at least 8 positions), doubling and halving as keys come and go; each
-// list's capacity stays within [size, 4·size], doubling when full and
-// halving at a quarter. Growth, shrinking and erasure run out of line.
+// parallel array of 4-byte indices names each key's list header (buffer,
+// size, capacity), read only when the probe finds its key. The headers sit
+// in a dense array of a quarter as many, the most keys the table holds,
+// plus one for the all-ones key; free ones are chained. The table keeps
+// its load between 1/8 and 1/4 (at least 8 positions), doubling and
+// halving as keys come and go; each list's capacity stays within
+// [size, 4·size], doubling when full and halving at a quarter. Growth,
+// shrinking and erasure run out of line.
 //
 // Every allocation is bound to the estimator's memory domain, so the
 // allocator audit sees every byte, and `MemoryBytes()` reports exactly what
@@ -50,7 +53,6 @@
 #include "graph/types.h"
 #include "obs/accounting.h"
 #include "sampling/bottom_k.h"
-#include "util/check.h"
 
 namespace cyclestream {
 namespace core {
@@ -102,9 +104,11 @@ auto SlotIn(const Slab& slab, bool live) {
 
 /// Maps a key (a vertex, or an endpoint-pair EdgeKey) to the list of
 /// sampled items (sampler slots, slab slots, neighbors) watching it. No list
-/// in the index is empty. The all-ones key is the table's empty sentinel:
-/// no vertex id (a graph has fewer than 2^32 - 1 vertices) or canonical
-/// edge key (its smaller end is in the high word) equals it.
+/// in the index is empty. The all-ones key is the table's empty sentinel, so
+/// its list (vertex 2^32 - 1 is a valid id) keeps header 0, which every
+/// empty position names: its probe ends at the first empty position and
+/// finds that list there, with no test a lookup of another key pays. No
+/// canonical edge key (its smaller end is in the high word) equals it.
 template <typename K, typename V>
 class WatchIndex {
   static_assert(std::is_unsigned_v<K> && std::is_trivially_copyable_v<V>);
@@ -113,13 +117,14 @@ class WatchIndex {
   /// Every array and list the index allocates charges `domain`.
   explicit WatchIndex(obs::MemoryDomain* domain)
       : alloc_(domain),
-        keys_(kMinTable, kEmptyKey, obs::AccountedAllocator<K>(domain)),
-        lists_(kMinTable, List{}, obs::AccountedAllocator<List>(domain)) {}
+        keys_(obs::AccountedAllocator<K>(domain)),
+        heads_(obs::AccountedAllocator<std::uint32_t>(domain)),
+        lists_(obs::AccountedAllocator<List>(domain)) {
+    Rehash(kMinTable);
+  }
 
   ~WatchIndex() {
-    for (List& list : lists_) {
-      if (list.data != nullptr) alloc_.deallocate(list.data, list.capacity);
-    }
+    for (List& list : lists_) Free(list);
   }
 
   WatchIndex(const WatchIndex&) = delete;
@@ -128,9 +133,8 @@ class WatchIndex {
   /// Appends `value` to `key`'s list, creating the list if absent, and
   /// returns its position in the list.
   std::uint32_t Add(K key, V value) {
-    std::size_t at = PositionOf(key);
-    if (keys_[at] == kEmptyKey) at = Claim(at, key);
-    List& list = lists_[at];
+    const std::size_t at = PositionOf(key);
+    List& list = keys_[at] == kEmptyKey ? Claim(at, key) : lists_[heads_[at]];
     if (list.size == list.capacity) {
       Reallocate(list, list.capacity == 0 ? 1 : 2 * list.capacity);
     }
@@ -142,10 +146,11 @@ class WatchIndex {
   /// if its list is empty. An absent key or value is a no-op.
   void Remove(K key, const V& value) {
     const std::size_t at = PositionOf(key);
-    const List& list = lists_[at];
+    if (keys_[at] != key) return;
+    List& list = lists_[heads_[at]];
     for (std::uint32_t pos = 0; pos < list.size; ++pos) {
       if (list.data[pos] == value) {
-        RemoveFrom(at, pos, [](const V&) {});
+        RemoveFrom(at, list, pos, [](const V&) {});
         return;
       }
     }
@@ -157,35 +162,36 @@ class WatchIndex {
   /// now at `pos`.
   template <typename Moved>
   void RemoveAt(K key, std::uint32_t pos, Moved&& moved) {
-    RemoveFrom(PositionOf(key), pos, moved);
+    const std::size_t at = PositionOf(key);
+    RemoveFrom(at, lists_[heads_[at]], pos, moved);
   }
 
   /// `key`'s list, empty when the key is absent. Do not hold it across an
   /// Add or Remove.
   std::span<const V> Find(K key) const {
     for (std::size_t at = Home(key);; at = (at + 1) & mask_) {
-      if (keys_[at] == key) return {lists_[at].data, lists_[at].size};
+      if (keys_[at] == key) return View(lists_[heads_[at]]);
       if (keys_[at] == kEmptyKey) return {};
     }
   }
 
   /// Number of keys.
-  std::size_t size() const { return count_; }
+  std::size_t size() const { return count_ + (lists_[kSpare].size > 0); }
 
-  /// The bytes the index allocated: its two table arrays and every list's
-  /// buffer.
+  /// The bytes the index allocated: its table (a key and a header index per
+  /// position), its headers and every list's buffer.
   std::size_t MemoryBytes() const {
-    return keys_.size() * (sizeof(K) + sizeof(List)) + list_bytes_;
+    return keys_.size() * (sizeof(K) + sizeof(std::uint32_t)) +
+           lists_.size() * sizeof(List) + list_bytes_;
   }
 
   /// Calls fn(key, list) for every key, in unspecified order.
   template <typename Fn>
   void ForEachList(Fn&& fn) const {
     for (std::size_t at = 0; at < keys_.size(); ++at) {
-      if (keys_[at] != kEmptyKey) {
-        fn(keys_[at], std::span<const V>(lists_[at].data, lists_[at].size));
-      }
+      if (keys_[at] != kEmptyKey) fn(keys_[at], View(lists_[heads_[at]]));
     }
+    if (lists_[kSpare].size > 0) fn(kEmptyKey, View(lists_[kSpare]));
   }
 
   /// Whether `pred(value)` holds for every listed value: a restore checks
@@ -205,31 +211,29 @@ class WatchIndex {
   /// payload. List order is state (a removal moves the last entry
   /// forward), so it is stored, not rebuilt. On load a capacity outside
   /// [size, 4·size] or not a power of two is kDataLoss before the list is
-  /// allocated, and a table size outside [4·keys, max(8, 8·keys)] or not a
-  /// power of two is kDataLoss before the table is resized to it: the index
-  /// never holds either. Versions before 8 stored a node map of the same
-  /// shape, whose bucket count and list capacities are read and dropped:
-  /// each list gets the capacity appends alone give it, and the table the
-  /// size its inserts grow it to.
+  /// allocated, and a table size outside [max(8, 4·keys), max(8, 8·keys)]
+  /// (keys: those in the table) or not a power of two is kDataLoss before
+  /// the table is resized to it: the index never holds either. Versions
+  /// before 8 stored a node map of the same shape, whose bucket count and
+  /// list capacities are read and dropped: each list gets the capacity
+  /// appends alone give it, and the table the size its inserts grow it to.
   static void Fields(auto& self, auto& ar, std::size_t elem_bytes,
                      auto&& elem) {
     std::uint64_t table = self.keys_.size();
     ar.U64(table);
     ar.Table([&] { return self.SortedLists(); },
-             [&](auto key) -> List* {
-               if (key == kEmptyKey) return nullptr;
-               return &self.lists_[self.Claim(self.PositionOf(key), key)];
-             },
+             [&](auto key) { return &self.Claim(self.PositionOf(key), key); },
              [&](auto& ar, auto& list) {
                ListFields(self, ar, list, elem_bytes, elem);
              });
     if constexpr (ar.kLoading) {
       if (ar.version() >= 8) {
         const std::uint64_t keys = self.count_;
-        ar.Require(std::has_single_bit(table) && table >= 4 * keys &&
+        ar.Require(std::has_single_bit(table) &&
+                       table >= std::max<std::uint64_t>(kMinTable, 4 * keys) &&
                        table <= std::max<std::uint64_t>(kMinTable, 8 * keys),
                    "watch table size is not a power of two in [4, 8] times "
-                   "its keys");
+                   "its keys, and at least 8");
         if (ar.ok() && table != self.keys_.size()) self.Rehash(table);
       }
     }
@@ -246,7 +250,8 @@ class WatchIndex {
   }
 
  private:
-  // A list's header; an empty position's is an empty list.
+  // A list's header. A free header has no buffer, and its `size` names the
+  // next free header.
   struct List {
     V* data = nullptr;
     std::uint32_t size = 0;
@@ -254,7 +259,12 @@ class WatchIndex {
   };
 
   static constexpr K kEmptyKey = std::numeric_limits<K>::max();
+  static constexpr std::uint32_t kSpare = 0;  // the all-ones key's header
   static constexpr std::size_t kMinTable = 8;
+
+  static std::span<const V> View(const List& list) {
+    return {list.data, list.size};
+  }
 
   // Multiply-shift: the product's top bits, as many as the table has
   // position bits.
@@ -270,55 +280,62 @@ class WatchIndex {
     return at;
   }
 
-  // Installs `key` at the empty position `at` ends its probe at, doubling
-  // the table first when the key would take its load past 1/4; returns the
-  // key's position. A miss, the common lookup, then mostly ends at its home
-  // position: a probe that runs on mispredicts where it stops.
-  [[gnu::noinline]] std::size_t Claim(std::size_t at, K key) {
-    CYCLESTREAM_CHECK(key != kEmptyKey);
+  // Installs `key` at the empty position `at` ends its probe at, with a
+  // free header, doubling the table first when the key would take its load
+  // past 1/4; returns the key's header (header 0 for the all-ones key). A
+  // miss, the common lookup, then mostly ends at its home position: a probe
+  // that runs on mispredicts where it stops.
+  [[gnu::noinline]] List& Claim(std::size_t at, K key) {
+    if (key == kEmptyKey) return lists_[kSpare];
     if (4 * (count_ + 1) > keys_.size()) {
       Rehash(2 * keys_.size());
       at = PositionOf(key);
     }
     keys_[at] = key;
+    heads_[at] = free_;
+    List& list = lists_[free_];
+    free_ = list.size;
+    list.size = 0;
     ++count_;
-    return at;
+    return list;
   }
 
   template <typename Moved>
-  void RemoveFrom(std::size_t at, std::uint32_t pos, Moved&& moved) {
-    List& list = lists_[at];
+  void RemoveFrom(std::size_t at, List& list, std::uint32_t pos,
+                  Moved&& moved) {
     const std::uint32_t last = --list.size;
     if (pos != last) {
       list.data[pos] = list.data[last];
       moved(std::as_const(list.data[pos]));
     }
-    if (4 * list.size <= list.capacity) Shrink(at);
+    if (4 * list.size <= list.capacity) Shrink(at, list);
   }
 
-  // A list at a quarter of its capacity halves it; an empty one is freed
-  // and its key erased by backward shift: each later key of the probe
-  // cluster whose home is not cyclically after the hole moves into it.
-  // The table then halves if its load fell below 1/8.
-  [[gnu::noinline]] void Shrink(std::size_t at) {
-    List& list = lists_[at];
+  // A list at a quarter of its capacity halves it; an empty one is freed,
+  // and unless it is the all-ones key's, its header is chained free and its
+  // key erased by backward shift: each later key of the probe cluster whose
+  // home is not cyclically after the hole moves into it. The table then
+  // halves if its load fell below 1/8.
+  [[gnu::noinline]] void Shrink(std::size_t at, List& list) {
     if (list.size > 0) {
       Reallocate(list, list.capacity / 2);
       return;
     }
-    alloc_.deallocate(list.data, list.capacity);
-    list_bytes_ -= list.capacity * sizeof(V);
+    Free(list);
+    if (keys_[at] == kEmptyKey) return;
+    list.size = free_;
+    free_ = heads_[at];
     std::size_t hole = at;
     for (std::size_t next = (hole + 1) & mask_; keys_[next] != kEmptyKey;
          next = (next + 1) & mask_) {
       if (((next - Home(keys_[next])) & mask_) >= ((next - hole) & mask_)) {
         keys_[hole] = keys_[next];
-        lists_[hole] = lists_[next];
+        heads_[hole] = heads_[next];
         hole = next;
       }
     }
     keys_[hole] = kEmptyKey;
-    lists_[hole] = List{};
+    heads_[hole] = kSpare;
     --count_;
     if (keys_.size() > kMinTable && 8 * count_ < keys_.size()) {
       Rehash(keys_.size() / 2);
@@ -335,29 +352,54 @@ class WatchIndex {
     list.capacity = capacity;
   }
 
-  // Moves every key and header into a table of `size` positions.
+  // Frees `list`'s buffer, leaving it an empty header.
+  void Free(List& list) {
+    if (list.data != nullptr) alloc_.deallocate(list.data, list.capacity);
+    list_bytes_ -= std::size_t{list.capacity} * sizeof(V);
+    list = List{};
+  }
+
+  // Moves every key into a table of `size` positions with header 0 and
+  // `size / 4` more (the most keys it holds): the keys' headers first, in
+  // position order, then the free ones, chained in index order.
   void Rehash(std::size_t size) {
     obs::AccountedVector<K> keys(size, kEmptyKey, keys_.get_allocator());
-    obs::AccountedVector<List> lists(size, List{}, lists_.get_allocator());
+    obs::AccountedVector<std::uint32_t> heads(size, kSpare,
+                                              heads_.get_allocator());
+    obs::AccountedVector<List> lists(size / 4 + 1, List{},
+                                     lists_.get_allocator());
+    if (!lists_.empty()) lists[kSpare] = lists_[kSpare];
     mask_ = size - 1;
     shift_ = 64 - std::countr_zero(size);
+    std::uint32_t used = kSpare + 1;
     for (std::size_t from = 0; from < keys_.size(); ++from) {
       if (keys_[from] == kEmptyKey) continue;
       std::size_t at = Home(keys_[from]);
       while (keys[at] != kEmptyKey) at = (at + 1) & mask_;
       keys[at] = keys_[from];
-      lists[at] = lists_[from];
+      heads[at] = used;
+      lists[used++] = lists_[heads_[from]];
+    }
+    free_ = used;
+    for (std::uint32_t head = used; head < lists.size(); ++head) {
+      lists[head].size = head + 1;
     }
     keys_ = std::move(keys);
+    heads_ = std::move(heads);
     lists_ = std::move(lists);
   }
 
   // The keys and their lists in ascending key order.
   std::vector<std::pair<K, const List*>> SortedLists() const {
     std::vector<std::pair<K, const List*>> sorted;
-    sorted.reserve(count_);
+    sorted.reserve(size());
     for (std::size_t at = 0; at < keys_.size(); ++at) {
-      if (keys_[at] != kEmptyKey) sorted.push_back({keys_[at], &lists_[at]});
+      if (keys_[at] != kEmptyKey) {
+        sorted.push_back({keys_[at], &lists_[heads_[at]]});
+      }
+    }
+    if (lists_[kSpare].size > 0) {
+      sorted.push_back({kEmptyKey, &lists_[kSpare]});
     }
     std::ranges::sort(sorted);
     return sorted;
@@ -389,10 +431,12 @@ class WatchIndex {
 
   obs::AccountedAllocator<V> alloc_;
   obs::AccountedVector<K> keys_;
+  obs::AccountedVector<std::uint32_t> heads_;  // per position: its header
   obs::AccountedVector<List> lists_;
-  std::size_t mask_ = kMinTable - 1;
-  int shift_ = 64 - std::countr_zero(kMinTable);
-  std::size_t count_ = 0;       // keys
+  std::size_t mask_ = 0;
+  int shift_ = 0;
+  std::uint32_t free_ = 0;      // the first free header
+  std::size_t count_ = 0;       // keys in the table
   std::size_t list_bytes_ = 0;  // Σ list capacity × sizeof(V)
 };
 
@@ -457,12 +501,6 @@ class SampledEdges {
   /// Whether `slot`, one this sample gave out, still holds edge `key`.
   bool Holds(std::uint32_t slot, EdgeKey key) const {
     return sample_.Holds(slot, key);
-  }
-
-  /// The position of the edge at `slot` in its lo's (end 0) or hi's
-  /// (end 1) list.
-  std::uint32_t ListPosition(std::uint32_t slot, int end) const {
-    return sample_.At(slot).pos[end];
   }
 
   /// Number of sampled edges with endpoint `v`.

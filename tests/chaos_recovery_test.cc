@@ -1109,6 +1109,40 @@ TEST(ChaosRecovery, WatchTableSizeOutsideItsBoundsIsDataLoss) {
   }
 }
 
+TEST(ChaosRecovery, EmptyWatchTableBelowItsMinimumIsDataLoss) {
+  // A fresh wedge sampler's closure index holds no key, so its table has
+  // the minimum 8 positions. The layout ends with that table's size, its
+  // key count (0) and the current list's capacity. Resealed to 1, 2 or 4
+  // positions, or to 16, the restore is kDataLoss: a table of one position
+  // would make the next lookup's home shift 64 bits.
+  core::WedgeSamplingOptions options;
+  options.reservoir_size = 12;
+  options.seed = 3;
+  const core::WedgeSamplingTriangleCounter fresh(options);
+  snapshot::SnapshotWriter w;
+  fresh.Serialize(w);
+  const std::vector<std::uint8_t> bytes = std::move(w).Finish();
+  const std::size_t table_at = bytes.size() - 4 - 3 * 8;
+  ASSERT_EQ(testing_util::PeekU64(bytes, table_at), 8u);
+  ASSERT_EQ(testing_util::PeekU64(bytes, table_at + 8), 0u);
+  const auto restore = [&options](std::vector<std::uint8_t> envelope) {
+    testing_util::Reseal(envelope);
+    StatusOr<snapshot::SnapshotReader> reader =
+        snapshot::SnapshotReader::Open(envelope);
+    if (!reader.ok()) return reader.status();
+    core::WedgeSamplingTriangleCounter resumed(options);
+    return resumed.Restore(*reader);
+  };
+  ASSERT_TRUE(restore(bytes).ok());
+  for (const std::uint64_t bad : {1u, 2u, 4u, 16u}) {
+    SCOPED_TRACE("table size " + std::to_string(bad));
+    std::vector<std::uint8_t> resealed = bytes;
+    testing_util::PatchU64(resealed, table_at, bad);
+    const Status status = restore(resealed);
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  }
+}
+
 TEST(ChaosRecovery, WatchListCapacityOutsideItsBoundsIsDataLoss) {
   // Each list stores its capacity after its size; the index keeps it a
   // power of two in [size, 4·size]. Vertex 0's, resealed above that (2^40

@@ -7,11 +7,19 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "core/arbitrary_triangle.h"
+#include "core/four_cycle.h"
 #include "core/median.h"
 #include "core/one_pass_four_cycle.h"
+#include "core/one_pass_triangle.h"
+#include "core/random_order_triangle.h"
+#include "core/triangle_distinguisher.h"
+#include "core/two_pass_triangle.h"
 #include "core/wedge_sampling_triangle.h"
 #include "exact/four_cycle.h"
 #include "exact/triangle.h"
@@ -22,6 +30,7 @@
 #include "gen/planted.h"
 #include "gen/projective_plane.h"
 #include <gtest/gtest.h>
+#include "snapshot/snapshot.h"
 #include "stream/adjacency_stream.h"
 #include "stream/driver.h"
 #include "test_util.h"
@@ -178,6 +187,122 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(info.param).name) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
+
+// The complete graph on four ids a service client may send. The all-ones
+// id is the watch index's empty key, so its lists take the index's
+// separate path.
+constexpr VertexId kHostileIds[] = {0, VertexId{1} << 31, 0xfffffffe,
+                                    0xffffffff};
+
+// Delivers K4 on kHostileIds to `algo`, every pass: as adjacency lists
+// (each edge from both ends) or, for `edges`, each edge once as a
+// one-element list.
+void FeedHostileK4(stream::StreamAlgorithm& algo, bool edges) {
+  for (int pass = 0; pass < algo.passes(); ++pass) {
+    algo.BeginPass(pass);
+    for (int i = 0; i < 4; ++i) {
+      const VertexId u = kHostileIds[i];
+      if (!edges) algo.BeginList(u);
+      for (int j = edges ? i + 1 : 0; j < 4; ++j) {
+        if (j == i) continue;
+        if (edges) algo.BeginList(u);
+        algo.OnPair(u, kHostileIds[j]);
+        if (edges) algo.EndList(u);
+      }
+      if (!edges) algo.EndList(u);
+    }
+    algo.EndPass(pass);
+  }
+}
+
+// `algo`'s final state restored into `fresh`: the restore succeeds and
+// checkpoints to the same bytes and meters the same space.
+void ExpectRoundTrip(const stream::StreamAlgorithm& algo,
+                     stream::StreamAlgorithm& fresh) {
+  snapshot::SnapshotWriter w;
+  algo.Serialize(w);
+  const std::vector<std::uint8_t> bytes = std::move(w).Finish();
+  StatusOr<snapshot::SnapshotReader> reader =
+      snapshot::SnapshotReader::Open(bytes);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(fresh.Restore(*reader).ok());
+  snapshot::SnapshotWriter again;
+  fresh.Serialize(again);
+  EXPECT_EQ(std::move(again).Finish(), bytes);
+  EXPECT_EQ(fresh.CurrentSpaceBytes(), algo.CurrentSpaceBytes());
+}
+
+TEST(HostileIds, EveryWatchIndexEstimatorIsExactAtFullSpace) {
+  // K4 holds 4 triangles and 3 four-cycles. Each estimator with a watch
+  // index keyed by vertex, given room for every edge, counts them exactly
+  // on these ids, where the all-ones id used to abort the process, sizes
+  // nothing by an id, and (each that checkpoints) checkpoints and restores
+  // the all-ones id's list.
+  constexpr std::size_t kSpaceBound = 16384;
+  {
+    core::OnePassTriangleOptions options;
+    options.sample_size = 6;
+    core::OnePassTriangleCounter algo(options), fresh(options);
+    FeedHostileK4(algo, false);
+    EXPECT_EQ(algo.Estimate(), 4.0);
+    EXPECT_LE(algo.CurrentSpaceBytes(), kSpaceBound);
+    ExpectRoundTrip(algo, fresh);
+  }
+  {
+    core::TriangleDistinguisherOptions options;
+    options.sample_size = 6;
+    core::TriangleDistinguisher algo(options), fresh(options);
+    FeedHostileK4(algo, false);
+    EXPECT_TRUE(algo.result().found_triangle);
+    EXPECT_LE(algo.CurrentSpaceBytes(), kSpaceBound);
+    ExpectRoundTrip(algo, fresh);
+  }
+  {
+    core::TwoPassTriangleOptions options;
+    options.sample_size = 20;  // m' >= max(m, 3T) + 8: Q never evicts
+    core::TwoPassTriangleCounter algo(options), fresh(options);
+    FeedHostileK4(algo, false);
+    EXPECT_EQ(algo.Estimate(), 4.0);
+    EXPECT_LE(algo.CurrentSpaceBytes(), kSpaceBound);
+    ExpectRoundTrip(algo, fresh);
+  }
+  {
+    core::OnePassFourCycleOptions options;
+    options.sample_size = 6;
+    core::OnePassFourCycleCounter algo(options), fresh(options);
+    FeedHostileK4(algo, false);
+    EXPECT_EQ(algo.Estimate(), 3.0);
+    EXPECT_LE(algo.CurrentSpaceBytes(), kSpaceBound);
+    ExpectRoundTrip(algo, fresh);
+  }
+  {
+    core::FourCycleOptions options;
+    options.sample_size = 6;
+    core::TwoPassFourCycleCounter algo(options), fresh(options);
+    FeedHostileK4(algo, false);
+    EXPECT_EQ(algo.Estimate(), 3.0);
+    EXPECT_LE(algo.CurrentSpaceBytes(), kSpaceBound);
+    ExpectRoundTrip(algo, fresh);
+  }
+  {
+    core::ArbitraryTriangleOptions options;
+    options.sample_size = 6;
+    core::ArbitraryOrderTriangleCounter algo(options);  // no checkpoint
+    FeedHostileK4(algo, true);
+    EXPECT_EQ(algo.Estimate(), 4.0);
+    EXPECT_LE(algo.CurrentSpaceBytes(), kSpaceBound);
+  }
+  {
+    // The whole stream fits in the prefix.
+    core::RandomOrderTriangleOptions options;
+    options.prefix_size = 6;
+    core::RandomOrderTriangleCounter algo(options), fresh(options);
+    FeedHostileK4(algo, true);
+    EXPECT_EQ(algo.Estimate(), 4.0);
+    EXPECT_LE(algo.CurrentSpaceBytes(), kSpaceBound);
+    ExpectRoundTrip(algo, fresh);
+  }
+}
 
 }  // namespace
 }  // namespace cyclestream

@@ -101,13 +101,13 @@ struct Golden {
 // clang-format off
 const Golden kPinned[] = {
     {"exact-stream", "24|", {960, 960, 0, 80, 1, {{960, 960, 80}}}, 16, 11396, 0x40b31862},
-    {"one-pass-triangle", "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {2108, 2220, 112, 80, 1, {{2108, 2220, 80}}}, 16, 16674, 0x5d084fca},
-    {"triangle-distinguisher", "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1936, 2064, 128, 160, 2, {{1936, 2064, 80}, {1924, 2052, 80}}}, 32, 31432, 0xe339e92f},
-    {"two-pass-triangle", "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {6624, 6832, 336, 160, 2, {{5652, 5956, 80}, {6624, 6832, 80}}}, 32, 77116, 0x16ce0f0},
-    {"wedge-sampling", "0x0p+0|197|12|0|0x0p+0|", {1844, 1844, 0, 80, 1, {{1844, 1844, 80}}}, 16, 15624, 0x6c9283e0},
-    {"one-pass-four-cycle", "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {5424, 5728, 368, 80, 1, {{5424, 5728, 80}}}, 16, 29253, 0x48aa959d},
-    {"two-pass-four-cycle", "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {2520, 2640, 192, 160, 2, {{2280, 2376, 80}, {2520, 2640, 80}}}, 32, 33048, 0xbe5ce79e},
-    {"random-order-triangle", "0x1.5f49f49f49f4ap+5|40|6|10|0x1.d4629b7f0d463p+2|", {1656, 1760, 104, 40, 1, {{1656, 1760, 40}}}, 36, 25896, 0xc066301b},
+    {"one-pass-triangle", "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {1612, 1724, 112, 80, 1, {{1612, 1724, 80}}}, 16, 16674, 0x8dc708a2},
+    {"triangle-distinguisher", "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1440, 1568, 128, 160, 2, {{1440, 1568, 80}, {1428, 1556, 80}}}, 32, 31432, 0x2259a65d},
+    {"two-pass-triangle", "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {5632, 5840, 336, 160, 2, {{4660, 4964, 80}, {5632, 5840, 80}}}, 32, 77116, 0x7485b5ae},
+    {"wedge-sampling", "0x0p+0|197|12|0|0x0p+0|", {1348, 1348, 0, 80, 1, {{1348, 1348, 80}}}, 16, 15624, 0x751cf160},
+    {"one-pass-four-cycle", "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {4432, 4736, 368, 80, 1, {{4432, 4736, 80}}}, 16, 29253, 0xd8cb6b64},
+    {"two-pass-four-cycle", "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {2024, 2144, 192, 160, 2, {{1784, 1880, 80}, {2024, 2144, 80}}}, 32, 33048, 0x5f87b961},
+    {"random-order-triangle", "0x1.5f49f49f49f4ap+5|40|6|10|0x1.d4629b7f0d463p+2|", {1160, 1264, 104, 40, 1, {{1160, 1264, 40}}}, 36, 25896, 0x4ea27bf1},
 };
 
 // Where resuming an older version's fixture does not reach the row. A
@@ -141,21 +141,22 @@ struct OlderResume {
 };
 const OlderResume kPinnedOlderResume[] = {
     {"two-pass-triangle", 1, "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {6936, 7360, 688, 160, 2, {{6680, 7104, 80}, {6936, 7360, 80}}}},
-    {"two-pass-triangle", 5, "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {6596, 6804, 1004, 160, 2, {{3848, 4800, 80}, {6596, 6804, 80}}}},
-    {"two-pass-triangle", 7, "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {6596, 6804, 860, 160, 2, {{3972, 4788, 80}, {6596, 6804, 80}}}},
-    {"wedge-sampling", 3, "0x1.8ap+4|197|12|3|0x1.8p-2|", {1840, 1840, 104, 80, 1, {{1840, 1840, 80}}}},
-    {"wedge-sampling", 7, "0x0p+0|197|12|0|0x0p+0|", {1840, 1840, 108, 80, 1, {{1840, 1840, 80}}}},
-    {"one-pass-triangle", 5, "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {2080, 2192, 328, 80, 1, {{2080, 2192, 80}}}},
-    {"one-pass-triangle", 7, "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {2080, 2192, 312, 80, 1, {{2080, 2192, 80}}}},
-    {"triangle-distinguisher", 5, "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1896, 2024, 392, 160, 2, {{1024, 1408, 80}, {1896, 2024, 80}}}},
-    {"triangle-distinguisher", 7, "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1896, 2024, 336, 160, 2, {{1044, 1372, 80}, {1896, 2024, 80}}}},
-    {"one-pass-four-cycle", 5, "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {5336, 5572, 732, 80, 1, {{5336, 5572, 80}}}},
-    {"one-pass-four-cycle", 7, "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {5336, 5572, 716, 80, 1, {{5336, 5572, 80}}}},
-    {"two-pass-four-cycle", 4, "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {2520, 2640, 316, 160, 2, {{1568, 1788, 80}, {2520, 2640, 80}}}},
-    {"two-pass-four-cycle", 5, "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {2520, 2640, 316, 160, 2, {{1440, 1660, 80}, {2520, 2640, 80}}}},
-    {"two-pass-four-cycle", 7, "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {2520, 2640, 308, 160, 2, {{1424, 1636, 80}, {2520, 2640, 80}}}},
+    {"two-pass-triangle", 5, "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {5604, 5812, 1004, 160, 2, {{3848, 4800, 80}, {5604, 5812, 80}}}},
+    {"two-pass-triangle", 7, "0x1.cp+4|40|20|10|20|20|0|7|0x1p+2|", {5604, 5812, 860, 160, 2, {{3972, 4788, 80}, {5604, 5812, 80}}}},
+    {"wedge-sampling", 3, "0x1.8ap+4|197|12|3|0x1.8p-2|", {1344, 1344, 104, 80, 1, {{1344, 1344, 80}}}},
+    {"wedge-sampling", 7, "0x0p+0|197|12|0|0x0p+0|", {1344, 1344, 108, 80, 1, {{1344, 1344, 80}}}},
+    {"one-pass-triangle", 4, "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {1584, 1704, 328, 80, 1, {{1584, 1704, 80}}}},
+    {"one-pass-triangle", 5, "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {1584, 1696, 328, 80, 1, {{1584, 1696, 80}}}},
+    {"one-pass-triangle", 7, "0x1.aaaaaaaaaaaabp+4|40|6|9|0x1.1c71c71c71c72p+2|", {1584, 1696, 312, 80, 1, {{1584, 1696, 80}}}},
+    {"triangle-distinguisher", 5, "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1400, 1528, 392, 160, 2, {{1024, 1408, 80}, {1400, 1528, 80}}}},
+    {"triangle-distinguisher", 7, "1|0x1.faaaaaaaaaaabp+4|40|19|8|", {1400, 1528, 336, 160, 2, {{1044, 1372, 80}, {1400, 1528, 80}}}},
+    {"one-pass-four-cycle", 5, "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {4344, 4580, 732, 80, 1, {{4344, 4580, 80}}}},
+    {"one-pass-four-cycle", 7, "0x1.5aaaaaaaaaaabp+4|40|1|9|9|0x1.5aaaaaaaaaaabp+4|", {4344, 4580, 716, 80, 1, {{4344, 4580, 80}}}},
+    {"two-pass-four-cycle", 4, "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {2024, 2144, 316, 160, 2, {{1568, 1788, 80}, {2024, 2144, 80}}}},
+    {"two-pass-four-cycle", 5, "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {2024, 2144, 316, 160, 2, {{1440, 1660, 80}, {2024, 2144, 80}}}},
+    {"two-pass-four-cycle", 7, "0x1.5aaaaaaaaaaaap+7|0x1.c2aaaaaaaaaaap+5|40|10|12|10|13|0|0x1.1555555555555p+4|", {2024, 2144, 308, 160, 2, {{1424, 1636, 80}, {2024, 2144, 80}}}},
     {"exact-stream", 6, "24|", {960, 1248, 441, 80, 1, {{960, 1248, 80}}}},
-    {"random-order-triangle", 7, "0x1.5f49f49f49f4ap+5|40|6|10|0x1.d4629b7f0d463p+2|", {1656, 1760, 208, 40, 1, {{1656, 1760, 40}}}},
+    {"random-order-triangle", 7, "0x1.5f49f49f49f4ap+5|40|6|10|0x1.d4629b7f0d463p+2|", {1160, 1264, 208, 40, 1, {{1160, 1264, 40}}}},
 };
 // clang-format on
 
@@ -401,14 +402,14 @@ struct SweepPin {
 // clang-format off
 const SweepPin kSweepPinned[] = {
     {"exact-stream", 0x9e2182a784fe8ca5, 0x6a427aafb09df585},
-    {"one-pass-triangle", 0x509f76649c4b5a26, 0x58b2080249537bab},
-    {"triangle-distinguisher", 0x2e457802c41845e, 0xc1c9dad1d24aedc3},
-    {"two-pass-triangle", 0x3800bf8af7cdbbef, 0xe44076c246376102},
-    {"wedge-sampling", 0xcf9582ae0b74e350, 0x93bb5e34e590d52d},
-    {"one-pass-four-cycle", 0xac0f5d59391019e6, 0x300b62f9ec0e1af5},
-    {"two-pass-four-cycle", 0x5679d7baa92a25d9, 0xb954ebbf0a7a2b48},
-    {"random-order-triangle", 0xdd7bf9f11efc8741, 0xcea17a52592e8d1d},
-    {"arbitrary-order-triangle", 0xe94410f911d75723, 0x16987f52a29fda17},
+    {"one-pass-triangle", 0x509f76649c4b5a26, 0x2929356b92011c6d},
+    {"triangle-distinguisher", 0x2e457802c41845e, 0x4123573ffd358086},
+    {"two-pass-triangle", 0x3800bf8af7cdbbef, 0x51a49771b9ecdbd9},
+    {"wedge-sampling", 0xcf9582ae0b74e350, 0xa514d1fd1a0fed69},
+    {"one-pass-four-cycle", 0xac0f5d59391019e6, 0xee27f145b75b5411},
+    {"two-pass-four-cycle", 0x5679d7baa92a25d9, 0xc53f1fd81b9c5ffb},
+    {"random-order-triangle", 0xdd7bf9f11efc8741, 0xc38d3579c664745},
+    {"arbitrary-order-triangle", 0xe94410f911d75723, 0x7a6d839d75a01193},
 };
 // clang-format on
 

@@ -1,17 +1,19 @@
 // core::WatchIndex against a plain mirror: the estimators' watcher lists
 // must behave exactly as the push_back / swap-remove maps they replaced,
-// keep the table and list capacities the index promises (its own meter),
-// and checkpoint to bytes a fresh index restores bit for bit.
-// core::SampledEdges: each member's recorded list positions point back at
-// it, and a slot is reused only after its member leaves. core::ListMarks: a
-// list completes an item once, when it delivers the item's second end, and
-// no earlier list's mark counts, across the stamp's wrap too.
+// for the all-ones key (the table's empty sentinel) too, keep the table and
+// list capacities the index promises (its own meter), and checkpoint to
+// bytes a fresh index restores bit for bit. core::SampledEdges: each
+// member's recorded list positions point back at it, and a slot is reused
+// only after its member leaves. core::ListMarks: a list completes an item
+// once, when it delivers the item's second end, and no earlier list's mark
+// counts, across the stamp's wrap too.
 
 #include "core/watch_index.h"
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -34,12 +36,14 @@ namespace {
 // over the first equal one (or the one at a position) to remove, erase a
 // key whose list empties. It also models the index's geometry: a table of
 // at least 8 positions that doubles past load 1/4 and halves below 1/8,
-// and list capacities that double when full and halve at a quarter.
+// and list capacities that double when full and halve at a quarter. The
+// all-ones key's list is kept outside the table.
 template <typename K, typename V>
 class Mirror {
  public:
   void Add(K key, V value) {
-    if (!lists_.contains(key) && 4 * (lists_.size() + 1) > table_) {
+    if (!lists_.contains(key) && key != kAllOnes &&
+        4 * (TableKeys() + 1) > table_) {
       table_ *= 2;
     }
     List& list = lists_[key];
@@ -69,14 +73,17 @@ class Mirror {
     if (4 * list.values.size() <= list.capacity) list.capacity /= 2;
     if (list.values.empty()) {
       lists_.erase(it);
-      if (table_ > 8 && 8 * lists_.size() < table_) table_ /= 2;
+      if (key != kAllOnes && table_ > 8 && 8 * TableKeys() < table_) {
+        table_ /= 2;
+      }
     }
   }
 
-  // Both table arrays (a key and a 16-byte list header per position) and
-  // every list's buffer.
+  // The table (a key and a 4-byte header index per position), a 16-byte
+  // list header per four positions and one for the all-ones key, and every
+  // list's buffer.
   std::size_t MemoryBytes() const {
-    std::size_t bytes = table_ * (sizeof(K) + 16);
+    std::size_t bytes = table_ * (sizeof(K) + 4) + (table_ / 4 + 1) * 16;
     for (const auto& [key, list] : lists_) bytes += list.capacity * sizeof(V);
     return bytes;
   }
@@ -89,6 +96,12 @@ class Mirror {
   std::size_t size() const { return lists_.size(); }
 
  private:
+  static constexpr K kAllOnes = std::numeric_limits<K>::max();
+
+  std::size_t TableKeys() const {
+    return lists_.size() - (lists_.contains(kAllOnes) ? 1 : 0);
+  }
+
   struct List {
     std::vector<V> values;
     std::size_t capacity = 0;
@@ -98,12 +111,18 @@ class Mirror {
   std::size_t table_ = 8;
 };
 
+// The keys the mirror runs draw from: 0 to 46, and the all-ones key.
+template <typename K>
+K KeyNumber(std::uint64_t i) {
+  return i == 47 ? std::numeric_limits<K>::max() : static_cast<K>(i);
+}
+
 template <typename K, typename V>
-void ExpectMatches(const WatchIndex<K, V>& index, const Mirror<K, V>& mirror,
-                   K max_key) {
+void ExpectMatches(const WatchIndex<K, V>& index, const Mirror<K, V>& mirror) {
   ASSERT_EQ(index.size(), mirror.size());
   ASSERT_EQ(index.MemoryBytes(), mirror.MemoryBytes());
-  for (K key = 0; key <= max_key; ++key) {
+  for (std::uint64_t i = 0; i < 48; ++i) {
+    const K key = KeyNumber<K>(i);
     const auto got = index.Find(key);
     ASSERT_EQ(std::vector<V>(got.begin(), got.end()), mirror.ListOf(key))
         << "key " << key;
@@ -125,7 +144,6 @@ std::vector<std::uint8_t> Save(const WatchIndex<K, V>& index) {
 // and the end state must survive a checkpoint round trip.
 template <typename K, typename V>
 void RunAgainstMirror(std::uint64_t seed) {
-  constexpr K kMaxKey = 47;
   constexpr std::uint64_t kValues = 7;
   obs::MemoryDomain domain;
   WatchIndex<K, V> index(&domain);
@@ -136,10 +154,11 @@ void RunAgainstMirror(std::uint64_t seed) {
   int moved = 0;
   std::set<K> ever_dropped;
   std::size_t most_keys = 0;
+  int all_ones_held = 0;
   // Alternating phases of mostly-add and mostly-remove, ending on an add
   // phase: lists grow past several capacity doublings, then drain.
   for (int op = 0; op < 6300; ++op) {
-    const K key = static_cast<K>(rng.NextBounded(kMaxKey + 1));
+    const K key = KeyNumber<K>(rng.NextBounded(48));
     const V value = static_cast<V>(rng.NextBounded(kValues));
     const bool adding_phase = op % 2000 < 300;
     const std::uint64_t kind = rng.NextBounded(10);
@@ -170,7 +189,8 @@ void RunAgainstMirror(std::uint64_t seed) {
       ever_dropped.insert(key);
     }
     most_keys = std::max(most_keys, mirror.size());
-    ExpectMatches(index, mirror, kMaxKey);
+    all_ones_held += !index.Find(KeyNumber<K>(47)).empty();
+    ExpectMatches(index, mirror);
     if (::testing::Test::HasFatalFailure()) {
       FAIL() << "diverged at op " << op << (add ? " (add)" : " (remove)");
     }
@@ -180,7 +200,11 @@ void RunAgainstMirror(std::uint64_t seed) {
   EXPECT_GT(refilled, 0);
   EXPECT_GT(moved, 0);
   EXPECT_GT(most_keys, 4u);  // the table doubled at least once
-  ASSERT_GT(index.size(), 0u);
+  EXPECT_GT(all_ones_held, 0);
+  // The checkpoint holds the all-ones key's list too.
+  index.Add(KeyNumber<K>(47), V{1});
+  mirror.Add(KeyNumber<K>(47), V{1});
+  ExpectMatches(index, mirror);
 
   const std::vector<std::uint8_t> bytes = Save(index);
   StatusOr<snapshot::SnapshotReader> reader =
@@ -195,7 +219,7 @@ void RunAgainstMirror(std::uint64_t seed) {
   EXPECT_EQ(Save(restored), bytes);
   EXPECT_EQ(restored.MemoryBytes(), index.MemoryBytes());
   EXPECT_EQ(restored_domain.live_bytes(), domain.live_bytes());
-  ExpectMatches(restored, mirror, kMaxKey);
+  ExpectMatches(restored, mirror);
 }
 
 TEST(WatchIndex, MatchesTheMirrorByVertex) {
@@ -218,12 +242,20 @@ struct EdgeState {
   std::uint32_t ends = 0;
 };
 
-// A seeded offer sequence over a small vertex set, so the sample fills,
-// evicts, and takes evicted edges back. After every offer each member keeps
-// the slot it was admitted to, sits at its recorded position in both
-// endpoint lists, and no list holds anything else; an admission takes a
-// slot no member holds.
-TEST(SampledEdges, PositionsPointBackAndSlotsAreReusedOnlyAfterTheMemberLeaves) {
+// A seeded offer sequence over a small vertex set, one of them the all-ones
+// id, so the sample fills and evicts. The test keeps each vertex's list of
+// slots as the swap-remove map would: an admitted edge is appended at both
+// ends, an evicted one replaced by its list's last entry. After every
+// offer each member keeps the slot it was admitted to, and every vertex's
+// list yields exactly the mirror's slots in the mirror's order, which an
+// eviction that unlisted at a wrong recorded position would break; an
+// admission takes a slot no member holds.
+TEST(SampledEdges,
+     PositionsPointBackAndSlotsAreReusedOnlyAfterTheMemberLeaves) {
+  constexpr VertexId kVertices = 12;
+  const auto vertex = [](std::uint64_t i) {
+    return i + 1 == kVertices ? ~VertexId{0} : static_cast<VertexId>(i);
+  };
   for (const std::size_t capacity : {1u, 3u, 16u}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE("capacity " + std::to_string(capacity) + ", seed " +
@@ -231,14 +263,20 @@ TEST(SampledEdges, PositionsPointBackAndSlotsAreReusedOnlyAfterTheMemberLeaves) 
       obs::MemoryDomain domain;
       SampledEdges<EdgeState> edges(capacity, seed, &domain);
       std::map<EdgeKey, std::uint32_t> slot_of;  // member -> its slot
+      std::map<VertexId, std::vector<std::uint32_t>> lists;
+      const auto unlist = [&](VertexId x, std::uint32_t slot) {
+        std::vector<std::uint32_t>& list = lists[x];
+        *std::ranges::find(list, slot) = list.back();
+        list.pop_back();
+      };
       Rng rng(seed);
-      constexpr VertexId kVertices = 12;
       int evictions = 0;
       int reused = 0;
+      int all_ones_listed = 0;
       std::set<std::uint32_t> ever_freed;
       for (int op = 0; op < 2000; ++op) {
-        const VertexId u = static_cast<VertexId>(rng.NextBounded(kVertices));
-        const VertexId v = static_cast<VertexId>(rng.NextBounded(kVertices));
+        const VertexId u = vertex(rng.NextBounded(kVertices));
+        const VertexId v = vertex(rng.NextBounded(kVertices));
         if (u == v) continue;
         const EdgeKey key = MakeEdgeKey(u, v);
         std::uint32_t slot = SampledEdges<EdgeState>::kNoSlot;
@@ -249,6 +287,8 @@ TEST(SampledEdges, PositionsPointBackAndSlotsAreReusedOnlyAfterTheMemberLeaves) 
               EXPECT_EQ(MakeEdgeKey(state.lo, state.hi), evicted);
               ASSERT_TRUE(slot_of.contains(evicted));
               ever_freed.insert(slot_of[evicted]);
+              unlist(state.lo, slot_of[evicted]);
+              unlist(state.hi, slot_of[evicted]);
               slot_of.erase(evicted);
             },
             &slot);
@@ -259,32 +299,35 @@ TEST(SampledEdges, PositionsPointBackAndSlotsAreReusedOnlyAfterTheMemberLeaves) 
           }
           reused += ever_freed.contains(slot);
           slot_of[key] = slot;
+          lists[EdgeKeyLo(key)].push_back(slot);
+          lists[EdgeKeyHi(key)].push_back(slot);
         } else if (result == sampling::OfferResult::kAlreadyPresent) {
           ASSERT_EQ(slot, slot_of.at(key));
         }
         ASSERT_EQ(edges.size(), slot_of.size());
-        std::size_t listed = 0;
-        for (VertexId x = 0; x < kVertices; ++x) {
-          std::uint32_t pos = 0;
+        for (std::uint64_t i = 0; i < kVertices; ++i) {
+          const VertexId x = vertex(i);
+          std::vector<std::uint32_t> yielded;
           edges.ForEachAt(x, [&](std::uint32_t at, EdgeKey member,
                                  EdgeState& state) {
             ASSERT_TRUE(slot_of.contains(member)) << "lists a non-member";
             EXPECT_EQ(slot_of.at(member), at);
             EXPECT_TRUE(edges.Holds(at, member));
             EXPECT_EQ(&edges.At(at), &state);
-            EXPECT_EQ(edges.ListPosition(at, state.lo == x ? 0 : 1), pos);
-            ++pos;
+            yielded.push_back(at);
           });
-          listed += pos;
+          ASSERT_EQ(yielded, lists[x]) << "vertex " << x;
+          ASSERT_EQ(edges.CountAt(x), yielded.size());
         }
-        ASSERT_EQ(listed, 2 * slot_of.size());
         for (const auto& [member, held] : slot_of) {
           ASSERT_EQ(edges.SlotOf(member), held);
         }
+        all_ones_listed += !lists[vertex(kVertices - 1)].empty();
       }
       EXPECT_GT(evictions, 0);
       if (capacity > 1) {
         EXPECT_GT(reused, 0);
+        EXPECT_GT(all_ones_listed, 0);
       }
     }
   }
